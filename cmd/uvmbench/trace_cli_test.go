@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"uvmasim/internal/serve"
 )
 
 // readTrace loads one written trace file and fails the test if it is
@@ -111,10 +113,12 @@ func TestJSONFlag(t *testing.T) {
 	}
 }
 
-// TestJSONFlagAcrossSubcommands smoke-checks that every -json-capable
-// subcommand prints exactly one valid JSON document.
+// TestJSONFlagAcrossSubcommands smoke-checks that every figure of `all`
+// prints exactly one valid JSON document at -i 1, where the spread
+// statistics of fig4, fig5 and fig6 are undefined (one sample) and must
+// encode as null rather than fail the run.
 func TestJSONFlagAcrossSubcommands(t *testing.T) {
-	for _, sub := range []string{"table3", "fig9", "fig12", "fig14"} {
+	for _, sub := range serve.AllFigures {
 		sub := sub
 		t.Run(sub, func(t *testing.T) {
 			out := capture(t, "-i", "1", "-json", sub)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"math"
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/stats"
@@ -60,26 +61,39 @@ func toBreakdownsJSON(bs []cuda.Breakdown) []breakdownJSON {
 	return out
 }
 
+// spread is a dispersion statistic (std, CI, CV) of a sample series.
+// With fewer than two samples it is undefined — NaN, which encoding/json
+// refuses — so it encodes as null then, and as the plain float64
+// encoding otherwise.
+type spread float64
+
+func (v spread) MarshalJSON() ([]byte, error) {
+	if math.IsNaN(float64(v)) {
+		return []byte("null"), nil
+	}
+	return json.Marshal(float64(v))
+}
+
 // summaryJSON mirrors stats.Summary.
 type summaryJSON struct {
 	N        int     `json:"n"`
 	MeanNs   float64 `json:"mean_ns"`
-	StdNs    float64 `json:"std_ns"`
+	StdNs    spread  `json:"std_ns"`
 	MinNs    float64 `json:"min_ns"`
 	MaxNs    float64 `json:"max_ns"`
 	MedianNs float64 `json:"median_ns"`
-	CI95Ns   float64 `json:"ci95_ns"`
+	CI95Ns   spread  `json:"ci95_ns"`
 }
 
 func toSummaryJSON(s stats.Summary) summaryJSON {
 	return summaryJSON{
 		N:        s.N,
 		MeanNs:   s.Mean,
-		StdNs:    s.Std,
+		StdNs:    spread(s.Std),
 		MinNs:    s.Min,
 		MaxNs:    s.Max,
 		MedianNs: s.Median,
-		CI95Ns:   s.CI95,
+		CI95Ns:   spread(s.CI95),
 	}
 }
 
@@ -112,7 +126,7 @@ func (d *DistributionStudy) Fig4Doc() FigureDoc {
 		Setup    cuda.Setup     `json:"setup"`
 		Size     workloads.Size `json:"size"`
 		Summary  summaryJSON    `json:"summary"`
-		CV       float64        `json:"cv"`
+		CV       spread         `json:"cv"`
 	}
 	cells := make([]cell, len(d.Cells))
 	for i, c := range d.Cells {
@@ -121,7 +135,7 @@ func (d *DistributionStudy) Fig4Doc() FigureDoc {
 			Setup:    c.Setup,
 			Size:     c.Size,
 			Summary:  toSummaryJSON(c.Summary),
-			CV:       c.CV,
+			CV:       spread(c.CV),
 		}
 	}
 	return FigureDoc{Figure: "fig4", Data: cells}
@@ -131,25 +145,25 @@ func (d *DistributionStudy) Fig4Doc() FigureDoc {
 // the text renderer's workload × size grid.
 func (d *DistributionStudy) Fig5Doc() FigureDoc {
 	type row struct {
-		Workload string    `json:"workload"`
-		CVs      []float64 `json:"cv_by_size"`
+		Workload string   `json:"workload"`
+		CVs      []spread `json:"cv_by_size"`
 	}
 	rows := make([]row, len(d.Workloads))
 	for i, w := range d.Workloads {
-		cvs := make([]float64, len(d.Sizes))
+		cvs := make([]spread, len(d.Sizes))
 		for j, size := range d.Sizes {
-			cvs[j] = d.CV(w, size)
+			cvs[j] = spread(d.CV(w, size))
 		}
 		rows[i] = row{Workload: w, CVs: cvs}
 	}
-	geo := make([]float64, len(d.Sizes))
+	geo := make([]spread, len(d.Sizes))
 	for j, size := range d.Sizes {
-		geo[j] = d.GeoMeanCV(size)
+		geo[j] = spread(d.GeoMeanCV(size))
 	}
 	return FigureDoc{Figure: "fig5", Data: struct {
 		Sizes   []workloads.Size `json:"sizes"`
 		Rows    []row            `json:"rows"`
-		GeoMean []float64        `json:"geomean_by_size"`
+		GeoMean []spread         `json:"geomean_by_size"`
 	}{d.Sizes, rows, geo}}
 }
 
@@ -157,9 +171,9 @@ func (d *DistributionStudy) Fig5Doc() FigureDoc {
 func (f *Fig6) Doc() FigureDoc {
 	return FigureDoc{Figure: "fig6", Data: struct {
 		Runs     []breakdownJSON `json:"runs"`
-		MemcpyCV float64         `json:"memcpy_cv"`
-		KernelCV float64         `json:"kernel_cv"`
-	}{toBreakdownsJSON(f.Runs), f.MemcpyCV(), f.KernelCV()}}
+		MemcpyCV spread          `json:"memcpy_cv"`
+		KernelCV spread          `json:"kernel_cv"`
+	}{toBreakdownsJSON(f.Runs), spread(f.MemcpyCV()), spread(f.KernelCV())}}
 }
 
 // breakdownStudyData is the payload of one BreakdownStudy (fig7 wraps

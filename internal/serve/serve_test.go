@@ -121,6 +121,26 @@ func TestExperimentsByteIdentity(t *testing.T) {
 	}
 }
 
+// TestSingleIterationSpec pins that a valid one-iteration spec is
+// answered: the spread statistics of fig4, fig5 and fig6 are undefined
+// over one sample, and the response encodes them as null instead of
+// failing the request with a 500.
+func TestSingleIterationSpec(t *testing.T) {
+	h := New(quietConfig()).Handler()
+	for _, fig := range []string{"fig4", "fig5", "fig6"} {
+		w := post(h, `{"figure":"`+fig+`","iters":1}`)
+		if w.Code != http.StatusOK {
+			t.Fatalf("%s iters 1: status %d: %s", fig, w.Code, w.Body.String())
+		}
+		if got, want := w.Body.String(), cliJSON(t, 1, fig); got != want {
+			t.Errorf("%s iters 1: response diverges from CLI -json output", fig)
+		}
+		if !strings.Contains(w.Body.String(), "null") {
+			t.Errorf("%s iters 1: no undefined spread encoded as null", fig)
+		}
+	}
+}
+
 // TestStoreWarmRestart models a server restart on a warm cell store: the
 // second process serves identical bytes from store hits, and the
 // store-hit counter on /metrics advances.

@@ -180,6 +180,7 @@ func recycle(t *testing.T, rig *diffRig, i int) {
 	if err := rig.m.Unregister(old); err != nil {
 		t.Fatal(err)
 	}
+	checkClean(t, rig.m)
 	delete(rig.ords, old)
 	r, err := rig.m.Register(old.Size)
 	if err != nil {
@@ -195,10 +196,44 @@ func recycle(t *testing.T, rig *diffRig, i int) {
 func resetRig(t *testing.T, rig *diffRig, sizes []int64) {
 	t.Helper()
 	rig.m.Reset()
+	checkClean(t, rig.m)
 	rig.regions = rig.regions[:0]
 	rig.ords = make(map[*Region]int)
 	for _, s := range sizes {
 		rig.register(t, s)
+	}
+}
+
+// checkClean asserts the recycling invariant that takeRegion relies on,
+// after an Unregister or Reset: every free region is clean over its
+// whole node capacity — each owned slot unlinked, each arrival +Inf,
+// nothing resident, dirty or queued — and owner maps every slot of every
+// region ever created back to that region.
+func checkClean(t *testing.T, m *Manager) {
+	t.Helper()
+	for _, r := range m.free {
+		if r.residentCount != 0 || r.residentBytes != 0 || r.dirtyCount != 0 || len(r.dirtyQ) != 0 {
+			t.Fatalf("free region at slot %d not clean: resident %d (%d B), dirty %d, queue %d",
+				r.base, r.residentCount, r.residentBytes, r.dirtyCount, len(r.dirtyQ))
+		}
+		c := int(r.nodeCap)
+		arrival, dirty, queued := r.arrival[:c], r.dirty[:c], r.queued[:c]
+		for i := 0; i < c; i++ {
+			if n := m.nodes[r.base+int32(i)]; n != unlinked {
+				t.Fatalf("free region at slot %d: chunk %d still linked %+v", r.base, i, n)
+			}
+			if !math.IsInf(arrival[i], 1) || dirty[i] || queued[i] {
+				t.Fatalf("free region at slot %d: chunk %d arrival %v dirty %v queued %v",
+					r.base, i, arrival[i], dirty[i], queued[i])
+			}
+		}
+	}
+	for _, r := range m.regs {
+		for i := int32(0); i < r.nodeCap; i++ {
+			if got := m.owner(r.base + i); got != r {
+				t.Fatalf("owner(%d) = region at slot %d, want region at slot %d", r.base+i, got.base, r.base)
+			}
+		}
 	}
 }
 
@@ -280,13 +315,13 @@ func TestLRUMatchesStampOrder(t *testing.T) {
 		last := int64(-1)
 		count := 0
 		for s := rig.m.nodes[0].next; s != 0; s = rig.m.nodes[s].next {
-			n := rig.m.nodes[s]
-			reg := rig.m.regs[n.region]
-			stamp := reg.lastUse[n.idx]
+			reg := rig.m.owner(s)
+			idx := int(s - reg.base)
+			stamp := reg.lastUse[idx]
 			if stamp <= last {
 				t.Fatalf("step %d: ring out of stamp order (%d after %d)", step, stamp, last)
 			}
-			if !reg.Resident(int(n.idx)) {
+			if !reg.Resident(idx) {
 				t.Fatalf("step %d: non-resident chunk on the ring", step)
 			}
 			last = stamp
@@ -414,6 +449,7 @@ func TestResetMatchesFresh(t *testing.T) {
 			// does: manager arenas, bus timeline, counters. The tracer keeps
 			// its warm-phase events; the comparison below starts after them.
 			recycled.m.Reset()
+			checkClean(t, recycled.m)
 			recycled.bus.Reset()
 			*recycled.m.Stats = counters.UVMStats{}
 			recycled.evicts = recycled.evicts[:0]

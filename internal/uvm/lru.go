@@ -12,8 +12,6 @@ import "math"
 //     transition is accompanied by a touch, so append-at-MRU keeps the
 //     ring sorted). Victim selection pops the ring's head; touch unlinks
 //     and re-appends at the tail.
-//   - a per-region resident list through the same nodes, so Unregister
-//     releases a region in O(resident chunks) instead of O(chunks).
 //   - per-region resident counters (count and bytes), making
 //     ResidentChunks and aggregate capacity checks O(1).
 //
@@ -25,85 +23,110 @@ import "math"
 // runs barrier-free and the arena is skipped by the garbage collector's
 // scan entirely.
 //
+// A node is just its two ring links, 8 bytes. Everything else a node
+// could carry is recoverable from its slot: regions own contiguous slot
+// ranges [base, base+nodeCap) allocated in creation order, so the owner
+// of a slot is a binary search over Manager.regs by base (owner), and the
+// chunk index is the slot's offset from that base. Only victim selection
+// needs the lookup; every other path already knows its region. Unregister
+// walks the region's own slot range instead of a per-region resident
+// list, stopping once it has unlinked residentCount chunks, so hold and
+// release relink the global ring and nothing else.
+//
+// The arena grows by doubling (newNodeRange), so building a large
+// region's slots copies the existing arena at most once per doubling
+// rather than on every ~1.25× step of append's growth.
+//
 // The reference scan selector is retained in refscan.go; the
 // differential test pins the two implementations to identical victim
 // order, timing and stats.
 
-// chunkNode is the intrusive list node of one migration granule, living
+// chunkNode is the global LRU ring node of one migration granule, living
 // in the Manager's flat arena at slot region.base+idx. A chunk is linked
-// into the global ring and its region's resident list exactly while it
-// is device-resident.
+// into the ring exactly while it is device-resident.
 //
-// Link encoding: slots are arena indices; slot 0 is the global LRU
-// sentinel. prev/next use 0 for the sentinel and -1 for "not linked";
-// rprev/rnext use -1 for the list ends.
+// Link encoding: slots are arena indices; slot 0 is the ring sentinel.
+// prev/next use 0 for the sentinel and -1 for "not linked".
 type chunkNode struct {
-	prev, next   int32 // global LRU ring, oldest stamp first
-	rprev, rnext int32 // region resident list, arbitrary order
-	region       int32 // owning region's slot in Manager.regs
-	idx          int32 // chunk index within the region
+	prev, next int32 // oldest stamp first
 }
 
-// initLRU creates the node arena with the empty global-ring sentinel at
-// slot 0.
+// unlinked is the node state of a non-resident chunk.
+var unlinked = chunkNode{prev: -1, next: -1}
+
+// initLRU creates the node arena with the empty ring sentinel at slot 0.
 func (m *Manager) initLRU() {
-	m.nodes = append(m.nodes[:0], chunkNode{region: -1, idx: -1, rprev: -1, rnext: -1})
+	m.nodes = append(m.nodes[:0], chunkNode{})
 }
 
-// newNodeRange appends n arena slots permanently owned by region r
-// (slots [r.base, r.base+n)), all unlinked.
-func (m *Manager) newNodeRange(r *Region, n int) {
-	for i := 0; i < n; i++ {
-		m.nodes = append(m.nodes, chunkNode{
-			prev: -1, next: -1, rprev: -1, rnext: -1,
-			region: r.slot, idx: int32(i),
-		})
+// newNodeRange appends n unlinked arena slots and returns the first one.
+// Capacity at least doubles whenever the arena must grow.
+func (m *Manager) newNodeRange(n int) int32 {
+	base := len(m.nodes)
+	need := base + n
+	if need > cap(m.nodes) {
+		grown := make([]chunkNode, base, max(need, 2*cap(m.nodes)))
+		copy(grown, m.nodes)
+		m.nodes = grown
 	}
+	m.nodes = m.nodes[:need]
+	for i := base; i < need; i++ {
+		m.nodes[i] = unlinked
+	}
+	return int32(base)
+}
+
+// owner returns the region whose slot range contains slot s (s > 0): the
+// last region in creation order whose base is at most s.
+func (m *Manager) owner(s int32) *Region {
+	lo, hi := 0, len(m.regs)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if m.regs[mid].base <= s {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return m.regs[lo]
 }
 
 // hold makes chunk idx device-resident with the given availability time:
-// it links the chunk at the MRU end of the global ring, onto the region
-// list, and updates the resident counters. The caller has touched (or is
-// about to touch) the chunk, so MRU placement matches its stamp.
+// it links the chunk at the MRU end of the global ring and updates the
+// resident counters. The caller has touched (or is about to touch) the
+// chunk, so MRU placement matches its stamp.
 func (m *Manager) hold(r *Region, idx int, arrival float64, size int64) {
 	r.arrival[idx] = arrival
-	s := r.base + int32(idx)
-	n := &m.nodes[s]
-	tail := m.nodes[0].prev
-	n.prev, n.next = tail, 0
-	m.nodes[tail].next = s
-	m.nodes[0].prev = s
-	n.rprev, n.rnext = -1, r.resHead
-	if r.resHead >= 0 {
-		m.nodes[r.resHead].rprev = s
-	}
-	r.resHead = s
+	m.linkTail(r.base + int32(idx))
 	r.residentCount++
 	r.residentBytes += size
 	m.resident += size
 }
 
-// release drops chunk idx's residency: unlink from the ring and the
-// region list, clear the arrival, and update the counters.
+// release drops chunk idx's residency: unlink from the ring, clear the
+// arrival, and update the counters.
 func (m *Manager) release(r *Region, idx int, size int64) {
 	r.arrival[idx] = math.Inf(1)
-	s := r.base + int32(idx)
-	n := &m.nodes[s]
-	m.nodes[n.prev].next = n.next
-	m.nodes[n.next].prev = n.prev
-	n.prev, n.next = -1, -1
-	if n.rprev >= 0 {
-		m.nodes[n.rprev].rnext = n.rnext
-	} else {
-		r.resHead = n.rnext
-	}
-	if n.rnext >= 0 {
-		m.nodes[n.rnext].rprev = n.rprev
-	}
-	n.rprev, n.rnext = -1, -1
+	m.unlink(r.base + int32(idx))
 	r.residentCount--
 	r.residentBytes -= size
 	m.resident -= size
+}
+
+// linkTail links slot s at the MRU end of the ring.
+func (m *Manager) linkTail(s int32) {
+	tail := m.nodes[0].prev
+	m.nodes[s] = chunkNode{prev: tail, next: 0}
+	m.nodes[tail].next = s
+	m.nodes[0].prev = s
+}
+
+// unlink removes slot s from the ring and marks it unlinked.
+func (m *Manager) unlink(s int32) {
+	n := m.nodes[s]
+	m.nodes[n.prev].next = n.next
+	m.nodes[n.next].prev = n.prev
+	m.nodes[s] = unlinked
 }
 
 // touch stamps chunk idx as recently used and, if it is resident, moves
@@ -113,26 +136,24 @@ func (m *Manager) touch(r *Region, idx int) {
 	m.stamp++
 	r.lastUse[idx] = m.stamp
 	s := r.base + int32(idx)
-	if n := &m.nodes[s]; n.next > 0 {
+	if n := m.nodes[s]; n.next > 0 {
 		m.nodes[n.prev].next = n.next
 		m.nodes[n.next].prev = n.prev
-		tail := m.nodes[0].prev
-		n.prev, n.next = tail, 0
-		m.nodes[tail].next = s
-		m.nodes[0].prev = s
+		m.linkTail(s)
 	}
 }
 
 // victim returns the least-recently-used resident chunk, or (nil, -1)
-// when nothing is resident. O(1) on the LRU ring; the reference scan
-// selector is used instead when the manager is in reference mode.
+// when nothing is resident: the ring head, resolved to its region by
+// owner. The reference scan selector is used instead when the manager is
+// in reference mode.
 func (m *Manager) victim() (*Region, int) {
 	if m.scanEvict {
 		return m.victimScan()
 	}
 	if s := m.nodes[0].next; s != 0 {
-		n := &m.nodes[s]
-		return m.regs[n.region], int(n.idx)
+		r := m.owner(s)
+		return r, int(s - r.base)
 	}
 	return nil, -1
 }

@@ -13,15 +13,18 @@
 // Eviction bookkeeping is constant-time: a global LRU ring plus
 // per-region resident counters (see lru.go) replace the full residency
 // scan the evictor used to pay per victim, and an ascending dirty-index
-// queue (dirty.go) lets the writeback paths visit only dirty chunks. All
-// link state lives in index-linked flat arenas owned by the Manager, and
-// Regions are recycled through a free list across Register/Unregister
-// cycles, so a warmed-up manager simulates without allocating or writing
-// heap pointers. The pre-optimization scan evictor is retained as a
-// reference implementation (refscan.go) and pinned equivalent by a
-// differential test. All timing is bit-for-bit identical to the scan
-// era: same victim order, same writeback reservations, same stats, same
-// trace instants.
+// queue (dirty.go) lets the writeback paths visit only dirty chunks. The
+// ring lives in one flat arena of 8-byte int32 link pairs owned by the
+// Manager, one per chunk, grown by doubling. Nodes carry no owner: each
+// region owns a contiguous slot range, so the victim's region is a
+// binary search over region bases and Unregister walks the region's own
+// slots; there is no per-region resident list. Regions are recycled
+// through a free list across Register/Unregister cycles, so a warmed-up
+// manager simulates without allocating or writing heap pointers. The
+// pre-optimization scan evictor is retained as a reference
+// implementation (refscan.go) and pinned equivalent by a differential
+// test. All timing is bit-for-bit identical to the scan era: same victim
+// order, same writeback reservations, same stats, same trace instants.
 package uvm
 
 import (
@@ -70,13 +73,11 @@ type Region struct {
 	lastUse []int64   // LRU stamps
 	dirty   []bool    // chunk written by the device since last writeback
 
-	// Indexed bookkeeping (see lru.go and dirty.go). slot, base and
-	// nodeCap are fixed at creation: the region permanently owns arena
-	// slots [base, base+nodeCap) and is recycled only for sizes that fit.
-	slot          int32 // this region's index in Manager.regs
+	// Indexed bookkeeping (see lru.go and dirty.go). base and nodeCap
+	// are fixed at creation: the region permanently owns arena slots
+	// [base, base+nodeCap) and is recycled only for sizes that fit.
 	base          int32 // first owned slot in the Manager node arena
 	nodeCap       int32 // owned arena slots (maximum chunk count)
-	resHead       int32 // head of the resident list, -1 = empty
 	residentCount int
 	residentBytes int64
 	dirtyCount    int
@@ -112,12 +113,13 @@ type Manager struct {
 	resident int64 // managed bytes currently on-device
 	stamp    int64 // LRU clock
 
-	// Flat arenas. nodes holds every chunk's intrusive list links as
-	// int32 slot indices (slot 0 is the global LRU sentinel); regs holds
-	// every Region ever created, indexed by Region.slot so victim lookup
-	// resolves a node's owner without a pointer in the node. free lists
-	// unregistered regions available for recycling (best-fit by chunk
-	// capacity, so the choice is independent of free-list order).
+	// Flat arenas. nodes holds every chunk's LRU ring links as int32
+	// slot indices (slot 0 is the ring sentinel); regs holds every Region
+	// ever created in creation order, so bases ascend and victim lookup
+	// resolves a slot's owner by binary search without a pointer in the
+	// node. free lists unregistered regions available for recycling
+	// (best-fit by chunk capacity, so the choice is independent of
+	// free-list order).
 	nodes     []chunkNode
 	regs      []*Region
 	free      []*Region
@@ -200,10 +202,8 @@ func (m *Manager) takeRegion(n int) *Region {
 		return r
 	}
 	r := &Region{
-		slot:    int32(len(m.regs)),
-		base:    int32(len(m.nodes)),
+		base:    m.newNodeRange(n),
 		nodeCap: int32(n),
-		resHead: -1,
 		arrival: make([]float64, n),
 		lastUse: make([]int64, n),
 		dirty:   make([]bool, n),
@@ -213,13 +213,12 @@ func (m *Manager) takeRegion(n int) *Region {
 		r.arrival[i] = math.Inf(1)
 	}
 	m.regs = append(m.regs, r)
-	m.newNodeRange(r, n)
 	return r
 }
 
 // Unregister drops the region, releasing its device residency, and
-// recycles the object onto the free list. It walks only the region's
-// resident chunks and dirty queue, not every chunk.
+// recycles the object onto the free list. It walks the region's slots
+// only up to its last resident chunk, and its dirty queue.
 func (m *Manager) Unregister(r *Region) error {
 	if reg, ok := m.regions[r.id]; !ok || reg != r {
 		return fmt.Errorf("uvm: unregister of unknown region %d", r.id)
@@ -231,18 +230,18 @@ func (m *Manager) Unregister(r *Region) error {
 }
 
 // releaseAll unlinks every resident chunk of r from the global ring and
-// the region list and clears the arrivals.
+// clears the arrivals. It walks r's own slot range in chunk order and
+// stops once residentCount chunks are unlinked; unlinking in any order
+// leaves the rest of the ring in the same order.
 func (m *Manager) releaseAll(r *Region) {
-	for s := r.resHead; s >= 0; {
-		n := &m.nodes[s]
-		r.arrival[n.idx] = math.Inf(1)
-		m.nodes[n.prev].next = n.next
-		m.nodes[n.next].prev = n.prev
-		next := n.rnext
-		n.prev, n.next, n.rprev, n.rnext = -1, -1, -1, -1
-		s = next
+	left := r.residentCount
+	for i := 0; left > 0; i++ {
+		if s := r.base + int32(i); m.nodes[s].next >= 0 {
+			m.unlink(s)
+			r.arrival[i] = math.Inf(1)
+			left--
+		}
 	}
-	r.resHead = -1
 	m.resident -= r.residentBytes
 	r.residentBytes = 0
 	r.residentCount = 0

@@ -12,6 +12,7 @@ package workloads
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"uvmasim/internal/nearest"
 )
@@ -111,39 +112,32 @@ func (s Size) Elems1D(buffers int) int64 {
 }
 
 // Dim2D returns the side of a square float32 grid such that `buffers`
-// such grids fill the class footprint.
-func (s Size) Dim2D(buffers int) int64 {
-	if buffers < 1 {
-		buffers = 1
-	}
-	per := s.Footprint() / int64(4*buffers)
-	n := int64(1)
-	for (n+1)*(n+1) <= per {
-		// Grow in powers of two then refine; grids this size are always
-		// representable.
-		if n*2*(n*2) <= per {
-			n *= 2
-		} else {
-			n++
-		}
-	}
-	return n
-}
+// such grids fill the class footprint: the largest n with n*n elements
+// within one grid's share (at least 1).
+func (s Size) Dim2D(buffers int) int64 { return intRoot(s.Elems1D(buffers), 2) }
 
 // Dim3D returns the side of a cubic float32 grid such that `buffers`
-// such grids fill the class footprint.
-func (s Size) Dim3D(buffers int) int64 {
-	if buffers < 1 {
-		buffers = 1
-	}
-	per := s.Footprint() / int64(4*buffers)
-	n := int64(1)
-	for (n+1)*(n+1)*(n+1) <= per {
-		if 8*n*n*n <= per {
-			n *= 2
-		} else {
-			n++
+// such grids fill the class footprint: the largest n with n*n*n elements
+// within one grid's share (at least 1).
+func (s Size) Dim3D(buffers int) int64 { return intRoot(s.Elems1D(buffers), 3) }
+
+// intRoot returns the largest n >= 1 with n^k <= per (1 when per < 1).
+// The floating-point root lands within a step of it; the loops correct
+// the estimate exactly.
+func intRoot(per int64, k int) int64 {
+	pow := func(n int64) int64 {
+		p := n
+		for i := 1; i < k; i++ {
+			p *= n
 		}
+		return p
+	}
+	n := max(1, int64(math.Pow(float64(per), 1/float64(k))))
+	for n > 1 && pow(n) > per {
+		n--
+	}
+	for pow(n+1) <= per {
+		n++
 	}
 	return n
 }

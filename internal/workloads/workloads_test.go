@@ -119,3 +119,55 @@ func TestSizeTable(t *testing.T) {
 		t.Error("ParseSize should reject unknown classes")
 	}
 }
+
+// loopDim2D and loopDim3D are the original increment-loop grid sizers
+// over a per-grid element budget, kept as the reference for the
+// closed-form integer roots.
+func loopDim2D(per int64) int64 {
+	n := int64(1)
+	for (n+1)*(n+1) <= per {
+		if n*2*(n*2) <= per {
+			n *= 2
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+func loopDim3D(per int64) int64 {
+	n := int64(1)
+	for (n+1)*(n+1)*(n+1) <= per {
+		if 8*n*n*n <= per {
+			n *= 2
+		} else {
+			n++
+		}
+	}
+	return n
+}
+
+// TestDimClosedFormMatchesLoop pins Dim2D/Dim3D to the loops they
+// replaced for every size class and buffer count 0..12, and intRoot to
+// them over every small budget (perfect powers and 0 included).
+func TestDimClosedFormMatchesLoop(t *testing.T) {
+	for _, s := range AllSizes {
+		for buffers := 0; buffers <= 12; buffers++ {
+			per := s.Footprint() / int64(4*max(buffers, 1))
+			if got, want := s.Dim2D(buffers), loopDim2D(per); got != want {
+				t.Errorf("%v.Dim2D(%d) = %d, loop gives %d", s, buffers, got, want)
+			}
+			if got, want := s.Dim3D(buffers), loopDim3D(per); got != want {
+				t.Errorf("%v.Dim3D(%d) = %d, loop gives %d", s, buffers, got, want)
+			}
+		}
+	}
+	for per := int64(0); per <= 5000; per++ {
+		if got, want := intRoot(per, 2), loopDim2D(per); got != want {
+			t.Fatalf("intRoot(%d, 2) = %d, loop gives %d", per, got, want)
+		}
+		if got, want := intRoot(per, 3), loopDim3D(per); got != want {
+			t.Fatalf("intRoot(%d, 3) = %d, loop gives %d", per, got, want)
+		}
+	}
+}

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
-# bench_oversub.sh — run the oversubscription benchmarks and emit/check a
-# machine-readable baseline.
+# bench_oversub.sh — run the oversubscription and UVM residency benchmarks
+# and emit/check a machine-readable baseline. BenchmarkContextCycle (one
+# fresh context through a vector_seq run) is gated alongside the eviction
+# churn because it pays the residency arenas' first-call growth.
 #
 #   scripts/bench_oversub.sh write [out.json]
 #       Run the benchmarks and write the JSON baseline (default
@@ -24,7 +26,7 @@ benchtime="${BENCHTIME:-1x}"
 cd "$(dirname "$0")/.."
 
 run_bench() {
-    go test -run '^$' -bench 'BenchmarkOversubscription$|BenchmarkUVMEvictionMega' \
+    go test -run '^$' -bench 'BenchmarkOversubscription$|BenchmarkUVMEvictionMega|BenchmarkContextCycle$' \
         -benchtime "$benchtime" -benchmem . |
         awk '
             /^Benchmark/ {
