@@ -307,8 +307,8 @@ func BenchmarkFigureSuite(b *testing.B) {
 // BenchmarkColdCellMegaUVM measures cold single-cell latency at the
 // heaviest iterating cell — vector_seq under the combination setup at
 // the Mega (32 GB) input — with the default executor and iteration
-// fan-out. This is the latency the -itpar fan-out targets: without it a
-// lone cold cell runs its iterations serially and leaves every other
+// fan-out. This is the latency the iteration fan-out targets: without it
+// a lone cold cell runs its iterations serially and leaves every other
 // executor worker idle, so the 1-core and multi-core rows of
 // BENCH_suite.json bracket the speedup. A fresh seed per op keeps every
 // measurement cold.

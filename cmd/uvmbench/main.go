@@ -25,16 +25,15 @@
 //	uvmbench all               everything above
 //
 // Flags (before the subcommand): -i iterations (default 30), -seed,
-// -size (overrides the default class where applicable), -par executor
-// workers (0 = all cores, 1 = serial; output is byte-identical at any
-// setting), -itpar intra-cell iteration workers (0 = executor width,
-// 1 = serial iterations; a cell's repetitions split across pooled
-// contexts and merge in iteration order, so output stays byte-identical
-// at any -par x -itpar combination), -json (emit figure data as a JSON
-// document instead of the text table), -profile (hardware profile: a
-// built-in name or a profile
-// JSON file; every experiment runs on that machine), -profiles (the
-// comma-separated machines compare-profiles sweeps), -setups (a
+// -size (overrides the default class where applicable; a size that
+// cannot fit the machine's memory under an explicit-copy setup fails
+// before anything simulates), -par executor workers (0 = all cores,
+// 1 = serial; cells and each cell's iterations fan out across one pool
+// of that width and merge in serial order, so output is byte-identical
+// at any setting), -json (emit figure data as a JSON document instead
+// of the text table), -profile (hardware profile: a built-in name or a
+// profile JSON file; every experiment runs on that machine), -profiles
+// (the comma-separated machines compare-profiles sweeps), -setups (a
 // comma-separated subset of registered setup names — e.g.
 // standard,uvm,uvm_zerocopy — that every study iterates instead of the
 // paper's default five; unknown names fail upfront with a nearest-name
@@ -48,16 +47,17 @@
 // persistent cell store: hits skip simulation, misses are written back,
 // so a warm rerun of any sweep costs file reads, not simulation), and
 // -shard i/n (run the i-th of n deterministic partitions of the cell
-// grid and print a mergeable shard artifact instead of normal output;
-// `uvmbench merge a.json b.json ...` over a complete partition prints
-// output byte-identical to the unsharded run).
+// grid and print a mergeable shard artifact — the run spec, the
+// captured cells and the seconds spent simulating them — instead of
+// normal output; `uvmbench merge a.json b.json ...` over a complete
+// partition prints output byte-identical to the unsharded run).
 //
 // The serve subcommand runs the experiment service (internal/serve):
 // POST /v1/experiments computes figures (responses byte-identical to
 // -json output for the same spec), /metrics exposes the Prometheus
 // registry, /healthz reports readiness, /debug/pprof/ serves profiles.
 // It honors -addr, -max-inflight (a worker-slot budget: each admitted
-// request claims its executor width), -par, -itpar, -cache-dir and
+// request claims its executor width), -par, -cache-dir and
 // -profile (the default machine for specs that name none) and drains
 // gracefully on SIGTERM.
 //
@@ -76,6 +76,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"uvmasim/internal/core"
@@ -106,9 +107,9 @@ type options struct {
 	json      bool
 	workload  string
 	setupName string
-	gpus      string // -gpus device-count list for multigpu ("" = default grid)
-	topology  string // -topology interconnect list for multigpu
-	policy    string // -policy placement for multigpu
+	gpus      string       // -gpus device-count list for multigpu ("" = default grid)
+	topology  string       // -topology interconnect list for multigpu
+	policy    string       // -policy placement for multigpu
 	setups    []cuda.Setup // resolved -setups study list (nil = paper five)
 	outDir    string
 	profiles  string            // -profiles list for compare-profiles
@@ -136,31 +137,11 @@ func (o *options) emit(text func() string, doc core.FigureDoc) error {
 	return nil
 }
 
-// commandNames lists every subcommand, for upfront validation (a typo in
+// commandNames lists every subcommand — the CLI-only ones plus the
+// figures serve.Figure renders — for upfront validation (a typo in
 // `fig4,nope` must fail before fig4 spends seconds simulating).
-var commandNames = []string{
-	"list", "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-	"fig11", "fig12", "fig13", "fig14", "micro", "apps", "oversub", "multigpu",
-	"trace", "profiles", "compare-profiles", "merge", "serve", "all",
-}
-
-func knownCommand(cmd string) bool {
-	for _, c := range commandNames {
-		if c == cmd {
-			return true
-		}
-	}
-	return false
-}
-
-func containsCmd(cmds []string, want string) bool {
-	for _, c := range cmds {
-		if c == want {
-			return true
-		}
-	}
-	return false
-}
+var commandNames = append([]string{"list", "trace", "profiles", "merge", "serve", "all"},
+	serve.FigureNames...)
 
 // shardable reports whether a subcommand's cells can be partitioned.
 // Inventory listings and trace (whose artifact is a timeline, not cells)
@@ -189,7 +170,6 @@ func run(args []string) error {
 	topology := fs.String("topology", "", "multigpu: comma-separated interconnects, pcie-switch and/or nvlink (empty = "+serve.DefaultTopology+")")
 	policy := fs.String("policy", "", "multigpu: placement policy, first-fit, least-loaded or bandwidth-aware (empty = "+serve.DefaultPolicy+")")
 	par := fs.Int("par", 0, "experiment executor workers (0 = all cores, 1 = serial); output is identical at any value")
-	itpar := fs.Int("itpar", 0, "intra-cell iteration workers (0 = executor width, 1 = serial iterations); output is identical at any value")
 	jsonOut := fs.Bool("json", false, "emit figure data as a JSON document instead of a text table")
 	workload := fs.String("workload", "gemm", "workload for the trace and compare-profiles subcommands")
 	setupName := fs.String("setup", "", "setup for the trace subcommand (empty = every study setup)")
@@ -207,7 +187,7 @@ func run(args []string) error {
 		fmt.Fprintln(w, "usage: uvmbench [flags] <subcommand>[,<subcommand>...]")
 		fmt.Fprintln(w, "       uvmbench [flags] merge <shard.json> ...")
 		fmt.Fprintln(w, "       uvmbench [flags] serve")
-		fmt.Fprintln(w, "subcommands: table3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14 micro apps oversub multigpu trace list profiles compare-profiles merge serve all")
+		fmt.Fprintln(w, "subcommands:", strings.Join(commandNames, " "))
 		fmt.Fprintln(w, "flags:")
 		fs.SetOutput(w)
 		fs.PrintDefaults()
@@ -231,9 +211,6 @@ func run(args []string) error {
 	if *par < 0 {
 		return fmt.Errorf("-par must be >= 0, got %d", *par)
 	}
-	if *itpar < 0 {
-		return fmt.Errorf("-itpar must be >= 0, got %d", *itpar)
-	}
 
 	// Validate everything cheap before the first simulation: subcommand
 	// names, the shard spec, output paths, profile files, the cell-store
@@ -241,7 +218,7 @@ func run(args []string) error {
 	// after a full sweep.
 	cmds := strings.Split(fs.Arg(0), ",")
 	for _, cmd := range cmds {
-		if !knownCommand(cmd) {
+		if !slices.Contains(commandNames, cmd) {
 			return fmt.Errorf("unknown subcommand %q%s", cmd, nearest.Hint(cmd, commandNames, 2))
 		}
 	}
@@ -253,30 +230,30 @@ func run(args []string) error {
 			return fmt.Errorf("-setups: %w", err)
 		}
 	}
-	if *gpusCSV != "" || *topology != "" || *policy != "" || containsCmd(cmds, "multigpu") {
+	if *gpusCSV != "" || *topology != "" || *policy != "" || slices.Contains(cmds, "multigpu") {
 		if _, _, _, err := serve.ResolveMultiGPU(serve.FigureOptions{
 			GPUs: *gpusCSV, Topology: *topology, Policy: *policy,
 		}); err != nil {
 			return err
 		}
 	}
-	if containsCmd(cmds, "merge") {
+	if slices.Contains(cmds, "merge") {
 		if len(cmds) != 1 {
 			return fmt.Errorf("merge cannot be combined with other subcommands")
 		}
 		if *shard != "" {
 			return fmt.Errorf("-shard does not apply to merge (it consumes shard artifacts)")
 		}
-		return runMerge(fs.Args()[1:], *par, *itpar, *jsonOut, *cacheDir)
+		return runMerge(fs.Args()[1:], *par, *jsonOut, *cacheDir)
 	}
-	if containsCmd(cmds, "serve") {
+	if slices.Contains(cmds, "serve") {
 		if len(cmds) != 1 {
 			return fmt.Errorf("serve cannot be combined with other subcommands")
 		}
 		if *shard != "" {
 			return fmt.Errorf("-shard does not apply to serve")
 		}
-		return runServe(*addr, *maxInflight, *par, *itpar, *cacheDir, *prof)
+		return runServe(*addr, *maxInflight, *par, *cacheDir, *prof)
 	}
 	shardIdx, shardCnt := 0, 0
 	if *shard != "" {
@@ -291,7 +268,7 @@ func run(args []string) error {
 			}
 		}
 	}
-	if containsCmd(cmds, "trace") {
+	if slices.Contains(cmds, "trace") {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			return fmt.Errorf("-out: %w", err)
 		}
@@ -301,11 +278,14 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
+	sizeOpt := serve.FigureOptions{Size: *sizeName, Workload: *workload, ProfilesCSV: *profs}
+	if err := serve.CheckSize(cmds, sizeOpt, p, studySetups); err != nil {
+		return err
+	}
 	r := core.NewRunnerFor(p)
 	r.Iterations = *iters
 	r.BaseSeed = *seed
 	r.Parallelism = *par
-	r.IterParallelism = *itpar
 	r.Setups = studySetups
 	// Every invocation carries a metrics registry: batch runs expose the
 	// same counter/histogram numbers in the cache-summary doc that a
@@ -362,7 +342,7 @@ func run(args []string) error {
 			Policy:   *policy,
 			Profile:  p,
 		}
-		if containsCmd(cmds, "compare-profiles") {
+		if slices.Contains(cmds, "compare-profiles") {
 			ps, err := serve.ResolveProfiles(*profs)
 			if err != nil {
 				return err
@@ -383,20 +363,20 @@ func run(args []string) error {
 		}
 	}
 	if shardCnt > 0 {
-		docs := r.Capture.Docs()
 		if err := emitShardArtifact(os.Stdout, shardArtifact{
-			Schema:               store.SchemaVersion,
-			Spec:                 spec,
-			ShardIndex:           shardIdx,
-			ShardCount:           shardCnt,
-			EstimatedCellSeconds: estimateArtifactSeconds(spec, docs),
-			ActualCellSeconds:    r.SimulatedSeconds(),
-			Cells:                docs,
+			Schema:     store.SchemaVersion,
+			Spec:       spec,
+			ShardIndex: shardIdx,
+			ShardCount: shardCnt,
+			// Looking the histogram up returns the one the runner's
+			// instruments registered above.
+			ActualCellSeconds: reg.Histogram("uvmbench_cell_seconds", "", nil).Sum(),
+			Cells:             r.Capture.Docs(),
 		}); err != nil {
 			stopProfiles()
 			return err
 		}
-	} else if containsCmd(cmds, "all") || r.Store != nil {
+	} else if slices.Contains(cmds, "all") || r.Store != nil {
 		// The two-tier traffic summary rides along with every
 		// store-backed run (satellite: not just `all`): on stderr, so
 		// stdout artifacts stay byte-comparable cold vs warm.
@@ -551,34 +531,11 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 	case "profiles":
 		return runProfiles(o)
 
-	case "table3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "micro", "apps", "oversub",
-		"multigpu", "compare-profiles":
-		// The figure dispatch lives in internal/serve and is shared with
-		// the HTTP service, which is what keeps POST /v1/experiments
-		// responses byte-identical to -json output: both sides render the
-		// same documents from the same code.
-		text, doc, err := serve.Figure(r, cmd, serve.FigureOptions{
-			Size:        o.sizeName,
-			Jobs:        o.jobs,
-			Workload:    o.workload,
-			ProfilesCSV: o.profiles,
-			Profiles:    o.fixed,
-			GPUs:        o.gpus,
-			Topology:    o.topology,
-			Policy:      o.policy,
-		})
-		if err != nil {
-			return err
-		}
-		return o.emit(text, doc)
-
 	case "trace":
 		return runTrace(r, o)
 
 	case "all":
-		for _, sub := range []string{"table3", "fig4", "fig5", "fig6", "fig7", "fig8",
-			"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "oversub", "multigpu"} {
+		for _, sub := range serve.AllFigures {
 			if !o.json {
 				fmt.Fprintf(o.out, "==== %s ====\n", sub)
 			}
@@ -591,7 +548,24 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 		}
 		return nil
 	}
-	return fmt.Errorf("unknown subcommand %q", cmd)
+	// Every other subcommand is a figure. The figure dispatch lives in
+	// internal/serve and is shared with the HTTP service, which is what
+	// keeps POST /v1/experiments responses byte-identical to -json
+	// output: both sides render the same documents from the same code.
+	text, doc, err := serve.Figure(r, cmd, serve.FigureOptions{
+		Size:        o.sizeName,
+		Jobs:        o.jobs,
+		Workload:    o.workload,
+		ProfilesCSV: o.profiles,
+		Profiles:    o.fixed,
+		GPUs:        o.gpus,
+		Topology:    o.topology,
+		Policy:      o.policy,
+	})
+	if err != nil {
+		return err
+	}
+	return o.emit(text, doc)
 }
 
 // runMultiGPUTrace writes per-GPU schedule timelines for the multigpu

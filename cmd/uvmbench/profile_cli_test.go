@@ -143,3 +143,24 @@ func TestFeasibilityGating(t *testing.T) {
 		t.Error("fig6 on the default profile should run")
 	}
 }
+
+// TestSizeOverrideFeasibility: a -size that an explicit-copy setup
+// cannot allocate on a machine the figure runs fails upfront with the
+// shared size check, not with an out-of-memory error after simulating;
+// managed-only studies at the same size still run.
+func TestSizeOverrideFeasibility(t *testing.T) {
+	for _, args := range [][]string{
+		{"-profile", "v100-16g-pcie3", "-size", "mega", "-i", "1", "fig8"},
+		{"-profile", "v100-16g-pcie3", "-size", "mega", "-i", "1", "-setups", "async,uvm", "micro"},
+		{"-profile", "v100-16g-pcie3", "-size", "mega", "-i", "1", "all"},
+		{"-size", "mega", "-i", "1", "compare-profiles"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "does not fit profile v100-16g-pcie3") {
+			t.Errorf("%v: err = %v, want the upfront size check", args, err)
+		}
+	}
+	out := capture(t, "-profile", "v100-16g-pcie3", "-size", "mega", "-i", "1", "-setups", "uvm", "micro")
+	if !strings.Contains(out, "mega input") {
+		t.Errorf("managed-only micro at mega should run on V100:\n%.300s", out)
+	}
+}

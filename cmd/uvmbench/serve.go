@@ -19,7 +19,7 @@ import (
 // requests finish, the listener closes). One metrics registry spans the
 // whole process: the serving plane, the cell cache and executor, and
 // the persistent store all report into it, and /metrics exposes it.
-func runServe(addr string, maxInflight, par, itpar int, cacheDir, profName string) error {
+func runServe(addr string, maxInflight, par int, cacheDir, profName string) error {
 	p, err := profile.Resolve(profName)
 	if err != nil {
 		return err
@@ -37,14 +37,13 @@ func runServe(addr string, maxInflight, par, itpar int, cacheDir, profName strin
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	s := serve.New(serve.Config{
-		Store:           st,
-		StoreDir:        cacheDir,
-		MaxInFlight:     maxInflight,
-		Parallelism:     par,
-		IterParallelism: itpar,
-		Registry:        reg,
-		Log:             log.New(os.Stderr, "", 0),
-		DefaultProfile:  p,
+		Store:          st,
+		StoreDir:       cacheDir,
+		MaxInFlight:    maxInflight,
+		Parallelism:    par,
+		Registry:       reg,
+		Log:            log.New(os.Stderr, "", 0),
+		DefaultProfile: p,
 	})
 	return s.ListenAndServe(ctx, addr)
 }

@@ -20,6 +20,17 @@ func TestSetupsFlag(t *testing.T) {
 	if strings.Contains(out, "uvm_prefetch_async") {
 		t.Errorf("excluded setup leaked into the subset output:\n%s", out)
 	}
+	// A subset without explicit copies has no memcpy to save: text
+	// prints n/a and -json encodes null instead of failing on NaN.
+	noCopy := []string{"-i", "1", "-size", "tiny", "-setups", "uvm_zerocopy,uvm_smcopy"}
+	if out := capture(t, append(noCopy, "micro")...); !strings.Contains(out, "uvm_smcopy n/a") {
+		t.Errorf("undefined memcpy saving should print n/a:\n%s", out)
+	}
+	for _, fig := range []string{"micro", "fig7", "fig8"} {
+		if out := capture(t, append(noCopy, "-json", fig)...); !strings.Contains(out, `"mean_memcpy_savings": null`) {
+			t.Errorf("%s: undefined memcpy saving should encode as null", fig)
+		}
+	}
 }
 
 // TestSetupsFlagErrors: unknown and duplicate names fail before any

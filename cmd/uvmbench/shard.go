@@ -64,75 +64,37 @@ func setupNames(setups []cuda.Setup) []string {
 }
 
 // shardArtifact is the printed product of a -shard run. Besides the
-// cells it carries the shard's cost accounting: the static cost-model
-// estimate of its cells (deterministic, comparable across shards before
-// any run) and the wall seconds this producer actually spent
-// simulating (zero when every cell was a store hit). Merge reports the
-// balance across the partition from these fields.
+// cells it carries the wall seconds this producer actually spent
+// simulating (the sum of its uvmbench_cell_seconds histogram; zero when
+// every cell was a store hit), from which merge reports the balance
+// across the partition.
 type shardArtifact struct {
-	Schema               int             `json:"schema"`
-	Spec                 shardSpec       `json:"spec"`
-	ShardIndex           int             `json:"shard_index"`
-	ShardCount           int             `json:"shard_count"`
-	EstimatedCellSeconds float64         `json:"estimated_cell_seconds"`
-	ActualCellSeconds    float64         `json:"actual_cell_seconds"`
-	Cells                []store.CellDoc `json:"cells"`
-}
-
-// estimateArtifactSeconds sums the static cost-model estimate over a
-// shard's captured cells. Each cell is estimated under the hardware
-// profile it actually ran on (matched by fingerprint — compare-profiles
-// shards mix machines), falling back to the spec's default profile for
-// unknown fingerprints.
-func estimateArtifactSeconds(spec shardSpec, docs []store.CellDoc) float64 {
-	cfgByFP := map[string]cuda.SystemConfig{spec.Profile.Fingerprint(): spec.Profile.Config}
-	for _, p := range spec.Profiles {
-		cfgByFP[p.Fingerprint()] = p.Config
-	}
-	var total float64
-	warned := make(map[string]bool)
-	for _, doc := range docs {
-		cfg, ok := cfgByFP[doc.Key.ProfileFP]
-		if !ok {
-			cfg = spec.Profile.Config
-		}
-		// An unknown setup/size name still yields a usable generic
-		// estimate; flag each distinct identity once on stderr instead of
-		// silently mispricing the shard (estimates steer scheduling, never
-		// results).
-		secs, err := core.EstimateCellSeconds(cfg, doc)
-		if err != nil && !warned[err.Error()] {
-			warned[err.Error()] = true
-			fmt.Fprintf(os.Stderr, "uvmbench: shard estimate: %v (using generic estimate)\n", err)
-		}
-		total += secs
-	}
-	return total
+	Schema            int             `json:"schema"`
+	Spec              shardSpec       `json:"spec"`
+	ShardIndex        int             `json:"shard_index"`
+	ShardCount        int             `json:"shard_count"`
+	ActualCellSeconds float64         `json:"actual_cell_seconds"`
+	Cells             []store.CellDoc `json:"cells"`
 }
 
 // printShardBalance reports how evenly the partition spread its cost —
 // on stderr, so merged stdout stays byte-identical to the unsharded
-// run. Estimated seconds show what the static partitioner promised;
-// actual seconds show what each producer really paid (zero for fully
-// store-warm shards, which is why the two columns can disagree).
+// run. The seconds are what each producer really paid (zero for fully
+// store-warm shards).
 func printShardBalance(w io.Writer, files []string, arts []shardArtifact) {
 	if len(arts) < 2 {
 		return
 	}
-	var estSum, estMax, actSum, actMax float64
+	var actSum, actMax float64
 	for _, art := range arts {
-		estSum += art.EstimatedCellSeconds
 		actSum += art.ActualCellSeconds
-		estMax = max(estMax, art.EstimatedCellSeconds)
 		actMax = max(actMax, art.ActualCellSeconds)
 	}
-	n := float64(len(arts))
-	fmt.Fprintf(w, "shard balance: %d shards, estimated max/mean %.2f, actual max/mean %.2f\n",
-		len(arts), ratioOrZero(estMax, estSum/n), ratioOrZero(actMax, actSum/n))
+	fmt.Fprintf(w, "shard balance: %d shards, actual max/mean %.2f\n",
+		len(arts), ratioOrZero(actMax, actSum/float64(len(arts))))
 	for i, art := range arts {
-		fmt.Fprintf(w, "  shard %d/%d %s: %d cells, estimated %.3fs, actual %.3fs\n",
-			art.ShardIndex, art.ShardCount, files[i], len(art.Cells),
-			art.EstimatedCellSeconds, art.ActualCellSeconds)
+		fmt.Fprintf(w, "  shard %d/%d %s: %d cells, actual %.3fs\n",
+			art.ShardIndex, art.ShardCount, files[i], len(art.Cells), art.ActualCellSeconds)
 	}
 }
 
@@ -179,7 +141,7 @@ func emitShardArtifact(w io.Writer, art shardArtifact) error {
 // it. Cells all hit the store, so the merge simulates nothing — and if
 // an artifact were somehow missing a cell, the replay would recompute
 // it, yielding the same bytes (cells are pure functions of their keys).
-func runMerge(files []string, par, itpar int, jsonOut bool, cacheDir string) error {
+func runMerge(files []string, par int, jsonOut bool, cacheDir string) error {
 	if len(files) == 0 {
 		return fmt.Errorf("usage: uvmbench merge <shard.json> ...")
 	}
@@ -252,7 +214,6 @@ func runMerge(files []string, par, itpar int, jsonOut bool, cacheDir string) err
 	r.Iterations = spec.Iters
 	r.BaseSeed = spec.Seed
 	r.Parallelism = par
-	r.IterParallelism = itpar
 	r.Store = mem
 	if len(spec.Setups) > 0 {
 		setups, err := cuda.ParseSetupList(strings.Join(spec.Setups, ","))

@@ -132,7 +132,7 @@ func TestInstrumentedCellAllocIterationIndependent(t *testing.T) {
 			}
 		})
 	}
-	// Every call grows the cell-cache and cost-model maps by one entry,
+	// Every call grows the cell-cache map by one entry,
 	// so a map rehash can land inside any one sample and spike its
 	// average. The minimum of a few trials sheds those spikes — a real
 	// per-iteration allocation inflates every trial, not just one.
@@ -151,7 +151,7 @@ func TestInstrumentedCellAllocIterationIndependent(t *testing.T) {
 	// The wide 2→32 spread separates signal from runtime noise: a real
 	// per-iteration metric allocation adds ≥30 here, while the residual
 	// jitter that survives min-of-trials (incremental map evacuation in
-	// the growing cell-cache/cost-model maps, sudog churn when the race
+	// the growing cell-cache map, sudog churn when the race
 	// detector makes lock handoffs block) measures ≤5.
 	if many > few+10 {
 		t.Errorf("instrumented cell allocations grow with iteration count: %.1f at 2 iters, %.1f at 32", few, many)
@@ -173,7 +173,6 @@ func TestFanoutCellSteadyStateAllocFree(t *testing.T) {
 	}
 	r := allocTestRunner()
 	r.Parallelism = 2
-	r.IterParallelism = 2
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	perCall := func(iters int) float64 {
 		r.Iterations = iters

@@ -1,15 +1,9 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"sort"
-	"strconv"
-	"strings"
-	"sync"
 
 	"uvmasim/internal/cuda"
-	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -21,25 +15,19 @@ import (
 // time-first dispatch order: cells are claimed most-expensive-first, so
 // the stragglers start immediately and the cheap cells pack the tail.
 //
-// Costs come from two tiers. A static model (staticCellSeconds)
-// estimates a cell's wall time from what dominates the simulation —
-// per-chunk fault/migration work for managed setups, per-byte copy work
-// for explicit ones, eviction churn above capacity for oversubscribed
-// footprints. It is a pure function of the cell identity, which is what
-// lets shard artifacts embed deterministic per-shard cost estimates.
-// The second tier refines scheduling within a process: every simulated
-// cell's measured wall time is recorded in a costModel shared by the
-// Runner family, and a later study scheduling the same cell shape uses
-// the observation instead of the estimate. Ordering affects only the
-// makespan — results land in index slots and the singleflight cache
-// counts per-key — so both tiers are free to be approximate.
+// Costs come from a static model that estimates a cell's wall time from
+// what dominates its simulation — per-chunk fault/migration work for
+// managed setups, per-byte copy work for explicit ones, eviction churn
+// above capacity for oversubscribed footprints. It is a pure function of
+// the cell's structured identity, so a study's dispatch order is fixed
+// for a given grid. Ordering affects only the makespan — results land in
+// index slots and the singleflight cache counts per-key — so the model
+// only needs to rank cells, not predict their cost.
 
 // Static cost-model constants, calibrated against measured vector_seq
-// iteration times on the development machine (managed Mega ~660µs/iter
-// at 16384 chunks, managed Large ~7µs at 256, explicit setups ~1-2µs
-// at every size). Only ranks and rough proportions matter: LPT needs
-// an ordering, and the shard estimates need to track real cost, not
-// predict it.
+// iteration times (managed Mega ~660µs/iter at 16384 chunks, managed
+// Large ~7µs at 256, explicit setups ~1-2µs at every size). Only ranks
+// and rough proportions matter.
 const (
 	// costIterBase is the fixed per-iteration cost: context reset, host
 	// randomization, kernel launch bookkeeping.
@@ -56,37 +44,18 @@ const (
 	costEvictFactor = 3.0
 )
 
-// staticCellSeconds estimates one cell's simulation wall seconds from
-// its identity alone. kind is the cell-cache kind: a workload name, a
-// "sweep:<fig>:<param>" id, an "oversub:<ratio>:<passes>" point, or a
-// "multigpu:<workload>:<topology>:<gpus>:<policy>:<jobs>:<schedule>"
-// grid point.
-func staticCellSeconds(cfg cuda.SystemConfig, kind string, setup cuda.Setup, size workloads.Size, iters int) float64 {
-	if iters < 1 {
-		iters = 1
+// chunkBytes is the managed-memory chunk the cost model prices.
+func chunkBytes(cfg cuda.SystemConfig) float64 {
+	if cfg.UVM.ChunkBytes <= 0 {
+		return 2 << 20
 	}
-	chunkBytes := cfg.UVM.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = 2 << 20
-	}
-	if wname, gpus, jobs, ok := parseMultiGPUKind(kind); ok {
-		// A multigpu cell measures its workload once (one ordinary cell
-		// at the runner's iteration count) and replays the schedule as a
-		// handful of DES events per job and GPU.
-		return staticCellSeconds(cfg, wname, setup, size, iters) +
-			float64(jobs*gpus)*1e-7
-	}
-	if ratio, passes, ok := parseOversubKind(kind); ok {
-		capacity := float64(cfg.GPU.HBMCapacity) * cfg.ManagedCapacityFraction
-		chunks := ratio * capacity / float64(chunkBytes)
-		perPass := chunks * costPerChunk
-		if ratio > 1 {
-			perPass *= costEvictFactor
-		}
-		// An oversub cell is a single run regardless of the runner's
-		// iteration count (see oversubCell).
-		return costIterBase + float64(passes)*perPass
-	}
+	return float64(cfg.UVM.ChunkBytes)
+}
+
+// cellSeconds estimates the simulation wall seconds of one measurement
+// cell: iters iterations of a workload (or sweep point) at size under
+// setup.
+func cellSeconds(cfg cuda.SystemConfig, setup cuda.Setup, size workloads.Size, iters int) float64 {
 	footprint := float64(size.Footprint())
 	var perIter float64
 	switch {
@@ -94,151 +63,29 @@ func staticCellSeconds(cfg cuda.SystemConfig, kind string, setup cuda.Setup, siz
 		// Zero-copy never faults or migrates: the simulation prices each
 		// access over the link in one kernel event, so like the explicit
 		// path it is nearly flat in the footprint.
-		perIter = costIterBase + footprint/float64(1<<30)*costPerCopiedGiB
+		perIter = footprint / float64(1<<30) * costPerCopiedGiB
 	case setup.SMCopy():
 		// SM staging walks chunks like the fault path but without the
 		// per-fault replay machinery, so per-chunk work is much cheaper.
-		perIter = costIterBase + footprint/float64(chunkBytes)*costPerChunk*0.3
+		perIter = footprint / chunkBytes(cfg) * costPerChunk * 0.3
 	case setup.Managed():
-		perIter = costIterBase + footprint/float64(chunkBytes)*costPerChunk
+		perIter = footprint / chunkBytes(cfg) * costPerChunk
 	default:
-		perIter = costIterBase + footprint/float64(1<<30)*costPerCopiedGiB
+		perIter = footprint / float64(1<<30) * costPerCopiedGiB
 	}
-	return float64(iters) * perIter
+	return float64(max(iters, 1)) * (costIterBase + perIter)
 }
 
-// parseMultiGPUKind decodes the
-// "multigpu:<workload>:<topology>:<gpus>:<policy>:<jobs>:<schedule>"
-// cell kind into the fields the cost model prices.
-func parseMultiGPUKind(kind string) (workload string, gpus, jobs int, ok bool) {
-	rest, found := strings.CutPrefix(kind, "multigpu:")
-	if !found {
-		return "", 0, 0, false
+// oversubSeconds estimates one oversubscription point: passes sweeps
+// over ratio times the managed capacity. The cell is a single run
+// regardless of the runner's iteration count (see oversubCell).
+func oversubSeconds(cfg cuda.SystemConfig, ratio float64, passes int) float64 {
+	capacity := float64(cfg.GPU.HBMCapacity) * cfg.ManagedCapacityFraction
+	perPass := ratio * capacity / chunkBytes(cfg) * costPerChunk
+	if ratio > 1 {
+		perPass *= costEvictFactor
 	}
-	parts := strings.Split(rest, ":")
-	if len(parts) != 6 {
-		return "", 0, 0, false
-	}
-	gpus, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return "", 0, 0, false
-	}
-	jobs, err = strconv.Atoi(parts[4])
-	if err != nil {
-		return "", 0, 0, false
-	}
-	return parts[0], gpus, jobs, true
-}
-
-// parseOversubKind decodes the "oversub:<ratio>:<passes>" cell kind.
-func parseOversubKind(kind string) (ratio float64, passes int, ok bool) {
-	rest, found := strings.CutPrefix(kind, "oversub:")
-	if !found {
-		return 0, 0, false
-	}
-	rs, ps, found := strings.Cut(rest, ":")
-	if !found {
-		return 0, 0, false
-	}
-	ratio, err := strconv.ParseFloat(rs, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	passes, err = strconv.Atoi(ps)
-	if err != nil {
-		return 0, 0, false
-	}
-	return ratio, passes, true
-}
-
-// ErrUnknownCell reports a captured cell document whose setup or size
-// name is not resolvable in this process — typically an artifact written
-// by a build with extra registered setups, or a future schema.
-var ErrUnknownCell = errors.New("core: unknown cell identity")
-
-// EstimateCellSeconds is the static cost-model estimate for one
-// captured cell document, used by shard producers to embed a
-// deterministic per-shard cost estimate in the artifact. A setup or
-// size name that does not resolve in this process's registry returns a
-// generic standard/Large estimate alongside an error wrapping
-// ErrUnknownCell: the estimate stays usable — estimates steer
-// scheduling and reporting, never results — but the caller decides
-// whether an unknown identity is worth surfacing instead of the old
-// silent fallback.
-func EstimateCellSeconds(cfg cuda.SystemConfig, doc store.CellDoc) (float64, error) {
-	var unknown error
-	setup, err := cuda.ParseSetup(doc.Key.Setup)
-	if err != nil {
-		setup = cuda.Standard
-		unknown = fmt.Errorf("%w: setup %q", ErrUnknownCell, doc.Key.Setup)
-	}
-	size, err := workloads.ParseSize(doc.Key.Size)
-	if err != nil {
-		size = workloads.Large
-		if unknown == nil {
-			unknown = fmt.Errorf("%w: size %q", ErrUnknownCell, doc.Key.Size)
-		}
-	}
-	return staticCellSeconds(cfg, doc.Key.Kind, setup, size, doc.Key.Iters), unknown
-}
-
-// costKey identifies one cell shape in the observed-cost map. Iteration
-// count is part of the shape: the counter studies run the same cells at
-// one iteration, thirty times cheaper.
-type costKey struct {
-	kind  string
-	setup cuda.Setup
-	size  workloads.Size
-	iters int
-}
-
-// costModel records measured per-cell wall seconds. It is shared by
-// pointer across a Runner family, like the executor and the cell cache,
-// so observations made by one study steer the scheduling of the next.
-type costModel struct {
-	mu       sync.RWMutex
-	observed map[costKey]float64
-}
-
-func newCostModel() *costModel {
-	return &costModel{observed: make(map[costKey]float64)}
-}
-
-// observe records a measured cell time, smoothing repeat observations
-// (EWMA, half weight on the newest) so one descheduled outlier does not
-// dominate.
-func (m *costModel) observe(kind string, setup cuda.Setup, size workloads.Size, iters int, secs float64) {
-	if m == nil || secs <= 0 {
-		return
-	}
-	k := costKey{kind, setup, size, iters}
-	m.mu.Lock()
-	if old, ok := m.observed[k]; ok {
-		secs = 0.5*old + 0.5*secs
-	}
-	m.observed[k] = secs
-	m.mu.Unlock()
-}
-
-// lookup returns the recorded observation for a cell shape.
-func (m *costModel) lookup(kind string, setup cuda.Setup, size workloads.Size, iters int) (float64, bool) {
-	if m == nil {
-		return 0, false
-	}
-	m.mu.RLock()
-	s, ok := m.observed[costKey{kind, setup, size, iters}]
-	m.mu.RUnlock()
-	return s, ok
-}
-
-// cellCost returns the scheduling cost of one cell at the runner's
-// iteration count: a recorded observation when one exists, the static
-// estimate otherwise.
-func (r *Runner) cellCost(kind string, setup cuda.Setup, size workloads.Size) float64 {
-	if s, ok := r.costs.lookup(kind, setup, size, r.iters()); ok {
-		return s
-	}
-	return staticCellSeconds(r.Config, kind, setup, size, r.iters())
+	return costIterBase + float64(passes)*perPass
 }
 
 // lptOrder builds a longest-processing-time-first dispatch order over n

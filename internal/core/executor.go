@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -225,26 +224,10 @@ type cellCache struct {
 	// the whole family shares one cache.
 	storeHits   atomic.Uint64
 	storeMisses atomic.Uint64
-	// simSecondsBits accumulates the wall seconds actually spent
-	// simulating cells (float64 bits, CAS-added), across the whole
-	// Runner family. Shard artifacts embed it as the shard's actual
-	// cell-seconds, which is what makes shard imbalance observable.
-	simSecondsBits atomic.Uint64
 	// inst holds the optional metric hooks attached by
 	// Runner.InstrumentMetrics. The zero value disables them; see
 	// metrics.go.
 	inst cellInstruments
-}
-
-// addSimSeconds accumulates simulated wall time lock-free.
-func (c *cellCache) addSimSeconds(s float64) {
-	for {
-		old := c.simSecondsBits.Load()
-		nw := math.Float64bits(math.Float64frombits(old) + s)
-		if c.simSecondsBits.CompareAndSwap(old, nw) {
-			return
-		}
-	}
 }
 
 func newCellCache() *cellCache {
@@ -310,7 +293,7 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 	}
 	if r.Store == nil && r.Capture == nil {
 		return r.cache.do(key, func() (Result, error) {
-			return r.timedCompute(kind, setup, size, compute)
+			return r.timedCompute(compute)
 		})
 	}
 	skey := storeKeyOf(key)
@@ -324,7 +307,7 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 			r.cache.storeMisses.Add(1)
 			r.cache.inst.storeMisses.Inc()
 		}
-		res, err := r.timedCompute(kind, setup, size, compute)
+		res, err := r.timedCompute(compute)
 		if err == nil && r.Store != nil {
 			// Best-effort write-back: a failed Put costs a future
 			// recompute, never a wrong result.
@@ -375,16 +358,4 @@ func (r *Runner) StoreMisses() uint64 {
 		return 0
 	}
 	return r.cache.storeMisses.Load()
-}
-
-// SimulatedSeconds reports the wall seconds this Runner family has
-// spent actually simulating cells (cache and store hits excluded). It
-// is a measurement, not a pure function of the cell grid — shard
-// artifacts record it as the shard's actual cost next to the
-// deterministic cost-model estimate.
-func (r *Runner) SimulatedSeconds() float64 {
-	if r.cache == nil {
-		return 0
-	}
-	return math.Float64frombits(r.cache.simSecondsBits.Load())
 }

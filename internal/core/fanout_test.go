@@ -2,9 +2,13 @@ package core
 
 import (
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"uvmasim/internal/cuda"
+	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -12,6 +16,7 @@ import (
 // cell's iterations across worker contexts must leave every observable
 // output — per-iteration breakdowns, the final-iteration counters
 // snapshot, whole figure documents — byte-identical to the serial loop.
+// The tests also cover the static cost model that orders cell dispatch.
 
 // TestFanoutCountersMatchSerial pins the Result.Counters contract: the
 // counters snapshot comes from the final iteration, whether that
@@ -33,26 +38,20 @@ func TestFanoutCountersMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, par := range []struct {
-				name       string
-				par, itpar int
-			}{
-				{"itpar", 1, 4},
-				{"par+itpar", 4, 4},
-				{"itpar>iters", 1, 16},
-			} {
+			// 4 splits the 6 iterations unevenly; 16 exceeds them, so
+			// blocks degenerate to single iterations.
+			for _, par := range []int{2, 4, 16} {
 				fan := testRunner(6)
-				fan.Parallelism = par.par
-				fan.IterParallelism = par.itpar
+				fan.Parallelism = par
 				got, err := fan.measureCell(w, setup, workloads.Large)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got.Counters, want.Counters) {
-					t.Errorf("%s: fan-out counters differ from serial final-iteration counters", par.name)
+					t.Errorf("par=%d: fan-out counters differ from serial final-iteration counters", par)
 				}
 				if !reflect.DeepEqual(got.Breakdowns, want.Breakdowns) {
-					t.Errorf("%s: fan-out breakdowns differ from serial", par.name)
+					t.Errorf("par=%d: fan-out breakdowns differ from serial", par)
 				}
 			}
 		})
@@ -66,21 +65,19 @@ func TestFanoutFigureDeterminism(t *testing.T) {
 	ws := mustWorkloads(t, "vector_seq", "gemm")
 	serial := testRunner(4)
 	serial.Parallelism = 1
-	serial.IterParallelism = 1
 	want, err := serial.BreakdownComparison(ws, workloads.Large)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, itpar := range []int{0, 2, 8} {
+	for _, par := range []int{2, 4, 8} {
 		fan := testRunner(4)
-		fan.Parallelism = 4
-		fan.IterParallelism = itpar
+		fan.Parallelism = par
 		got, err := fan.BreakdownComparison(ws, workloads.Large)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Errorf("itpar=%d: parallel study differs from serial", itpar)
+			t.Errorf("par=%d: parallel study differs from serial", par)
 		}
 	}
 }
@@ -96,7 +93,6 @@ func TestFanoutSweepDeterminism(t *testing.T) {
 	}
 	fan := testRunner(3)
 	fan.Parallelism = 4
-	fan.IterParallelism = 2
 	got, err := fan.SweepBlocks(workloads.Small, []int{8, 64})
 	if err != nil {
 		t.Fatal(err)
@@ -125,55 +121,82 @@ func TestLptOrderIsPermutation(t *testing.T) {
 
 // TestStaticCostModelRanks sanity-checks the static cost model's ranks:
 // bigger footprints cost more, managed setups cost more per byte than
-// explicit copies, oversubscribed cells cost more than in-capacity ones.
+// explicit copies, and oversubscription points cost more as the ratio
+// grows, with a jump once they must evict.
 func TestStaticCostModelRanks(t *testing.T) {
 	cfg := cuda.DefaultSystemConfig()
-	small := staticCellSeconds(cfg, "vector_seq", cuda.UVM, workloads.Small, 30)
-	large := staticCellSeconds(cfg, "vector_seq", cuda.UVM, workloads.Large, 30)
+	small := cellSeconds(cfg, cuda.UVM, workloads.Small, 30)
+	large := cellSeconds(cfg, cuda.UVM, workloads.Large, 30)
 	if small >= large {
 		t.Errorf("Small (%g) should cost less than Large (%g)", small, large)
 	}
-	std := staticCellSeconds(cfg, "vector_seq", cuda.Standard, workloads.Super, 30)
-	uvm := staticCellSeconds(cfg, "vector_seq", cuda.UVM, workloads.Super, 30)
+	std := cellSeconds(cfg, cuda.Standard, workloads.Super, 30)
+	uvm := cellSeconds(cfg, cuda.UVM, workloads.Super, 30)
 	if std >= uvm {
 		t.Errorf("explicit Super (%g) should cost less than managed Super (%g)", std, uvm)
 	}
-	under := staticCellSeconds(cfg, "oversub:0.5:4", cuda.UVM, workloads.Tiny, 30)
-	over := staticCellSeconds(cfg, "oversub:1.5:4", cuda.UVM, workloads.Tiny, 30)
-	if under >= over {
-		t.Errorf("in-capacity oversub point (%g) should cost less than evicting one (%g)", under, over)
+	if one := cellSeconds(cfg, cuda.UVM, workloads.Large, 1); one >= large {
+		t.Errorf("one iteration (%g) should cost less than thirty (%g)", one, large)
 	}
-	if _, _, ok := parseOversubKind("sweep:fig11-blocks:8"); ok {
-		t.Error("sweep kind misparsed as oversub")
+	ratios := DefaultOversubRatios
+	for i := 1; i < len(ratios); i++ {
+		if lo, hi := oversubSeconds(cfg, ratios[i-1], 2), oversubSeconds(cfg, ratios[i], 2); lo >= hi {
+			t.Errorf("oversub ratio %g (%g) should cost less than %g (%g)", ratios[i-1], lo, ratios[i], hi)
+		}
 	}
-	if _, _, ok := parseOversubKind("oversub:x:4"); ok {
-		t.Error("malformed oversub kind accepted")
+	if under, over := oversubSeconds(cfg, 1.0, 2), oversubSeconds(cfg, 1.05, 2); over < 2*under {
+		t.Errorf("evicting point (%g) should cost well above the in-capacity one (%g)", over, under)
 	}
 }
 
-// TestObservedCostRefinesStatic: a measured cell reshapes the next
-// study's schedule through the shared cost model.
-func TestObservedCostRefinesStatic(t *testing.T) {
-	r := testRunner(2)
+// dispatchStore is a cell store that records the cell kinds the executor
+// looks up, in lookup order, and always misses. The first lookup waits
+// (bounded) for the second, so with two workers the first two entries
+// are exactly the first two cells dispatched, whichever worker records
+// first.
+type dispatchStore struct {
+	mu    sync.Mutex
+	kinds []string
+	both  chan struct{}
+}
+
+func (s *dispatchStore) Get(key store.Key) (store.CellDoc, bool) {
+	s.mu.Lock()
+	s.kinds = append(s.kinds, key.Kind)
+	n := len(s.kinds)
+	s.mu.Unlock()
+	switch n {
+	case 1:
+		select {
+		case <-s.both:
+		case <-time.After(10 * time.Second):
+		}
+	case 2:
+		close(s.both)
+	}
+	return store.CellDoc{}, false
+}
+
+func (s *dispatchStore) Put(store.Key, store.CellDoc) error { return nil }
+
+// TestOversubDispatchesHighestRatioFirst pins the LPT order of the
+// oversubscription sweep, which the uvm_pressure benchmark's latency
+// depends on: the most expensive points — the highest ratios — are
+// dispatched first, so they do not straggle at the end of the sweep.
+func TestOversubDispatchesHighestRatioFirst(t *testing.T) {
+	st := &dispatchStore{both: make(chan struct{})}
+	r := testRunner(1)
 	r.Parallelism = 2
-	w := mustWorkloads(t, "vector_seq")[0]
-	if _, err := r.Measure(w, cuda.UVM, workloads.Small); err != nil {
+	r.Store = st
+	if _, err := r.Oversubscription(cuda.UVMPrefetch, DefaultOversubRatios, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := r.costs.lookup("vector_seq", cuda.UVM, workloads.Small, 2); !ok {
-		t.Error("measured cell not recorded in the cost model")
+	if len(st.kinds) != len(DefaultOversubRatios) {
+		t.Fatalf("%d store lookups, want one per ratio (%d)", len(st.kinds), len(DefaultOversubRatios))
 	}
-	if _, ok := r.costs.lookup("vector_seq", cuda.UVM, workloads.Large, 2); ok {
-		t.Error("unmeasured cell unexpectedly present in the cost model")
-	}
-	// Cache hits replay without simulating; the recorded cost must not
-	// be polluted by near-zero cache-hit timings.
-	before, _ := r.costs.lookup("vector_seq", cuda.UVM, workloads.Small, 2)
-	if _, err := r.Measure(w, cuda.UVM, workloads.Small); err != nil {
-		t.Fatal(err)
-	}
-	after, _ := r.costs.lookup("vector_seq", cuda.UVM, workloads.Small, 2)
-	if before != after {
-		t.Errorf("cache-hit replay changed the observed cost: %g -> %g", before, after)
+	first := []string{st.kinds[0], st.kinds[1]}
+	sort.Strings(first)
+	if want := []string{"oversub:1.75:2", "oversub:2:2"}; !reflect.DeepEqual(first, want) {
+		t.Errorf("first two dispatched cells = %v, want the two highest ratios %v", first, want)
 	}
 }

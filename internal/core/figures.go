@@ -43,8 +43,8 @@ func (r *Runner) Distributions(ws []workloads.Workload, sizes []workloads.Size) 
 		return ws[i/(len(sizes)*nSetups)], sizes[(i/nSetups)%len(sizes)], setups[i%nSetups]
 	}
 	order := r.lptOrder(len(cells), func(i int) float64 {
-		w, size, setup := at(i)
-		return r.cellCost(w.Name(), setup, size)
+		_, size, setup := at(i)
+		return cellSeconds(r.Config, setup, size, r.iters())
 	})
 	err := r.forEachOrdered(len(cells), order, func(i int) error {
 		w, size, setup := at(i)
@@ -168,7 +168,7 @@ func (r *Runner) BreakdownComparison(ws []workloads.Workload, size workloads.Siz
 	nSetups := len(setups)
 	grid := make([]cuda.Breakdown, len(ws)*nSetups)
 	order := r.lptOrder(len(grid), func(i int) float64 {
-		return r.cellCost(ws[i/nSetups].Name(), setups[i%nSetups], size)
+		return cellSeconds(r.Config, setups[i%nSetups], size, r.iters())
 	})
 	err := r.forEachOrdered(len(grid), order, func(i int) error {
 		res, err := r.Measure(ws[i/nSetups], setups[i%nSetups], size)
@@ -231,7 +231,9 @@ func (s *BreakdownStudy) GeoMeanImprovement(setup cuda.Setup) float64 {
 }
 
 // ComponentSavings returns the mean relative reduction of one breakdown
-// component (e.g. memcpy) under a setup versus the study's baseline.
+// component (e.g. memcpy) under a setup versus the study's baseline. It
+// is NaN when the baseline has none of the component on any workload
+// (nothing to save), which the renderers print as n/a and null.
 func (s *BreakdownStudy) ComponentSavings(setup cuda.Setup, component func(cuda.Breakdown) float64) float64 {
 	si := setupIndex(s.Setups, setup)
 	if si < 0 {
@@ -299,7 +301,7 @@ func (r *Runner) CounterComparison(names []string, size workloads.Size) (*Counte
 	nSetups := len(setups)
 	rows := make([]CounterRow, len(ws)*nSetups)
 	order := single.lptOrder(len(rows), func(i int) float64 {
-		return single.cellCost(names[i/nSetups], setups[i%nSetups], size)
+		return cellSeconds(single.Config, setups[i%nSetups], size, single.iters())
 	})
 	err := single.forEachOrdered(len(rows), order, func(i int) error {
 		name := names[i/nSetups]
@@ -365,9 +367,7 @@ func (r *Runner) sweep(name, paramName string, size workloads.Size, params []flo
 	nSetups := len(setups)
 	grid := make([]cuda.Breakdown, len(params)*nSetups)
 	order := r.lptOrder(len(grid), func(i int) float64 {
-		p := params[i/nSetups]
-		setup := setups[i%nSetups]
-		return r.cellCost(fmt.Sprintf("sweep:%s:%g", name, p), setup, size)
+		return cellSeconds(r.Config, setups[i%nSetups], size, r.iters())
 	})
 	err := r.forEachOrdered(len(grid), order, func(i int) error {
 		p := params[i/nSetups]

@@ -61,9 +61,10 @@ func toBreakdownsJSON(bs []cuda.Breakdown) []breakdownJSON {
 	return out
 }
 
-// spread is a dispersion statistic (std, CI, CV) of a sample series.
-// With fewer than two samples it is undefined — NaN, which encoding/json
-// refuses — so it encodes as null then, and as the plain float64
+// spread is a statistic that can be undefined: a dispersion (std, CI,
+// CV) over fewer than two samples, or a mean saving when no workload
+// has the component to save. Undefined is NaN, which encoding/json
+// refuses, so it encodes as null then, and as the plain float64
 // encoding otherwise.
 type spread float64
 
@@ -198,7 +199,7 @@ type breakdownRowJSON struct {
 type improvementJSON struct {
 	Setup              cuda.Setup `json:"setup"`
 	GeoMeanImprovement float64    `json:"geomean_improvement"`
-	MeanMemcpySavings  float64    `json:"mean_memcpy_savings"`
+	MeanMemcpySavings  spread     `json:"mean_memcpy_savings"`
 }
 
 // data packages one study as a breakdownStudyData payload.
@@ -223,8 +224,8 @@ func (s *BreakdownStudy) data() breakdownStudyData {
 		imps = append(imps, improvementJSON{
 			Setup:              setup,
 			GeoMeanImprovement: s.GeoMeanImprovement(setup),
-			MeanMemcpySavings: s.ComponentSavings(setup,
-				func(x cuda.Breakdown) float64 { return x.Memcpy }),
+			MeanMemcpySavings: spread(s.ComponentSavings(setup,
+				func(x cuda.Breakdown) float64 { return x.Memcpy })),
 		})
 	}
 	return breakdownStudyData{

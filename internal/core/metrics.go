@@ -3,9 +3,7 @@ package core
 import (
 	"time"
 
-	"uvmasim/internal/cuda"
 	"uvmasim/internal/metrics"
-	"uvmasim/internal/workloads"
 )
 
 // This file threads the process-wide metrics registry (internal/metrics)
@@ -50,13 +48,11 @@ var iterSecondsBuckets = []float64{
 }
 
 // timedCompute executes one cell simulation under the executor
-// instruments (in-flight gauge, wall-time histogram, simulated-cells
-// counter) and feeds the measured wall time to the cost model and the
-// family-wide simulated-seconds accumulator. The instruments are
-// nil-safe no-ops when unregistered; the timing itself always runs,
-// because the cost model's LPT scheduling wants real observations even
-// in uninstrumented batch runs.
-func (r *Runner) timedCompute(kind string, setup cuda.Setup, size workloads.Size, compute func() (Result, error)) (Result, error) {
+// instruments: the in-flight gauge, the wall-time histogram (whose sum
+// shard artifacts report as the shard's actual cell seconds) and the
+// simulated-cells counter. The instruments are nil-safe no-ops when
+// unregistered.
+func (r *Runner) timedCompute(compute func() (Result, error)) (Result, error) {
 	inst := &noInstruments
 	if r.cache != nil {
 		inst = &r.cache.inst
@@ -64,16 +60,9 @@ func (r *Runner) timedCompute(kind string, setup cuda.Setup, size workloads.Size
 	inst.inFlight.Add(1)
 	start := time.Now()
 	res, err := compute()
-	secs := time.Since(start).Seconds()
 	inst.inFlight.Add(-1)
-	inst.cellSeconds.Observe(secs)
+	inst.cellSeconds.Observe(time.Since(start).Seconds())
 	inst.simulated.Inc()
-	if r.cache != nil {
-		r.cache.addSimSeconds(secs)
-	}
-	if err == nil && r.costs != nil {
-		r.costs.observe(kind, setup, size, r.iters(), secs)
-	}
 	return res, err
 }
 

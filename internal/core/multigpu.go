@@ -113,8 +113,10 @@ func (r *Runner) MultiGPU(name string, setup cuda.Setup, size workloads.Size, jo
 		// key via its fingerprint).
 		return fmt.Sprintf("multigpu:%s:%s:%d:%s:%d:%s", name, c.kind, c.gpus, policy, jobs, schedName)
 	}
+	// Every cell measures the same workload cell, then replays the
+	// schedule as a handful of DES events per job and GPU.
 	order := r.lptOrder(len(cells), func(i int) float64 {
-		return r.cellCost(kindOf(cells[i]), setup, size)
+		return float64(jobs * cells[i].gpus)
 	})
 	err = r.forEachOrdered(len(cells), order, func(i int) error {
 		c := cells[i]

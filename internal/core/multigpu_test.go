@@ -143,13 +143,12 @@ func TestMultiGPUDecodePlaceholder(t *testing.T) {
 }
 
 // TestMultiGPUFanoutDeterminism: the study must be identical — field for
-// field — between the serial executor and any cell/iteration fan-out
-// combination, the property behind `-par`/`-itpar` never changing bytes.
+// field — between the serial executor and any fan-out width, the
+// property behind `-par` never changing bytes.
 func TestMultiGPUFanoutDeterminism(t *testing.T) {
-	run := func(par, itpar int) *MultiGPUStudy {
+	run := func(par int) *MultiGPUStudy {
 		r := testRunner(3)
 		r.Parallelism = par
-		r.IterParallelism = itpar
 		study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Large,
 			4, []int{1, 2}, []topo.Kind{topo.PCIeSwitch, topo.NVLink}, sched.LeastLoaded)
 		if err != nil {
@@ -157,33 +156,10 @@ func TestMultiGPUFanoutDeterminism(t *testing.T) {
 		}
 		return study
 	}
-	want := run(1, 1)
-	for _, c := range []struct{ par, itpar int }{{8, 1}, {1, 4}, {4, 4}} {
-		if got := run(c.par, c.itpar); !reflect.DeepEqual(got, want) {
-			t.Errorf("par=%d itpar=%d: study differs from serial", c.par, c.itpar)
+	want := run(1)
+	for _, par := range []int{2, 4, 8} {
+		if got := run(par); !reflect.DeepEqual(got, want) {
+			t.Errorf("par=%d: study differs from serial", par)
 		}
-	}
-}
-
-// TestMultiGPUCostKindRoundTrip: the cell kind the study emits must be
-// parsed by the cost model's decoder, so multigpu cells are priced by
-// their workload measurement rather than the generic fallback.
-func TestMultiGPUCostKindRoundTrip(t *testing.T) {
-	kind := "multigpu:vector_seq:pcie-switch:4:least-loaded:8:pipelined"
-	wname, gpus, jobs, ok := parseMultiGPUKind(kind)
-	if !ok || wname != "vector_seq" || gpus != 4 || jobs != 8 {
-		t.Fatalf("parseMultiGPUKind(%q) = %q,%d,%d,%v", kind, wname, gpus, jobs, ok)
-	}
-	if _, _, _, ok := parseMultiGPUKind("oversub:1.5:4"); ok {
-		t.Error("oversub kind misparsed as multigpu")
-	}
-	if _, _, _, ok := parseMultiGPUKind("multigpu:x:y"); ok {
-		t.Error("malformed multigpu kind accepted")
-	}
-	cfg := cuda.DefaultSystemConfig()
-	base := staticCellSeconds(cfg, "vector_seq", cuda.UVMPrefetchAsync, workloads.Super, 30)
-	mg := staticCellSeconds(cfg, kind, cuda.UVMPrefetchAsync, workloads.Super, 30)
-	if mg <= base {
-		t.Errorf("multigpu cell (%g) should price above its inner measurement (%g)", mg, base)
 	}
 }

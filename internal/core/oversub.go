@@ -52,7 +52,7 @@ func (r *Runner) Oversubscription(setup cuda.Setup, ratios []float64, passes int
 	study := &OversubStudy{Setup: setup, Points: make([]OversubPoint, len(ratios))}
 	capacity := int64(float64(r.Config.GPU.HBMCapacity) * r.Config.ManagedCapacityFraction)
 	order := r.lptOrder(len(ratios), func(i int) float64 {
-		return r.cellCost(fmt.Sprintf("oversub:%g:%d", ratios[i], passes), setup, workloads.Tiny)
+		return oversubSeconds(r.Config, ratios[i], passes)
 	})
 	err := r.forEachOrdered(len(ratios), order, func(i int) error {
 		ratio := ratios[i]

@@ -86,11 +86,7 @@ func (r *Runner) CompareProfiles(ps []profile.Profile, name string, size workloa
 	base := cuda.BaselineIndex(setups)
 	grid := make([]cuda.Breakdown, len(ps)*nSetups)
 	order := r.lptOrder(len(grid), func(i int) float64 {
-		// Static cost only: the cells run under each profile's own
-		// config, not the runner's, so observed costs keyed to r.Config
-		// would mislead here.
-		p := ps[i/nSetups]
-		return staticCellSeconds(p.Config, name, setups[i%nSetups], size, r.iters())
+		return cellSeconds(ps[i/nSetups].Config, setups[i%nSetups], size, r.iters())
 	})
 	err = r.forEachOrdered(len(grid), order, func(i int) error {
 		p := ps[i/nSetups]

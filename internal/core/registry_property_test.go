@@ -2,13 +2,11 @@ package core
 
 import (
 	"encoding/json"
-	"errors"
 	"strings"
 	"testing"
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
-	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -117,36 +115,5 @@ func TestSubsetBaselineFollowsRegistry(t *testing.T) {
 	_, _, _, total := study2.Rows[0].Normalized(1)
 	if total != 1 {
 		t.Errorf("baseline normalized total = %v, want 1", total)
-	}
-}
-
-// TestEstimateCellSecondsUnknownCell: an artifact whose setup or size
-// name does not resolve in this process yields a usable generic
-// estimate AND a typed error — never the old silent standard fallback.
-func TestEstimateCellSecondsUnknownCell(t *testing.T) {
-	cfg := cuda.DefaultSystemConfig()
-	doc := store.CellDoc{}
-	doc.Key.Kind = "vector_seq"
-	doc.Key.Setup = "warp_speed"
-	doc.Key.Size = "large"
-	doc.Key.Iters = 3
-	sec, err := EstimateCellSeconds(cfg, doc)
-	if !errors.Is(err, ErrUnknownCell) {
-		t.Fatalf("err = %v, want ErrUnknownCell", err)
-	}
-	if !strings.Contains(err.Error(), "warp_speed") {
-		t.Errorf("error should name the unknown setup: %v", err)
-	}
-	if sec <= 0 {
-		t.Errorf("estimate should stay usable, got %v", sec)
-	}
-
-	doc.Key.Setup = "uvm_zerocopy"
-	if _, err := EstimateCellSeconds(cfg, doc); err != nil {
-		t.Errorf("known identity should not error: %v", err)
-	}
-	doc.Key.Size = "giga"
-	if _, err := EstimateCellSeconds(cfg, doc); !errors.Is(err, ErrUnknownCell) {
-		t.Errorf("unknown size should error: %v", err)
 	}
 }

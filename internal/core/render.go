@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"uvmasim/internal/cuda"
@@ -113,7 +114,13 @@ func (s *BreakdownStudy) Render(title string) string {
 		if i == s.Baseline {
 			continue
 		}
-		fmt.Fprintf(&b, "  %s %+.2f%%", setup, 100*s.ComponentSavings(setup, func(x cuda.Breakdown) float64 { return x.Memcpy }))
+		// No baseline memcpy to save (a study without explicit copies)
+		// leaves the saving undefined.
+		if sav := s.ComponentSavings(setup, func(x cuda.Breakdown) float64 { return x.Memcpy }); math.IsNaN(sav) {
+			fmt.Fprintf(&b, "  %s n/a", setup)
+		} else {
+			fmt.Fprintf(&b, "  %s %+.2f%%", setup, 100*sav)
+		}
 	}
 	fmt.Fprintln(&b)
 	return b.String()

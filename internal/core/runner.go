@@ -46,21 +46,15 @@ type Runner struct {
 	// normalize against the list's baseline setup (cuda.BaselineIndex).
 	Setups []cuda.Setup
 
-	// Parallelism is the worker count of the cell executor. Zero or
-	// negative means GOMAXPROCS; 1 forces the legacy serial path. The
-	// worker-token pool is sized on first use, so set it before running
-	// studies.
+	// Parallelism is the worker count of the cell executor, and the
+	// width at which one cell's iterations split into contiguous blocks
+	// (see cellLoop). Zero or negative means GOMAXPROCS; 1 forces the
+	// legacy serial path. Both levels draw from one worker-token pool,
+	// so total concurrency never exceeds Parallelism, and output is
+	// byte-identical at any width because every iteration keeps its own
+	// seed and slot. The pool is sized on first use, so set it before
+	// running studies.
 	Parallelism int
-	// IterParallelism is the intra-cell fan-out width: a cell's
-	// iterations are split into up to this many contiguous blocks, each
-	// simulated on its own pooled context, with per-iteration
-	// Breakdowns written into their index slots (see cellLoop). Zero or
-	// negative means the executor's width. The fan-out draws from the
-	// same worker-token pool as the cell executor, so total concurrency
-	// never exceeds Parallelism; output is byte-identical at any
-	// (Parallelism, IterParallelism) combination because every
-	// iteration keeps its own seed and slot.
-	IterParallelism int
 	// Cache enables the cross-figure cell cache: identical
 	// (workload, setup, size, iterations, seed, config) cells are
 	// computed once and shared. Disable it to force every study to
@@ -93,15 +87,14 @@ type Runner struct {
 	// executor. A non-nil hook bypasses the cell cache (a cached Result
 	// carries no timeline), and attaching a tracer never changes
 	// simulated timing, so traced breakdowns equal untraced ones. With
-	// IterParallelism > 1 the hook may be called from concurrent
-	// iteration blocks, so it must be safe for concurrent use (the
-	// package's own hooks are: they key on the iteration index).
+	// Parallelism > 1 the hook may be called from concurrent iteration
+	// blocks, so it must be safe for concurrent use (the package's own
+	// hooks are: they key on the iteration index).
 	TraceHook func(workload string, setup cuda.Setup, size workloads.Size, iter int) *trace.Tracer
 
 	exec  *executor
 	cache *cellCache
 	pool  *contextPool
-	costs *costModel
 }
 
 // NewRunner returns a Runner with the paper's defaults: the default
@@ -123,7 +116,6 @@ func NewRunnerFor(p profile.Profile) *Runner {
 		exec:       &executor{},
 		cache:      newCellCache(),
 		pool:       &contextPool{},
-		costs:      newCostModel(),
 	}
 }
 
@@ -181,7 +173,7 @@ type Result struct {
 	// iteration's seed — the paper likewise profiles counters in
 	// dedicated runs — and the contract holds on every execution path:
 	// the serial loop snapshots after its last iteration, and the
-	// intra-cell fan-out (IterParallelism > 1) assigns the snapshot
+	// intra-cell fan-out (Parallelism > 1) assigns the snapshot
 	// from whichever block owns the final iteration, so fan-out and
 	// serial runs report identical counters (pinned by
 	// TestFanoutCountersMatchSerial).
@@ -247,18 +239,9 @@ func (r *Runner) Measure(w workloads.Workload, setup cuda.Setup, size workloads.
 	})
 }
 
-// iterPar resolves the effective intra-cell fan-out width:
-// IterParallelism if set, otherwise the executor's width.
-func (r *Runner) iterPar() int {
-	if r.IterParallelism > 0 {
-		return r.IterParallelism
-	}
-	return r.parallelism()
-}
-
 // cellLoop simulates the iterations of one cell — len(out) of them —
 // and is the single implementation under measureCell and sweepCell.
-// Iterations are split into up to iterPar() contiguous blocks; each
+// Iterations are split into up to parallelism() contiguous blocks; each
 // block acquires its own pooled context, seeds it per iteration with
 // seed(i) (a Reset run is pinned bit-identical to a fresh context, so
 // block boundaries are invisible in the results), and writes each
@@ -309,7 +292,7 @@ func (r *Runner) cellLoop(setup cuda.Setup, seed func(i int) int64, hook func(i 
 		}
 		return nil
 	}
-	k := r.iterPar()
+	k := r.parallelism()
 	if k > iters {
 		k = iters
 	}
@@ -363,7 +346,7 @@ func (r *Runner) MeasureAllSetups(w workloads.Workload, size workloads.Size) ([]
 	setups := r.setups()
 	out := make([]Result, len(setups))
 	order := r.lptOrder(len(out), func(i int) float64 {
-		return r.cellCost(w.Name(), setups[i], size)
+		return cellSeconds(r.Config, setups[i], size, r.iters())
 	})
 	err := r.forEachOrdered(len(out), order, func(i int) error {
 		res, err := r.Measure(w, setups[i], size)

@@ -12,6 +12,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -324,6 +325,58 @@ func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error
 		return nil, nil, 0, err
 	}
 	return gpus, topos, policy, nil
+}
+
+// CheckSize rejects, before anything simulates, a size override that
+// cannot run. An explicit-copy setup (standard, async) holds the whole
+// footprint in device memory, so a study whose setup list includes one
+// runs out of memory on a profile that cannot host the size — the
+// FitsFootprint rule fig4, fig5 and fig6 apply to their own sizes.
+// Managed setups oversubscribe instead, fig14 and multigpu run one
+// managed setup, and a compare-profiles workload whose allocations do
+// not grow with the size (workloads.FixedFootprint) fits anyway, so
+// those stay allowed. figures may include "all", p is the runner's
+// profile and setups the study list (nil = the paper's five). ParseSpec
+// and the CLI share this check.
+func CheckSize(figures []string, opt FigureOptions, p profile.Profile, setups []cuda.Setup) error {
+	if opt.Size == "" {
+		return nil
+	}
+	size, err := workloads.ParseSize(opt.Size)
+	if err != nil {
+		return err
+	}
+	if len(setups) == 0 {
+		setups = cuda.PaperSetups()
+	}
+	explicit := slices.IndexFunc(setups, func(s cuda.Setup) bool { return !s.Managed() })
+	if explicit < 0 {
+		return nil
+	}
+	for _, fig := range figures {
+		ps := []profile.Profile{p}
+		switch fig {
+		case "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "micro", "apps", "all":
+		case "compare-profiles":
+			if w, err := workloads.ByName(opt.Workload); err == nil && workloads.FixedFootprint(w) {
+				continue
+			}
+			if ps = opt.Profiles; ps == nil {
+				if ps, err = ResolveProfiles(opt.ProfilesCSV); err != nil {
+					return err
+				}
+			}
+		default:
+			continue
+		}
+		for _, q := range ps {
+			if !q.Config.FitsFootprint(size.Footprint()) {
+				return fmt.Errorf("%s: size %s does not fit profile %s's memory under the explicit-copy setup %s",
+					fig, size, q.Name, setups[explicit])
+			}
+		}
+	}
+	return nil
 }
 
 // FeasibleSizes filters the paper's size classes to those the active

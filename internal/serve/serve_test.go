@@ -195,6 +195,11 @@ func TestSpecValidation(t *testing.T) {
 		{"bad profile", `{"figure":"table3","profile":"a100"}`, "a100"},
 		{"bad syntax", `{`, "bad spec"},
 		{"trailing data", `{"figure":"table3"} extra`, "trailing"},
+		{"retired itpar", `{"figure":"fig7","itpar":2}`, `unknown spec field \"itpar\"`},
+		// Sizes that no explicit-copy setup can allocate on a profile the
+		// figure runs fail before anything simulates.
+		{"size exceeds profile", `{"figure":"fig8","size":"mega","profile":"v100-16g-pcie3"}`, "does not fit profile v100-16g-pcie3"},
+		{"size exceeds a compared profile", `{"figure":"compare-profiles","size":"mega"}`, "does not fit profile v100-16g-pcie3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -209,6 +214,27 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if w := get(h, "/v1/experiments"); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status %d, want 405", w.Code)
+	}
+}
+
+// TestSpecSizeOnManagedSetups: a size override that exceeds device
+// memory stays valid where no explicit-copy setup has to allocate it —
+// managed setups oversubscribe, fig14 and multigpu run one managed
+// setup, a darknet network's buffers do not grow with the size — and on
+// profiles that fit it.
+func TestSpecSizeOnManagedSetups(t *testing.T) {
+	for _, body := range []string{
+		`{"figure":"fig14","size":"mega","profile":"v100-16g-pcie3"}`,
+		`{"figure":"multigpu","size":"mega","profile":"v100-16g-pcie3"}`,
+		`{"figure":"micro","size":"mega","profile":"v100-16g-pcie3","setups":["uvm"]}`,
+		`{"figure":"fig8","size":"mega"}`,
+		`{"figure":"compare-profiles","size":"mega","profiles":["a100-40g-pcie4","a100-80g-sxm"]}`,
+		`{"figure":"compare-profiles","size":"mega","workload":"yolov3"}`,
+		`{"figure":"fig7","size":"mega","profile":"v100-16g-pcie3"}`,
+	} {
+		if _, err := ParseSpec(strings.NewReader(body), profile.Default()); err != nil {
+			t.Errorf("%s: %v", body, err)
+		}
 	}
 }
 

@@ -41,9 +41,6 @@ type Config struct {
 	MaxInFlight int
 	// Parallelism is each runner's executor width (the CLI's -par).
 	Parallelism int
-	// IterParallelism is each runner's intra-cell iteration fan-out
-	// (the CLI's -itpar); requests may override it per spec.
-	IterParallelism int
 	// Registry receives every metric the server and the instrumented
 	// harness layers expose (nil = a private registry).
 	Registry *metrics.Registry
@@ -180,7 +177,6 @@ func (s *Server) runnerFor(p profile.Profile) *core.Runner {
 	}
 	r := core.NewRunnerFor(p)
 	r.Parallelism = s.cfg.Parallelism
-	r.IterParallelism = s.cfg.IterParallelism
 	r.Store = s.cfg.Store
 	r.InstrumentMetrics(s.reg)
 	s.runners[fp] = r
@@ -262,7 +258,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Admission weight is the request's executor width: intra-cell
-	// fan-out shares the same token pool, so itpar adds no workers.
+	// fan-out shares the same token pool, so it adds no workers.
 	width := s.cfg.Parallelism
 	if width <= 0 {
 		width = runtime.GOMAXPROCS(0)
@@ -289,17 +285,14 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	}
 
 	base := s.runnerFor(req.Profile)
-	// Value copy: per-request iterations, seed and iteration fan-out,
-	// shared executor, cell cache and context pool. The cell key
-	// includes iters, seed and the profile fingerprint, so mixed
-	// request shapes cannot collide.
+	// Value copy: per-request iterations, seed and setups, shared
+	// executor, cell cache and context pool. The cell key includes
+	// iters, seed and the profile fingerprint, so mixed request shapes
+	// cannot collide.
 	rr := *base
 	rr.Iterations = req.Iters
 	rr.BaseSeed = req.Seed
 	rr.Setups = req.Setups
-	if req.ItPar > 0 {
-		rr.IterParallelism = req.ItPar
-	}
 
 	// Encode into a pooled buffer: a json.Encoder with the CLI's indent
 	// writes the same bytes core.RenderJSON would (MarshalIndent plus a

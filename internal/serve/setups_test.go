@@ -4,6 +4,10 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"uvmasim/internal/core"
+	"uvmasim/internal/cuda"
+	"uvmasim/internal/profile"
 )
 
 // TestSpecSetupsSubset: the spec's "setups" field narrows the study to
@@ -43,6 +47,35 @@ func TestSpecSetupsSubset(t *testing.T) {
 				t.Errorf("error %q should contain %q", w.Body.String(), c.wantErr)
 			}
 		})
+	}
+}
+
+// TestSpecSetupsWithoutMemcpy: a study whose baseline copies nothing
+// (zero-copy and SM-copy only) has no memcpy to save, so the mean
+// saving is undefined. It encodes as null, and the response matches
+// the CLI -json output byte for byte.
+func TestSpecSetupsWithoutMemcpy(t *testing.T) {
+	h := New(quietConfig()).Handler()
+	w := post(h, `{"figure":"micro","iters":1,"size":"tiny","setups":["uvm_zerocopy","uvm_smcopy"]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	r := core.NewRunnerFor(profile.Default())
+	r.Iterations = 1
+	r.Setups = []cuda.Setup{cuda.UVMZeroCopy, cuda.UVMSMCopy}
+	_, doc, err := Figure(r, "micro", FigureOptions{Size: "tiny", Jobs: 8, Workload: "gemm"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.RenderJSON(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Body.String(); got != want {
+		t.Errorf("response diverges from CLI -json output:\n%s\nvs\n%s", got, want)
+	}
+	if !strings.Contains(want, `"mean_memcpy_savings": null`) {
+		t.Errorf("undefined saving not encoded as null:\n%s", want)
 	}
 }
 

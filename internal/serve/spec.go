@@ -39,14 +39,10 @@ type Spec struct {
 	// CLI -setups list (empty = the paper's five). Unknown names fail
 	// with a nearest-name hint before anything simulates.
 	Setups []string `json:"setups,omitempty"`
-	Size   string   `json:"size,omitempty"` // size-class override (default per figure)
-	Iters    int      `json:"iters,omitempty"`    // iterations per configuration (default 30)
-	Seed     *int64   `json:"seed,omitempty"`     // base random seed (default 1)
-	Jobs     int      `json:"jobs,omitempty"`     // fig14 batch size (default 8)
-	// ItPar overrides the server's intra-cell iteration fan-out for this
-	// request (0 = the server's -itpar setting). Like -par it cannot
-	// change any response byte — it only trades latency for width.
-	ItPar int `json:"itpar,omitempty"`
+	Size   string   `json:"size,omitempty"`  // size-class override (default per figure)
+	Iters  int      `json:"iters,omitempty"` // iterations per configuration (default 30)
+	Seed   *int64   `json:"seed,omitempty"`  // base random seed (default 1)
+	Jobs   int      `json:"jobs,omitempty"`  // fig14 batch size (default 8)
 	// GPUs, Topology and Policy configure the multigpu grid, mirroring
 	// the -gpus/-topology/-policy CLI flags (defaults "1,2,4",
 	// "pcie-switch,nvlink", "least-loaded").
@@ -58,7 +54,7 @@ type Spec struct {
 // specFields lists the accepted JSON keys, for typo suggestions.
 var specFields = []string{
 	"figure", "figures", "profile", "profiles", "workload", "setups",
-	"size", "iters", "seed", "jobs", "itpar", "gpus", "topology", "policy",
+	"size", "iters", "seed", "jobs", "gpus", "topology", "policy",
 }
 
 // ParseSpec decodes and validates a request body. Unknown fields and
@@ -88,7 +84,6 @@ type Request struct {
 	Profile profile.Profile
 	Iters   int
 	Seed    int64
-	ItPar   int          // intra-cell fan-out override (0 = server setting)
 	Setups  []cuda.Setup // resolved study subset (nil = paper five)
 	Opt     FigureOptions
 }
@@ -141,10 +136,6 @@ func (s *Spec) resolve(defaultProfile profile.Profile) (*Request, error) {
 	if s.Jobs < 0 {
 		return nil, fmt.Errorf("jobs must be >= 0, got %d", s.Jobs)
 	}
-	if s.ItPar < 0 {
-		return nil, fmt.Errorf("itpar must be >= 0, got %d", s.ItPar)
-	}
-	req.ItPar = s.ItPar
 	if s.Jobs > 0 {
 		req.Opt.Jobs = s.Jobs
 	}
@@ -206,6 +197,9 @@ func (s *Spec) resolve(defaultProfile profile.Profile) (*Request, error) {
 			ps = append(ps, p)
 		}
 		req.Opt.Profiles = ps
+	}
+	if err := CheckSize(req.Figures, req.Opt, req.Profile, req.Setups); err != nil {
+		return nil, err
 	}
 	return req, nil
 }

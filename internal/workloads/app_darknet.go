@@ -91,6 +91,14 @@ func layerSpec(l darknet.Layer, batch int64) gpu.KernelSpec {
 	}
 }
 
+// FixedFootprint reports whether w allocates the same device memory at
+// every input class: the darknet networks, whose larger classes run
+// more images through the same weight and activation buffers.
+func FixedFootprint(w Workload) bool {
+	_, ok := w.(*darknetBench)
+	return ok
+}
+
 func (d *darknetBench) Run(ctx *cuda.Context, size Size) error {
 	net := d.network()
 	const batch = 1
