@@ -47,19 +47,27 @@
 // persistent cell store: hits skip simulation, misses are written back,
 // so a warm rerun of any sweep costs file reads, not simulation), and
 // -shard i/n (run the i-th of n deterministic partitions of the cell
-// grid and print a mergeable shard artifact — the run spec, the
+// grid and print a mergeable shard artifact — the run's Request, the
 // captured cells and the seconds spent simulating them — instead of
 // normal output; `uvmbench merge a.json b.json ...` over a complete
 // partition prints output byte-identical to the unsharded run).
+//
+// The run flags (-i, -seed, -size, -jobs, -workload, -gpus, -topology,
+// -policy, -setups, -profile, -profiles) build one serve.Request, the
+// run description a POST /v1/experiments spec resolves to, with the
+// same defaults; Request.Validate checks it before anything simulates.
+// merge replays the Request its artifacts carry and reads only -par,
+// -json and -cache-dir; any other flag fails, naming it.
 //
 // The serve subcommand runs the experiment service (internal/serve):
 // POST /v1/experiments computes figures (responses byte-identical to
 // -json output for the same spec), /metrics exposes the Prometheus
 // registry, /healthz reports readiness, /debug/pprof/ serves profiles.
-// It honors -addr, -max-inflight (a worker-slot budget: each admitted
-// request claims its executor width), -par, -cache-dir and
-// -profile (the default machine for specs that name none) and drains
-// gracefully on SIGTERM.
+// Each request's spec describes its run, so serve reads only -addr,
+// -max-inflight (a worker-slot budget: each admitted request claims
+// its executor width), -par, -cache-dir and -profile (the default
+// machine for specs that name none), fails on any other flag, and
+// drains gracefully on SIGTERM.
 //
 // The trace subcommand writes one Chrome trace-event file per setup,
 // named trace_<workload>_<setup>.json, loadable in Perfetto or
@@ -97,27 +105,20 @@ func main() {
 	}
 }
 
-// options carries the per-invocation settings dispatch needs beyond the
-// Runner itself.
+// options carries the invocation settings dispatch needs beyond the
+// Runner: where output goes and in which form, the trace selection,
+// the arguments after the subcommand and the metrics registry. The run
+// itself is the Request.
 type options struct {
+	req       *serve.Request
 	out       io.Writer // artifact destination (io.Discard in -shard mode)
-	sizeName  string    // raw -size value (recorded in shard specs)
-	sizeOr    func(def workloads.Size) (workloads.Size, error)
-	jobs      int
 	json      bool
-	workload  string
 	setupName string
-	gpus      string       // -gpus device-count list for multigpu ("" = default grid)
-	topology  string       // -topology interconnect list for multigpu
-	policy    string       // -policy placement for multigpu
-	setups    []cuda.Setup // resolved -setups study list (nil = paper five)
 	outDir    string
-	profiles  string            // -profiles list for compare-profiles
-	fixed     []profile.Profile // pre-resolved compare-profiles set (merge replay)
-	rest      []string          // arguments after the subcommand (profiles show/dump)
-	// reg is the invocation's metrics registry (nil in merge replay);
-	// traceTotals accumulates the trace subcommand's counter-registry
-	// totals. Both feed the cache-summary JSON doc.
+	rest      []string // arguments after the subcommand (profiles show/dump, merge files)
+	// reg is the invocation's metrics registry; traceTotals accumulates
+	// the trace subcommand's counter-registry totals. Both feed the
+	// cache-summary JSON doc.
 	reg         *metrics.Registry
 	traceTotals map[string]float64
 }
@@ -155,6 +156,10 @@ func shardable(cmd string) bool {
 }
 
 func run(args []string) error {
+	// The run flags bind straight into the Request, whose constructor
+	// holds the defaults the server applies to an empty spec.
+	req := serve.NewRequest(profile.Default())
+	o := &options{req: req, out: os.Stdout}
 	fs := flag.NewFlagSet("uvmbench", flag.ContinueOnError)
 	// The flag package prints its own error + full flag dump before
 	// returning it, and main prints the error again — a duplicated,
@@ -162,19 +167,19 @@ func run(args []string) error {
 	// copy; parse errors are reported once by main, with a nearest-flag
 	// suggestion (see flagError).
 	fs.SetOutput(io.Discard)
-	iters := fs.Int("i", core.DefaultIterations, "iterations per configuration")
-	seed := fs.Int64("seed", 1, "base random seed")
-	sizeName := fs.String("size", "", "override input-size class (tiny..mega)")
-	jobs := fs.Int("jobs", 8, "batch size for the fig14 pipeline model and the multigpu grid")
-	gpusCSV := fs.String("gpus", "", "multigpu: comma-separated device counts to sweep (empty = "+serve.DefaultGPUs+")")
-	topology := fs.String("topology", "", "multigpu: comma-separated interconnects, pcie-switch and/or nvlink (empty = "+serve.DefaultTopology+")")
-	policy := fs.String("policy", "", "multigpu: placement policy, first-fit, least-loaded or bandwidth-aware (empty = "+serve.DefaultPolicy+")")
+	fs.IntVar(&req.Iters, "i", req.Iters, "iterations per configuration")
+	fs.Int64Var(&req.Seed, "seed", req.Seed, "base random seed")
+	fs.StringVar(&req.Size, "size", "", "override input-size class (tiny..mega)")
+	fs.IntVar(&req.Jobs, "jobs", req.Jobs, "batch size for the fig14 pipeline model and the multigpu grid")
+	fs.StringVar(&req.GPUs, "gpus", "", "multigpu: comma-separated device counts to sweep (empty = "+serve.DefaultGPUs+")")
+	fs.StringVar(&req.Topology, "topology", "", "multigpu: comma-separated interconnects, pcie-switch and/or nvlink (empty = "+serve.DefaultTopology+")")
+	fs.StringVar(&req.Policy, "policy", "", "multigpu: placement policy, first-fit, least-loaded or bandwidth-aware (empty = "+serve.DefaultPolicy+")")
 	par := fs.Int("par", 0, "experiment executor workers (0 = all cores, 1 = serial); output is identical at any value")
-	jsonOut := fs.Bool("json", false, "emit figure data as a JSON document instead of a text table")
-	workload := fs.String("workload", "gemm", "workload for the trace and compare-profiles subcommands")
-	setupName := fs.String("setup", "", "setup for the trace subcommand (empty = every study setup)")
+	fs.BoolVar(&o.json, "json", false, "emit figure data as a JSON document instead of a text table")
+	fs.StringVar(&req.Workload, "workload", req.Workload, "workload for the trace and compare-profiles subcommands")
+	fs.StringVar(&o.setupName, "setup", "", "setup for the trace subcommand (empty = every study setup)")
 	setupsCSV := fs.String("setups", "", "comma-separated registered setups every study iterates (empty = the paper's five)")
-	outDir := fs.String("out", ".", "directory for trace output files")
+	fs.StringVar(&o.outDir, "out", ".", "directory for trace output files")
 	prof := fs.String("profile", profile.DefaultName, "hardware profile: a built-in name (see 'uvmbench profiles') or a profile JSON file")
 	profs := fs.String("profiles", "", "comma-separated profiles for compare-profiles (empty = all built-ins)")
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -187,6 +192,7 @@ func run(args []string) error {
 		fmt.Fprintln(w, "usage: uvmbench [flags] <subcommand>[,<subcommand>...]")
 		fmt.Fprintln(w, "       uvmbench [flags] merge <shard.json> ...")
 		fmt.Fprintln(w, "       uvmbench [flags] serve")
+		fmt.Fprintln(w, "merge reads only -par -json -cache-dir; serve reads only -addr -max-inflight -par -cache-dir -profile")
 		fmt.Fprintln(w, "subcommands:", strings.Join(commandNames, " "))
 		fmt.Fprintln(w, "flags:")
 		fs.SetOutput(w)
@@ -213,7 +219,7 @@ func run(args []string) error {
 	}
 
 	// Validate everything cheap before the first simulation: subcommand
-	// names, the shard spec, output paths, profile files, the cell-store
+	// names, the Request, the shard spec, output paths, the cell-store
 	// directory. A typo in any of them must fail in milliseconds, not
 	// after a full sweep.
 	cmds := strings.Split(fs.Arg(0), ",")
@@ -222,38 +228,54 @@ func run(args []string) error {
 			return fmt.Errorf("unknown subcommand %q%s", cmd, nearest.Hint(cmd, commandNames, 2))
 		}
 	}
-	var studySetups []cuda.Setup
-	if *setupsCSV != "" {
-		var err error
-		studySetups, err = cuda.ParseSetupList(*setupsCSV)
-		if err != nil {
-			return fmt.Errorf("-setups: %w", err)
-		}
-	}
-	if *gpusCSV != "" || *topology != "" || *policy != "" || slices.Contains(cmds, "multigpu") {
-		if _, _, _, err := serve.ResolveMultiGPU(serve.FigureOptions{
-			GPUs: *gpusCSV, Topology: *topology, Policy: *policy,
-		}); err != nil {
-			return err
-		}
-	}
-	if slices.Contains(cmds, "merge") {
-		if len(cmds) != 1 {
-			return fmt.Errorf("merge cannot be combined with other subcommands")
-		}
-		if *shard != "" {
-			return fmt.Errorf("-shard does not apply to merge (it consumes shard artifacts)")
-		}
-		return runMerge(fs.Args()[1:], *par, *jsonOut, *cacheDir)
-	}
-	if slices.Contains(cmds, "serve") {
+	o.rest = fs.Args()[1:]
+	var merged *store.Mem
+	switch {
+	case slices.Contains(cmds, "serve"):
+		// Each request's spec describes its run, so serve reads only the
+		// process settings.
 		if len(cmds) != 1 {
 			return fmt.Errorf("serve cannot be combined with other subcommands")
 		}
-		if *shard != "" {
-			return fmt.Errorf("-shard does not apply to serve")
+		if err := onlyFlags(fs, "serve", "addr", "max-inflight", "par", "cache-dir", "profile"); err != nil {
+			return err
 		}
 		return runServe(*addr, *maxInflight, *par, *cacheDir, *prof)
+	case slices.Contains(cmds, "merge"):
+		// The artifacts describe the run; merge replays it.
+		if len(cmds) != 1 {
+			return fmt.Errorf("merge cannot be combined with other subcommands")
+		}
+		if err := onlyFlags(fs, "merge", "par", "json", "cache-dir"); err != nil {
+			return err
+		}
+		var err error
+		if req, merged, err = loadShards(o.rest); err != nil {
+			return err
+		}
+		o.req = req
+		cmds = req.Figures
+	default:
+		var err error
+		if *setupsCSV != "" {
+			if req.Setups, err = cuda.ParseSetupList(*setupsCSV); err != nil {
+				return fmt.Errorf("-setups: %w", err)
+			}
+		}
+		if req.Profile, err = profile.Resolve(*prof); err != nil {
+			return err
+		}
+		if req.Profiles, err = resolveProfiles(*profs); err != nil {
+			return err
+		}
+		for _, cmd := range cmds {
+			if cmd == "all" || serve.IsFigure(cmd) {
+				req.Figures = append(req.Figures, cmd)
+			}
+		}
+		if err := req.Validate(); err != nil {
+			return err
+		}
 	}
 	shardIdx, shardCnt := 0, 0
 	if *shard != "" {
@@ -269,85 +291,54 @@ func run(args []string) error {
 		}
 	}
 	if slices.Contains(cmds, "trace") {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+		if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 			return fmt.Errorf("-out: %w", err)
 		}
 	}
 
-	p, err := profile.Resolve(*prof)
-	if err != nil {
-		return err
-	}
-	sizeOpt := serve.FigureOptions{Size: *sizeName, Workload: *workload, ProfilesCSV: *profs}
-	if err := serve.CheckSize(cmds, sizeOpt, p, studySetups); err != nil {
-		return err
-	}
-	r := core.NewRunnerFor(p)
-	r.Iterations = *iters
-	r.BaseSeed = *seed
-	r.Parallelism = *par
-	r.Setups = studySetups
 	// Every invocation carries a metrics registry: batch runs expose the
 	// same counter/histogram numbers in the cache-summary doc that a
 	// serve process exports over /metrics.
-	reg := metrics.New()
-	r.InstrumentMetrics(reg)
+	o.reg = metrics.New()
+	base := core.NewRunnerFor(req.Profile)
+	base.Parallelism = *par
+	base.InstrumentMetrics(o.reg)
 	if *cacheDir != "" {
-		st, err := store.Open(*cacheDir)
+		dir, err := store.Open(*cacheDir)
 		if err != nil {
 			return err
 		}
-		st.Instrument(reg)
-		r.Store = st
+		dir.Instrument(o.reg)
+		base.Store = dir
+		if merged != nil {
+			// Persist the union of the shards, leaving the same warm
+			// store a single-shot -cache-dir run would have written.
+			for _, doc := range merged.Docs() {
+				if err := dir.Put(doc.Key, doc); err != nil {
+					return err
+				}
+			}
+		}
 	}
-
-	o := &options{
-		out:       os.Stdout,
-		sizeName:  *sizeName,
-		jobs:      *jobs,
-		json:      *jsonOut,
-		workload:  *workload,
-		setupName: *setupName,
-		gpus:      *gpusCSV,
-		topology:  *topology,
-		policy:    *policy,
-		setups:    studySetups,
-		outDir:    *outDir,
-		profiles:  *profs,
-		rest:      fs.Args()[1:],
-		reg:       reg,
+	if merged != nil {
+		// Every cell of the replay is in the union, so it is served
+		// from memory and simulates nothing.
+		base.Store = merged
 	}
-	o.sizeOr = sizeOrFunc(*sizeName)
+	r := req.Runner(base)
 
-	var spec shardSpec
 	if shardCnt > 0 {
 		// Shard mode: normal output is suppressed (its cells are mostly
-		// placeholders); the run's product is the captured-cell artifact.
-		// The spec embeds everything merge needs to replay the run
-		// hermetically, the full resolved profile included.
+		// placeholders); the run's product is the captured-cell artifact,
+		// whose spec is the Request. Pinning the compare-profiles set
+		// keeps the artifact independent of the merging build's
+		// built-in machines, as the resolved Profile already is.
 		r.ShardIndex, r.ShardCount = shardIdx, shardCnt
 		r.Capture = store.NewMem()
 		o.out = io.Discard
 		o.json = false
-		spec = shardSpec{
-			Commands: cmds,
-			Iters:    *iters,
-			Seed:     *seed,
-			Size:     *sizeName,
-			Jobs:     *jobs,
-			Workload: *workload,
-			Setups:   setupNames(studySetups),
-			Gpus:     *gpusCSV,
-			Topology: *topology,
-			Policy:   *policy,
-			Profile:  p,
-		}
-		if slices.Contains(cmds, "compare-profiles") {
-			ps, err := serve.ResolveProfiles(*profs)
-			if err != nil {
-				return err
-			}
-			spec.Profiles = ps
+		if req.Profiles == nil && slices.Contains(cmds, "compare-profiles") {
+			req.Profiles = profile.Builtins()
 		}
 	}
 
@@ -365,12 +356,12 @@ func run(args []string) error {
 	if shardCnt > 0 {
 		if err := emitShardArtifact(os.Stdout, shardArtifact{
 			Schema:     store.SchemaVersion,
-			Spec:       spec,
+			Spec:       *req,
 			ShardIndex: shardIdx,
 			ShardCount: shardCnt,
 			// Looking the histogram up returns the one the runner's
 			// instruments registered above.
-			ActualCellSeconds: reg.Histogram("uvmbench_cell_seconds", "", nil).Sum(),
+			ActualCellSeconds: o.reg.Histogram("uvmbench_cell_seconds", "", nil).Sum(),
 			Cells:             r.Capture.Docs(),
 		}); err != nil {
 			stopProfiles()
@@ -385,15 +376,38 @@ func run(args []string) error {
 	return stopProfiles()
 }
 
-// sizeOrFunc builds the -size resolution closure: an empty override
-// keeps each subcommand's default class.
-func sizeOrFunc(name string) func(def workloads.Size) (workloads.Size, error) {
-	return func(def workloads.Size) (workloads.Size, error) {
-		if name == "" {
-			return def, nil
+// onlyFlags rejects every flag set on the command line that cmd does
+// not read, naming it: a run flag given to merge or serve would
+// otherwise be silently dropped.
+func onlyFlags(fs *flag.FlagSet, cmd string, reads ...string) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && !slices.Contains(reads, f.Name) {
+			err = fmt.Errorf("-%s does not apply to %s, which reads only -%s",
+				f.Name, cmd, strings.Join(reads, ", -"))
 		}
-		return workloads.ParseSize(name)
+	})
+	return err
+}
+
+// resolveProfiles parses a -profiles list (built-in names or profile
+// JSON files) into validated profiles; an empty list is nil, which
+// compare-profiles reads as every built-in machine.
+func resolveProfiles(list string) ([]profile.Profile, error) {
+	var ps []profile.Profile
+	for _, arg := range strings.Split(list, ",") {
+		if arg = strings.TrimSpace(arg); arg != "" {
+			p, err := profile.Resolve(arg)
+			if err != nil {
+				return nil, err
+			}
+			ps = append(ps, p)
+		}
 	}
+	if ps == nil && strings.TrimSpace(list) != "" {
+		return nil, fmt.Errorf("-profiles names no profiles")
+	}
+	return ps, nil
 }
 
 // printCacheSummary reports both cache tiers after an `all` or any
@@ -552,16 +566,7 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 	// internal/serve and is shared with the HTTP service, which is what
 	// keeps POST /v1/experiments responses byte-identical to -json
 	// output: both sides render the same documents from the same code.
-	text, doc, err := serve.Figure(r, cmd, serve.FigureOptions{
-		Size:        o.sizeName,
-		Jobs:        o.jobs,
-		Workload:    o.workload,
-		ProfilesCSV: o.profiles,
-		Profiles:    o.fixed,
-		GPUs:        o.gpus,
-		Topology:    o.topology,
-		Policy:      o.policy,
-	})
+	text, doc, err := serve.Figure(r, cmd, o.req.FigureOptions)
 	if err != nil {
 		return err
 	}
@@ -575,13 +580,11 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 // subcommand, and replays the same deterministic schedules the multigpu
 // figure measures (same workload, setup and default grid).
 func runMultiGPUTrace(r *core.Runner, o *options) error {
-	size, err := o.sizeOr(workloads.Super)
+	size, err := o.req.SizeOr(workloads.Super)
 	if err != nil {
 		return err
 	}
-	gpus, topos, policy, err := serve.ResolveMultiGPU(serve.FigureOptions{
-		GPUs: o.gpus, Topology: o.topology, Policy: o.policy,
-	})
+	gpus, topos, policy, err := serve.ResolveMultiGPU(o.req.FigureOptions)
 	if err != nil {
 		return err
 	}
@@ -593,7 +596,7 @@ func runMultiGPUTrace(r *core.Runner, o *options) error {
 		for _, g := range gpus {
 			for _, schedName := range []string{"serial", "pipelined"} {
 				st, err := r.MultiGPUTrace("vector_seq", cuda.UVMPrefetchAsync, size,
-					o.jobs, kind, g, policy, schedName == "pipelined")
+					o.req.Jobs, kind, g, policy, schedName == "pipelined")
 				if err != nil {
 					return err
 				}
@@ -676,14 +679,14 @@ func runProfiles(o *options) error {
 // executor (each binds its own tracer), and the files are byte-identical
 // for a given seed at any -par.
 func runTrace(r *core.Runner, o *options) error {
-	if o.gpus != "" || o.topology != "" || o.policy != "" {
+	if o.req.GPUs != "" || o.req.Topology != "" || o.req.Policy != "" {
 		return runMultiGPUTrace(r, o)
 	}
-	size, err := o.sizeOr(workloads.Large)
+	size, err := o.req.SizeOr(workloads.Large)
 	if err != nil {
 		return err
 	}
-	setups := o.setups
+	setups := o.req.Setups
 	if len(setups) == 0 {
 		setups = cuda.PaperSetups()
 	}
@@ -698,7 +701,7 @@ func runTrace(r *core.Runner, o *options) error {
 		return err
 	}
 
-	results, err := r.TraceSetups(o.workload, size, setups)
+	results, err := r.TraceSetups(o.req.Workload, size, setups)
 	if err != nil {
 		return err
 	}

@@ -36,6 +36,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-i", "1", "-size", "small", "fig8"}); err != nil {
 		t.Errorf("size override should work: %v", err)
 	}
+	// Counts below one are rejected, not clamped to one iteration or job.
+	for _, args := range [][]string{
+		{"-i", "0", "table3"},
+		{"-i", "-3", "table3"},
+		{"-jobs", "0", "table3"},
+	} {
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "must be >= 1") {
+			t.Errorf("%v: err = %v, want a count error", args, err)
+		}
+	}
 }
 
 func TestCommaSeparatedCommands(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"uvmasim/internal/serve"
 )
@@ -71,8 +72,20 @@ func TestServeArgErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "serve cannot be combined") {
 		t.Errorf("serve,table3 should be rejected, got %v", err)
 	}
-	if err := run([]string{"-shard", "1/2", "serve"}); err == nil {
-		t.Error("-shard serve should be rejected")
+	// Each request's spec defines its run, so -shard or a run flag given
+	// to serve fails instead of being silently dropped. Run with a
+	// deadline: a regression would start serving and never return.
+	for _, flag := range [][]string{{"-shard", "1/2"}, {"-i", "5"}, {"-json"}, {"-workload", "lud"}, {"-setups", "uvm"}} {
+		done := make(chan error, 1)
+		go func() { done <- run(append(flag, "-addr", "127.0.0.1:0", "serve")) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), flag[0]+" does not apply to serve") {
+				t.Errorf("%v serve: err = %v, want the flag named", flag, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%v serve: started serving instead of failing", flag)
+		}
 	}
 }
 

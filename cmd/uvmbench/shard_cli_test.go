@@ -114,6 +114,39 @@ func TestMergeValidation(t *testing.T) {
 			t.Errorf("%s: merge should fail", name)
 		}
 	}
+	// The artifacts define the run, so a run flag given to merge fails
+	// instead of being silently dropped.
+	for _, flag := range [][]string{{"-i", "7"}, {"-seed", "9"}, {"-size", "tiny"}, {"-profile", "v100-16g-pcie3"}} {
+		err := run(append(flag, "merge", s1, s2))
+		if err == nil || !strings.Contains(err.Error(), flag[0]+" does not apply to merge") {
+			t.Errorf("%v merge: err = %v, want the flag named", flag, err)
+		}
+	}
+	// An artifact in the older format, whose spec listed "commands",
+	// fails naming the file instead of replaying an empty run.
+	old := make([]string, 2)
+	for i, path := range []string{s1, s2} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var art map[string]any
+		if err := json.Unmarshal(b, &art); err != nil {
+			t.Fatal(err)
+		}
+		spec := art["spec"].(map[string]any)
+		spec["commands"] = spec["figures"]
+		delete(spec, "figures")
+		b, err = json.Marshal(art)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old[i] = write(fmt.Sprintf("old%d.json", i+1), string(b))
+	}
+	if err := run(append([]string{"merge"}, old...)); err == nil ||
+		!strings.Contains(err.Error(), old[0]) || !strings.Contains(err.Error(), `"commands"`) {
+		t.Errorf("older-format artifact: err = %v, want it rejected naming %s", err, old[0])
+	}
 	// Sanity: the intact pair does merge.
 	if err := run([]string{"merge", s1, s2}); err != nil {
 		t.Errorf("valid merge failed: %v", err)
@@ -166,6 +199,8 @@ func TestUpfrontValidation(t *testing.T) {
 		"bad shard":            {"-i", "100000", "-shard", "9/3", "fig12"},
 		"bad out for trace":    {"-i", "100000", "-out", "/dev/null/nope", "trace"},
 		"unknown late command": {"-i", "100000", "fig12,bogus"},
+		"bad late workload":    {"-i", "100000", "-workload", "nope", "fig12,compare-profiles"},
+		"bad late profiles":    {"-i", "100000", "-profiles", "nope", "fig12,compare-profiles"},
 	}
 	for name, args := range cases {
 		done := make(chan error, 1)

@@ -33,34 +33,6 @@ func RenderJSON(doc FigureDoc) (string, error) {
 	return string(b) + "\n", nil
 }
 
-// breakdownJSON mirrors cuda.Breakdown with stable snake_case keys and
-// explicit ns units.
-type breakdownJSON struct {
-	AllocNs    float64 `json:"alloc_ns"`
-	MemcpyNs   float64 `json:"memcpy_ns"`
-	KernelNs   float64 `json:"kernel_ns"`
-	OverheadNs float64 `json:"overhead_ns"`
-	TotalNs    float64 `json:"total_ns"`
-}
-
-func toBreakdownJSON(b cuda.Breakdown) breakdownJSON {
-	return breakdownJSON{
-		AllocNs:    b.Alloc,
-		MemcpyNs:   b.Memcpy,
-		KernelNs:   b.Kernel,
-		OverheadNs: b.Overhead,
-		TotalNs:    b.Total,
-	}
-}
-
-func toBreakdownsJSON(bs []cuda.Breakdown) []breakdownJSON {
-	out := make([]breakdownJSON, len(bs))
-	for i, b := range bs {
-		out[i] = toBreakdownJSON(b)
-	}
-	return out
-}
-
 // spread is a statistic that can be undefined: a dispersion (std, CI,
 // CV) over fewer than two samples, or a mean saving when no workload
 // has the component to save. Undefined is NaN, which encoding/json
@@ -171,10 +143,10 @@ func (d *DistributionStudy) Fig5Doc() FigureDoc {
 // Doc packages the Figure 6 per-run breakdowns.
 func (f *Fig6) Doc() FigureDoc {
 	return FigureDoc{Figure: "fig6", Data: struct {
-		Runs     []breakdownJSON `json:"runs"`
-		MemcpyCV spread          `json:"memcpy_cv"`
-		KernelCV spread          `json:"kernel_cv"`
-	}{toBreakdownsJSON(f.Runs), spread(f.MemcpyCV()), spread(f.KernelCV())}}
+		Runs     []cuda.Breakdown `json:"runs"`
+		MemcpyCV spread           `json:"memcpy_cv"`
+		KernelCV spread           `json:"kernel_cv"`
+	}{f.Runs, spread(f.MemcpyCV()), spread(f.KernelCV())}}
 }
 
 // breakdownStudyData is the payload of one BreakdownStudy (fig7 wraps
@@ -189,8 +161,8 @@ type breakdownStudyData struct {
 }
 
 type breakdownRowJSON struct {
-	Workload string          `json:"workload"`
-	BySetup  []breakdownJSON `json:"by_setup"`
+	Workload string           `json:"workload"`
+	BySetup  []cuda.Breakdown `json:"by_setup"`
 	// NormalizedTotal is (total-overhead)/(standard total-overhead) per
 	// setup, the quantity the figures plot.
 	NormalizedTotal []float64 `json:"normalized_total"`
@@ -212,7 +184,7 @@ func (s *BreakdownStudy) data() breakdownStudyData {
 		}
 		rows[i] = breakdownRowJSON{
 			Workload:        row.Workload,
-			BySetup:         toBreakdownsJSON(row.BySetup),
+			BySetup:         row.BySetup,
 			NormalizedTotal: norm,
 		}
 	}
@@ -288,8 +260,8 @@ func (s *CounterStudy) Doc(figure string) FigureDoc {
 // ("fig11".."fig13").
 func (s *Sweep) Doc(figure string) FigureDoc {
 	type point struct {
-		Param   float64         `json:"param"`
-		BySetup []breakdownJSON `json:"by_setup"`
+		Param   float64          `json:"param"`
+		BySetup []cuda.Breakdown `json:"by_setup"`
 		// NormalizedTotal is per-setup (total-overhead) normalized to
 		// standard at the sweep's first point.
 		NormalizedTotal []float64 `json:"normalized_total"`
@@ -300,7 +272,7 @@ func (s *Sweep) Doc(figure string) FigureDoc {
 		for si := range p.BySetup {
 			norm[si] = s.NormalizedPoint(p, si)
 		}
-		points[i] = point{Param: p.Param, BySetup: toBreakdownsJSON(p.BySetup), NormalizedTotal: norm}
+		points[i] = point{Param: p.Param, BySetup: p.BySetup, NormalizedTotal: norm}
 	}
 	return FigureDoc{Figure: figure, Data: struct {
 		Name      string         `json:"name"`

@@ -148,12 +148,12 @@ func (s *ProfileStudy) Render() string {
 // document.
 func (s *ProfileStudy) Doc() FigureDoc {
 	type row struct {
-		Profile         string          `json:"profile"`
-		Fingerprint     string          `json:"fingerprint"`
-		BySetup         []breakdownJSON `json:"by_setup"`
-		NormalizedTotal []float64       `json:"normalized_total"`
-		BestSetup       cuda.Setup      `json:"best_setup"`
-		BestImprovement float64         `json:"best_improvement"`
+		Profile         string           `json:"profile"`
+		Fingerprint     string           `json:"fingerprint"`
+		BySetup         []cuda.Breakdown `json:"by_setup"`
+		NormalizedTotal []float64        `json:"normalized_total"`
+		BestSetup       cuda.Setup       `json:"best_setup"`
+		BestImprovement float64          `json:"best_improvement"`
 	}
 	rows := make([]row, len(s.Rows))
 	for i, r := range s.Rows {
@@ -165,7 +165,7 @@ func (s *ProfileStudy) Doc() FigureDoc {
 		rows[i] = row{
 			Profile:         r.Profile,
 			Fingerprint:     r.Fingerprint,
-			BySetup:         toBreakdownsJSON(r.BySetup),
+			BySetup:         r.BySetup,
 			NormalizedTotal: norm,
 			BestSetup:       best,
 			BestImprovement: gain,

@@ -290,13 +290,15 @@ type demandRef struct {
 
 // Breakdown is the paper's execution-time decomposition: data allocation
 // (cudaMalloc/cudaMallocManaged/cudaFree), CPU-GPU data transfer, and GPU
-// kernel time, plus the fixed process overhead and the wall total.
+// kernel time, plus the fixed process overhead and the wall total. All
+// components are nanoseconds; the JSON keys of the figure documents
+// carry that unit.
 type Breakdown struct {
-	Alloc    float64
-	Memcpy   float64
-	Kernel   float64
-	Overhead float64
-	Total    float64
+	Alloc    float64 `json:"alloc_ns"`
+	Memcpy   float64 `json:"memcpy_ns"`
+	Kernel   float64 `json:"kernel_ns"`
+	Overhead float64 `json:"overhead_ns"`
+	Total    float64 `json:"total_ns"`
 }
 
 // Breakdown reports the run's decomposition. Transfer activity that

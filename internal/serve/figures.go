@@ -7,7 +7,10 @@
 // The figure dispatch in this file is the single source of truth shared
 // by cmd/uvmbench and the server: both call Figure, so the wire format
 // cannot drift from the CLI artifact — the byte-identity acceptance
-// criterion is structural, not tested-into-existence.
+// criterion is structural, not tested-into-existence. Both also describe
+// a run with one Request (spec.go), defaulted and validated in one
+// place, whether it came from CLI flags, a POST body or a shard
+// artifact.
 package serve
 
 import (
@@ -24,31 +27,30 @@ import (
 	"uvmasim/internal/workloads"
 )
 
-// FigureOptions carries the per-invocation knobs a figure consumes,
-// mirroring the CLI flags. Values are passed through literally (the CLI
-// flag defaults — jobs 8, workload gemm — are applied by the flag
-// parser or by Spec normalization, not here), so CLI and server agree
-// byte-for-byte on what any given option set produces.
+// FigureOptions carries the per-run knobs a figure consumes; a
+// Request embeds them. An empty string takes the figure's default, so
+// the CLI, the server and merge agree byte for byte on what any option
+// set produces.
 type FigureOptions struct {
-	Size        string            // -size override ("" = the figure's default class)
-	Jobs        int               // fig14/multigpu pipeline batch size
-	Workload    string            // compare-profiles workload
-	ProfilesCSV string            // -profiles list for compare-profiles ("" = all built-ins)
-	Profiles    []profile.Profile // pre-resolved compare-profiles set (overrides ProfilesCSV)
-	GPUs        string            // multigpu -gpus device-count list ("" = "1,2,4")
-	Topology    string            // multigpu -topology list ("" = "pcie-switch,nvlink")
-	Policy      string            // multigpu -policy placement ("" = "least-loaded")
+	Size     string            `json:"size,omitempty"`     // size-class override ("" = the figure's default class)
+	Jobs     int               `json:"jobs"`               // fig14/multigpu pipeline batch size
+	Workload string            `json:"workload"`           // compare-profiles (and trace) workload
+	Profiles []profile.Profile `json:"profiles,omitempty"` // compare-profiles machines (nil = every built-in)
+	GPUs     string            `json:"gpus,omitempty"`     // multigpu device-count list ("" = DefaultGPUs)
+	Topology string            `json:"topology,omitempty"` // multigpu interconnect list ("" = DefaultTopology)
+	Policy   string            `json:"policy,omitempty"`   // multigpu placement policy ("" = DefaultPolicy)
 }
 
-// Multi-GPU defaults, applied by Figure when the corresponding option is
-// empty so CLI, server and merge agree byte-for-byte.
+// Multi-GPU defaults, applied by ResolveMultiGPU when the corresponding
+// option is empty.
 const (
 	DefaultGPUs     = "1,2,4"
 	DefaultTopology = "pcie-switch,nvlink"
 	DefaultPolicy   = "least-loaded"
 )
 
-func (o FigureOptions) sizeOr(def workloads.Size) (workloads.Size, error) {
+// SizeOr returns the size override, or def when there is none.
+func (o FigureOptions) SizeOr(def workloads.Size) (workloads.Size, error) {
 	if o.Size == "" {
 		return def, nil
 	}
@@ -71,14 +73,7 @@ var AllFigures = []string{
 }
 
 // IsFigure reports whether cmd is one of FigureNames.
-func IsFigure(cmd string) bool {
-	for _, f := range FigureNames {
-		if f == cmd {
-			return true
-		}
-	}
-	return false
-}
+func IsFigure(cmd string) bool { return slices.Contains(FigureNames, cmd) }
 
 // Figure computes one figure artifact on r, returning both renderings:
 // a thunk for the text table (including any advisory note lines the CLI
@@ -146,7 +141,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return text, core.Fig7Doc(studies), nil
 
 	case "fig8":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -157,7 +152,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return study.Render("Figure 8") }, study.Doc("fig8"), nil
 
 	case "fig9", "fig10":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -171,7 +166,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return study.RenderFig10, study.Doc("fig10"), nil
 
 	case "fig11":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -182,7 +177,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return sw.Render("Figure 11") }, sw.Doc("fig11"), nil
 
 	case "fig12":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -193,7 +188,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return sw.Render("Figure 12") }, sw.Doc("fig12"), nil
 
 	case "fig13":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -204,7 +199,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return sw.Render("Figure 13") }, sw.Doc("fig13"), nil
 
 	case "fig14":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -215,7 +210,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return res.Render, res.Doc(), nil
 
 	case "micro":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -226,7 +221,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return func() string { return study.Render("Microbenchmarks (§4.1.1)") }, study.Doc("micro"), nil
 
 	case "apps":
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -250,7 +245,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		// Tentpole experiment: the Figure 14 pipeline headroom under real
 		// multi-tenant contention. Same workload/setup as fig14, scheduled
 		// over a (topology x GPU count) grid.
-		size, err := opt.sizeOr(workloads.Super)
+		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
@@ -265,16 +260,13 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		return study.Render, study.Doc(), nil
 
 	case "compare-profiles":
-		size, err := opt.sizeOr(workloads.Large)
+		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
 			return nil, core.FigureDoc{}, err
 		}
 		ps := opt.Profiles
 		if ps == nil {
-			ps, err = ResolveProfiles(opt.ProfilesCSV)
-			if err != nil {
-				return nil, core.FigureDoc{}, err
-			}
+			ps = profile.Builtins()
 		}
 		study, err := r.CompareProfiles(ps, opt.Workload, size)
 		if err != nil {
@@ -287,7 +279,7 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 
 // ResolveMultiGPU normalizes the multigpu grid options: empty values
 // take the package defaults, lists parse with validation and nearest
-// hints. Shared by Figure and the CLI trace path.
+// hints. Shared by Figure, Request.Validate and the CLI trace path.
 func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error) {
 	gpusCSV := opt.GPUs
 	if gpusCSV == "" {
@@ -301,12 +293,12 @@ func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error
 		}
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
-			return nil, nil, 0, fmt.Errorf("-gpus entry %q is not a positive device count", part)
+			return nil, nil, 0, fmt.Errorf("gpus entry %q is not a positive device count", part)
 		}
 		gpus = append(gpus, n)
 	}
 	if len(gpus) == 0 {
-		return nil, nil, 0, fmt.Errorf("-gpus names no device counts")
+		return nil, nil, 0, fmt.Errorf("gpus names no device counts")
 	}
 	topoCSV := opt.Topology
 	if topoCSV == "" {
@@ -335,17 +327,16 @@ func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error
 // Managed setups oversubscribe instead, fig14 and multigpu run one
 // managed setup, and a compare-profiles workload whose allocations do
 // not grow with the size (workloads.FixedFootprint) fits anyway, so
-// those stay allowed. figures may include "all", p is the runner's
-// profile and setups the study list (nil = the paper's five). ParseSpec
-// and the CLI share this check.
-func CheckSize(figures []string, opt FigureOptions, p profile.Profile, setups []cuda.Setup) error {
-	if opt.Size == "" {
+// those stay allowed. Validate applies it.
+func CheckSize(q *Request) error {
+	if q.Size == "" {
 		return nil
 	}
-	size, err := workloads.ParseSize(opt.Size)
+	size, err := workloads.ParseSize(q.Size)
 	if err != nil {
 		return err
 	}
+	setups := q.Setups
 	if len(setups) == 0 {
 		setups = cuda.PaperSetups()
 	}
@@ -353,26 +344,24 @@ func CheckSize(figures []string, opt FigureOptions, p profile.Profile, setups []
 	if explicit < 0 {
 		return nil
 	}
-	for _, fig := range figures {
-		ps := []profile.Profile{p}
+	for _, fig := range q.Figures {
+		ps := []profile.Profile{q.Profile}
 		switch fig {
 		case "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "micro", "apps", "all":
 		case "compare-profiles":
-			if w, err := workloads.ByName(opt.Workload); err == nil && workloads.FixedFootprint(w) {
+			if w, err := workloads.ByName(q.Workload); err == nil && workloads.FixedFootprint(w) {
 				continue
 			}
-			if ps = opt.Profiles; ps == nil {
-				if ps, err = ResolveProfiles(opt.ProfilesCSV); err != nil {
-					return err
-				}
+			if ps = q.Profiles; ps == nil {
+				ps = profile.Builtins()
 			}
 		default:
 			continue
 		}
-		for _, q := range ps {
-			if !q.Config.FitsFootprint(size.Footprint()) {
+		for _, p := range ps {
+			if !p.Config.FitsFootprint(size.Footprint()) {
 				return fmt.Errorf("%s: size %s does not fit profile %s's memory under the explicit-copy setup %s",
-					fig, size, q.Name, setups[explicit])
+					fig, size, p.Name, setups[explicit])
 			}
 		}
 	}
@@ -390,29 +379,4 @@ func FeasibleSizes(cfg cuda.SystemConfig) []workloads.Size {
 		}
 	}
 	return out
-}
-
-// ResolveProfiles parses a -profiles list (built-in names or profile
-// JSON files) into validated profiles; an empty list means every
-// built-in machine.
-func ResolveProfiles(list string) ([]profile.Profile, error) {
-	if strings.TrimSpace(list) == "" {
-		return profile.Builtins(), nil
-	}
-	var ps []profile.Profile
-	for _, arg := range strings.Split(list, ",") {
-		arg = strings.TrimSpace(arg)
-		if arg == "" {
-			continue
-		}
-		p, err := profile.Resolve(arg)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-	}
-	if len(ps) == 0 {
-		return nil, fmt.Errorf("-profiles names no profiles")
-	}
-	return ps, nil
 }

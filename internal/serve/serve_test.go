@@ -188,8 +188,8 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown field", `{"figur":"fig6"}`, `did you mean`},
 		{"unknown figure", `{"figure":"fig99"}`, "unknown figure"},
 		{"no figures", `{}`, "spec names no figures"},
-		{"negative iters", `{"figure":"table3","iters":-1}`, "iters must be >= 0"},
-		{"negative jobs", `{"figure":"table3","jobs":-1}`, "jobs must be >= 0"},
+		{"negative iters", `{"figure":"table3","iters":-1}`, "iters must be >= 1, got -1"},
+		{"negative jobs", `{"figure":"table3","jobs":-1}`, "jobs must be >= 1, got -1"},
 		{"bad workload", `{"figure":"compare-profiles","workload":"nope"}`, "nope"},
 		{"bad size", `{"figure":"table3","size":"giga"}`, "giga"},
 		{"bad profile", `{"figure":"table3","profile":"a100"}`, "a100"},
@@ -235,34 +235,6 @@ func TestSpecSizeOnManagedSetups(t *testing.T) {
 		if _, err := ParseSpec(strings.NewReader(body), profile.Default()); err != nil {
 			t.Errorf("%s: %v", body, err)
 		}
-	}
-}
-
-// TestSpecDefaultsMirrorCLI pins the defaulting table to the CLI flag
-// defaults: iters 30, seed 1, jobs 8, workload gemm, default machine.
-func TestSpecDefaultsMirrorCLI(t *testing.T) {
-	req, err := ParseSpec(strings.NewReader(`{"figure":"all"}`), profile.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Iters != core.DefaultIterations || req.Seed != 1 ||
-		req.Opt.Jobs != 8 || req.Opt.Workload != "gemm" {
-		t.Errorf("defaults = iters %d seed %d jobs %d workload %q",
-			req.Iters, req.Seed, req.Opt.Jobs, req.Opt.Workload)
-	}
-	if req.Profile.Name != profile.Default().Name {
-		t.Errorf("default profile = %q", req.Profile.Name)
-	}
-	if len(req.Figures) != len(AllFigures) {
-		t.Errorf("all expands to %d figures, want %d", len(req.Figures), len(AllFigures))
-	}
-	seed := int64(7)
-	req, err = ParseSpec(strings.NewReader(`{"figure":"fig8","iters":3,"seed":7,"jobs":2,"size":"small"}`), profile.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.Iters != 3 || req.Seed != seed || req.Opt.Jobs != 2 || req.Opt.Size != "small" {
-		t.Errorf("overrides = %+v", req)
 	}
 }
 

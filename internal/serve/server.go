@@ -284,15 +284,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	base := s.runnerFor(req.Profile)
-	// Value copy: per-request iterations, seed and setups, shared
-	// executor, cell cache and context pool. The cell key includes
-	// iters, seed and the profile fingerprint, so mixed request shapes
-	// cannot collide.
-	rr := *base
-	rr.Iterations = req.Iters
-	rr.BaseSeed = req.Seed
-	rr.Setups = req.Setups
+	rr := req.Runner(s.runnerFor(req.Profile))
 
 	// Encode into a pooled buffer: a json.Encoder with the CLI's indent
 	// writes the same bytes core.RenderJSON would (MarshalIndent plus a
@@ -305,8 +297,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	defer bodyBufPool.Put(buf)
 	enc := json.NewEncoder(buf)
 	enc.SetIndent("", "  ")
-	for _, fig := range req.Figures {
-		_, doc, err := Figure(&rr, fig, req.Opt)
+	for _, fig := range req.expanded() {
+		_, doc, err := Figure(rr, fig, req.FigureOptions)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return

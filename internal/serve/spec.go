@@ -11,16 +11,12 @@ import (
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/nearest"
 	"uvmasim/internal/profile"
-	"uvmasim/internal/sched"
-	"uvmasim/internal/topo"
 	"uvmasim/internal/workloads"
 )
 
 // Spec is the POST /v1/experiments request body. Every field is
-// optional; the zero spec means "figure all on the default machine with
-// the CLI's defaults", and each default mirrors the corresponding CLI
-// flag exactly so a spec and a flag set that say the same thing produce
-// the same bytes.
+// optional; ParseSpec turns it into a Request, so an omitted field
+// takes the same default the CLI flag of the same name does.
 type Spec struct {
 	// Figure names one artifact; Figures names several (run in order,
 	// documents concatenated exactly like CLI `-json f1,f2`). They
@@ -40,11 +36,11 @@ type Spec struct {
 	// with a nearest-name hint before anything simulates.
 	Setups []string `json:"setups,omitempty"`
 	Size   string   `json:"size,omitempty"`  // size-class override (default per figure)
-	Iters  int      `json:"iters,omitempty"` // iterations per configuration (default 30)
+	Iters  int      `json:"iters,omitempty"` // iterations per configuration (0 = default 30)
 	Seed   *int64   `json:"seed,omitempty"`  // base random seed (default 1)
-	Jobs   int      `json:"jobs,omitempty"`  // fig14 batch size (default 8)
-	// GPUs, Topology and Policy configure the multigpu grid, mirroring
-	// the -gpus/-topology/-policy CLI flags (defaults "1,2,4",
+	Jobs   int      `json:"jobs,omitempty"`  // fig14 batch size (0 = default 8)
+	// GPUs, Topology and Policy configure the multigpu grid, as the
+	// -gpus/-topology/-policy CLI flags do (defaults "1,2,4",
 	// "pcie-switch,nvlink", "least-loaded").
 	GPUs     []int    `json:"gpus,omitempty"`
 	Topology []string `json:"topology,omitempty"`
@@ -57,9 +53,9 @@ var specFields = []string{
 	"size", "iters", "seed", "jobs", "gpus", "topology", "policy",
 }
 
-// ParseSpec decodes and validates a request body. Unknown fields and
-// unknown names fail with the CLI's nearest-suggestion diagnostics, so
-// a curl typo gets the same help a shell typo does.
+// ParseSpec decodes a request body into a validated Request. Unknown
+// fields and unknown names fail with the CLI's nearest-suggestion
+// diagnostics, so a curl typo gets the same help a shell typo does.
 func ParseSpec(r io.Reader, defaultProfile profile.Profile) (*Request, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -75,110 +71,56 @@ func ParseSpec(r io.Reader, defaultProfile profile.Profile) (*Request, error) {
 	if dec.More() {
 		return nil, fmt.Errorf("bad spec: trailing data after the JSON object")
 	}
-	return s.resolve(defaultProfile)
-}
-
-// Request is a validated, defaulted spec, ready to run.
-type Request struct {
-	Figures []string // expanded, validated figure list
-	Profile profile.Profile
-	Iters   int
-	Seed    int64
-	Setups  []cuda.Setup // resolved study subset (nil = paper five)
-	Opt     FigureOptions
-}
-
-// resolve applies the CLI flag defaults and validates every name
-// upfront — a typo must fail in microseconds, not after a figure
-// simulates.
-func (s *Spec) resolve(defaultProfile profile.Profile) (*Request, error) {
-	figures := make([]string, 0, len(s.Figures)+1)
-	if s.Figure != "" {
-		figures = append(figures, s.Figure)
+	req, err := s.request(defaultProfile)
+	if err != nil {
+		return nil, err
 	}
-	figures = append(figures, s.Figures...)
-	if len(figures) == 0 {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// request translates the wire spec into a Request: machine and setup
+// names resolve, lists join into the CLI's comma-separated form, and a
+// zero iters or jobs keeps the default.
+func (s *Spec) request(defaultProfile profile.Profile) (*Request, error) {
+	req := NewRequest(defaultProfile)
+	if s.Figure != "" {
+		req.Figures = append(req.Figures, s.Figure)
+	}
+	req.Figures = append(req.Figures, s.Figures...)
+	if len(req.Figures) == 0 {
 		return nil, fmt.Errorf("spec names no figures (try \"figure\": \"fig7\", or \"all\")")
 	}
-	expanded := make([]string, 0, len(figures))
-	for _, f := range figures {
-		if f == "all" {
-			expanded = append(expanded, AllFigures...)
-			continue
-		}
-		if !IsFigure(f) {
-			cands := append([]string{"all"}, FigureNames...)
-			return nil, fmt.Errorf("unknown figure %q%s", f, nearest.Hint(f, cands, 2))
-		}
-		expanded = append(expanded, f)
-	}
-
-	req := &Request{
-		Figures: expanded,
-		Profile: defaultProfile,
-		Iters:   core.DefaultIterations,
-		Seed:    1,
-		Opt: FigureOptions{
-			Size:     s.Size,
-			Jobs:     8,
-			Workload: "gemm",
-		},
-	}
-	if s.Iters < 0 {
-		return nil, fmt.Errorf("iters must be >= 0, got %d", s.Iters)
-	}
-	if s.Iters > 0 {
+	if s.Iters != 0 {
 		req.Iters = s.Iters
 	}
 	if s.Seed != nil {
 		req.Seed = *s.Seed
 	}
-	if s.Jobs < 0 {
-		return nil, fmt.Errorf("jobs must be >= 0, got %d", s.Jobs)
-	}
-	if s.Jobs > 0 {
-		req.Opt.Jobs = s.Jobs
+	if s.Jobs != 0 {
+		req.Jobs = s.Jobs
 	}
 	if s.Workload != "" {
-		if _, err := workloads.ByName(s.Workload); err != nil {
-			return nil, err
-		}
-		req.Opt.Workload = s.Workload
+		req.Workload = s.Workload
 	}
+	req.Size = s.Size
 	if len(s.GPUs) > 0 {
 		parts := make([]string, len(s.GPUs))
 		for i, g := range s.GPUs {
-			if g < 1 {
-				return nil, fmt.Errorf("gpus entries must be positive device counts, got %d", g)
-			}
 			parts[i] = strconv.Itoa(g)
 		}
-		req.Opt.GPUs = strings.Join(parts, ",")
+		req.GPUs = strings.Join(parts, ",")
 	}
-	if len(s.Topology) > 0 {
-		csv := strings.Join(s.Topology, ",")
-		if _, err := topo.ParseKindList(csv); err != nil {
-			return nil, err
-		}
-		req.Opt.Topology = csv
-	}
-	if s.Policy != "" {
-		if _, err := sched.ParsePolicy(s.Policy); err != nil {
-			return nil, err
-		}
-		req.Opt.Policy = s.Policy
-	}
+	req.Topology = strings.Join(s.Topology, ",")
+	req.Policy = s.Policy
 	if len(s.Setups) > 0 {
 		setups, err := cuda.ParseSetupList(strings.Join(s.Setups, ","))
 		if err != nil {
 			return nil, err
 		}
 		req.Setups = setups
-	}
-	if s.Size != "" {
-		if _, err := workloads.ParseSize(s.Size); err != nil {
-			return nil, err
-		}
 	}
 	if s.Profile != "" {
 		p, err := profile.Lookup(s.Profile)
@@ -187,19 +129,100 @@ func (s *Spec) resolve(defaultProfile profile.Profile) (*Request, error) {
 		}
 		req.Profile = p
 	}
-	if len(s.Profiles) > 0 {
-		ps := make([]profile.Profile, 0, len(s.Profiles))
-		for _, name := range s.Profiles {
-			p, err := profile.Lookup(name)
-			if err != nil {
-				return nil, err
-			}
-			ps = append(ps, p)
+	for _, name := range s.Profiles {
+		p, err := profile.Lookup(name)
+		if err != nil {
+			return nil, err
 		}
-		req.Opt.Profiles = ps
-	}
-	if err := CheckSize(req.Figures, req.Opt, req.Profile, req.Setups); err != nil {
-		return nil, err
+		req.Profiles = append(req.Profiles, p)
 	}
 	return req, nil
+}
+
+// Request is one resolved run description: the figures, the machine,
+// the runner settings and the figure options. The CLI flags, a POST
+// /v1/experiments spec and a shard artifact each build one and check it
+// with Validate, so a run means the same thing on every path; its JSON
+// encoding is a shard artifact's spec.
+type Request struct {
+	// Figures lists figure names; "all" stands for AllFigures.
+	Figures []string        `json:"figures"`
+	Profile profile.Profile `json:"profile"`
+	Iters   int             `json:"iters"`
+	Seed    int64           `json:"seed"`
+	Setups  []cuda.Setup    `json:"setups,omitempty"` // study subset (nil = the paper's five)
+	FigureOptions
+}
+
+// NewRequest returns the default run on machine p, the defaults of the
+// CLI flags: 30 iterations, seed 1, 8 jobs, workload gemm, each
+// figure's own size, the paper's five setups and no figures yet.
+func NewRequest(p profile.Profile) *Request {
+	return &Request{
+		Profile:       p,
+		Iters:         core.DefaultIterations,
+		Seed:          1,
+		FigureOptions: FigureOptions{Jobs: 8, Workload: "gemm"},
+	}
+}
+
+// Validate checks every name and count of the run before anything
+// simulates: the figure names, iters and jobs, the workload, the
+// multigpu grid, every profile, and the size against the machines the
+// figures run on (CheckSize).
+func (q *Request) Validate() error {
+	for _, f := range q.Figures {
+		if f != "all" && !IsFigure(f) {
+			cands := append([]string{"all"}, FigureNames...)
+			return fmt.Errorf("unknown figure %q%s", f, nearest.Hint(f, cands, 2))
+		}
+	}
+	if q.Iters < 1 {
+		return fmt.Errorf("iters must be >= 1, got %d", q.Iters)
+	}
+	if q.Jobs < 1 {
+		return fmt.Errorf("jobs must be >= 1, got %d", q.Jobs)
+	}
+	if _, err := workloads.ByName(q.Workload); err != nil {
+		return err
+	}
+	if _, _, _, err := ResolveMultiGPU(q.FigureOptions); err != nil {
+		return err
+	}
+	if err := q.Profile.Validate(); err != nil {
+		return err
+	}
+	for _, p := range q.Profiles {
+		if err := p.Validate(); err != nil {
+			return err
+		}
+	}
+	return CheckSize(q)
+}
+
+// Runner derives the run's runner from base, a runner on q.Profile
+// that carries the process's settings (executor width, cell store,
+// metrics): a value copy sharing base's executor, cell cache and
+// context pool, set to the run's iterations, seed and setups. The cell
+// key includes iterations, seed and the profile fingerprint, so runs of
+// any shape can share one base.
+func (q *Request) Runner(base *core.Runner) *core.Runner {
+	r := *base
+	r.Iterations = q.Iters
+	r.BaseSeed = q.Seed
+	r.Setups = q.Setups
+	return &r
+}
+
+// expanded returns the figure list with "all" replaced by AllFigures.
+func (q *Request) expanded() []string {
+	out := make([]string, 0, len(q.Figures))
+	for _, f := range q.Figures {
+		if f == "all" {
+			out = append(out, AllFigures...)
+			continue
+		}
+		out = append(out, f)
+	}
+	return out
 }

@@ -319,36 +319,3 @@ func (m *Mem) Docs() []CellDoc {
 	})
 	return out
 }
-
-// Tiered chains stores: Get serves from the first tier that hits, Put
-// writes through to every tier. The merge subcommand uses it to serve
-// cells from the preloaded shard union while still feeding a -cache-dir
-// store.
-type Tiered struct {
-	Tiers []Store
-}
-
-// NewTiered chains the given stores front to back.
-func NewTiered(tiers ...Store) *Tiered { return &Tiered{Tiers: tiers} }
-
-// Get returns the first tier's hit.
-func (t *Tiered) Get(key Key) (CellDoc, bool) {
-	for _, s := range t.Tiers {
-		if doc, ok := s.Get(key); ok {
-			return doc, true
-		}
-	}
-	return CellDoc{}, false
-}
-
-// Put writes through to every tier, reporting the first error after
-// attempting all of them.
-func (t *Tiered) Put(key Key, doc CellDoc) error {
-	var first error
-	for _, s := range t.Tiers {
-		if err := s.Put(key, doc); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}

@@ -223,31 +223,3 @@ func TestMemDocsSortedAndValidGated(t *testing.T) {
 		t.Error("Mem must gate Get on Valid")
 	}
 }
-
-func TestTiered(t *testing.T) {
-	front := NewMem()
-	back, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tiers := NewTiered(front, back)
-	key := testKey("gemm")
-	doc := testDoc(key)
-	if err := tiers.Put(key, doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := front.Get(key); !ok {
-		t.Error("write-through should populate the front tier")
-	}
-	if _, ok := back.Get(key); !ok {
-		t.Error("write-through should populate the back tier")
-	}
-	// A back-tier-only entry is still served.
-	key2 := testKey("lud")
-	if err := back.Put(key2, testDoc(key2)); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tiers.Get(key2); !ok {
-		t.Error("tiered Get should fall through to the back tier")
-	}
-}
