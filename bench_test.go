@@ -450,6 +450,39 @@ func BenchmarkContextCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkManagedIteration measures one warm managed iteration: a
+// reused context reset to a fresh seed and run through vector_seq at
+// Super (2048 chunks per buffer) under plain uvm and uvm_prefetch — the
+// per-iteration work of a cold request's managed cells, with allocation
+// accounting. chunks/op is its deterministic work count: the managed
+// chunks one iteration migrates or prefetches.
+func BenchmarkManagedIteration(b *testing.B) {
+	w, err := workloads.ByName("vector_seq")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cuda.DefaultSystemConfig()
+	for _, setup := range []cuda.Setup{cuda.UVM, cuda.UVMPrefetch} {
+		setup := setup
+		b.Run(setup.String(), func(b *testing.B) {
+			ctx := cuda.NewContext(cfg, setup, 1)
+			if err := w.Run(ctx, workloads.Super); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ctx.Reset(cfg, setup, int64(i)+2)
+				if err := w.Run(ctx, workloads.Super); err != nil {
+					b.Fatal(err)
+				}
+			}
+			u := ctx.Counters().UVM
+			b.ReportMetric((u.MigratedBytes+u.PrefetchBytes)/float64(cfg.UVM.ChunkBytes), "chunks/op")
+		})
+	}
+}
+
 // BenchmarkEngineEvents measures event scheduling and dispatch on a
 // reused engine, with allocation accounting: after warm-up the event
 // heap's backing array is recycled by Reset, so steady state should not

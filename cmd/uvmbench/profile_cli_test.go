@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"uvmasim/internal/profile"
 )
@@ -162,5 +164,61 @@ func TestSizeOverrideFeasibility(t *testing.T) {
 	out := capture(t, "-profile", "v100-16g-pcie3", "-size", "mega", "-i", "1", "-setups", "uvm", "micro")
 	if !strings.Contains(out, "mega input") {
 		t.Errorf("managed-only micro at mega should run on V100:\n%.300s", out)
+	}
+}
+
+// TestTinyManagedCapacityProfiles: a profile whose managed capacity is
+// below one migration chunk used to pass validation and then panic in the
+// evictor on the first managed chunk, killing a CLI run or a whole
+// server. Now the profile fails to load — on the CLI before anything
+// simulates, and at serve start-up before the listener opens — with an
+// error naming the fields.
+func TestTinyManagedCapacityProfiles(t *testing.T) {
+	dir := t.TempDir()
+	tiny := func(name string, mutate func(p *profile.Profile)) string {
+		p, err := profile.Lookup(profile.DefaultName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(&p)
+		var buf bytes.Buffer
+		if err := profile.Save(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	hbm := tiny("tiny-hbm.json", func(p *profile.Profile) { p.Config.GPU.HBMCapacity = 1 << 20 })
+	frac := tiny("tiny-frac.json", func(p *profile.Profile) { p.Config.ManagedCapacityFraction = 0.00001 })
+	wantErr := func(args []string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%v: accepted a managed capacity below one chunk", args)
+		}
+		for _, field := range []string{"gpu.HBMCapacity", "ManagedCapacityFraction", "uvm.ChunkBytes"} {
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("%v: error does not name %s: %v", args, field, err)
+			}
+		}
+	}
+	for _, args := range [][]string{
+		{"-profile", hbm, "-i", "1", "-size", "tiny", "fig7"},
+		{"-profile", frac, "-i", "1", "oversub"},
+	} {
+		wantErr(args, run(args))
+	}
+
+	// A regression would start serving and never return.
+	args := []string{"-profile", hbm, "-addr", "127.0.0.1:0", "serve"}
+	done := make(chan error, 1)
+	go func() { done <- run(args) }()
+	select {
+	case err := <-done:
+		wantErr(args, err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("serve started with a profile whose managed capacity is below one chunk")
 	}
 }

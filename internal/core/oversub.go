@@ -50,7 +50,7 @@ func (r *Runner) Oversubscription(setup cuda.Setup, ratios []float64, passes int
 		passes = 1
 	}
 	study := &OversubStudy{Setup: setup, Points: make([]OversubPoint, len(ratios))}
-	capacity := int64(float64(r.Config.GPU.HBMCapacity) * r.Config.ManagedCapacityFraction)
+	capacity := r.Config.ManagedCapacity()
 	order := r.lptOrder(len(ratios), func(i int) float64 {
 		return oversubSeconds(r.Config, ratios[i], passes)
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sync/atomic"
 	"testing"
 
 	"uvmasim/internal/cuda"
@@ -48,16 +49,17 @@ func TestTraceHookBypassesCache(t *testing.T) {
 	if _, err := r.Measure(w, cuda.Standard, workloads.Small); err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
+	// The hook fires from the executor's workers, so it counts atomically.
+	var calls atomic.Int32
 	r.TraceHook = func(name string, setup cuda.Setup, size workloads.Size, iter int) *trace.Tracer {
-		calls++
+		calls.Add(1)
 		return nil
 	}
 	if _, err := r.Measure(w, cuda.Standard, workloads.Small); err != nil {
 		t.Fatal(err)
 	}
-	if calls != 2 {
-		t.Errorf("hook fired %d times, want one per iteration (2)", calls)
+	if n := calls.Load(); n != 2 {
+		t.Errorf("hook fired %d times, want one per iteration (2)", n)
 	}
 	// With the hook removed the warm cache serves the cell again.
 	r.TraceHook = nil

@@ -34,6 +34,13 @@ type SystemConfig struct {
 	HostConsumeFraction float64
 }
 
+// ManagedCapacity returns the device bytes managed chunks may occupy
+// before the UVM driver starts evicting: HBMCapacity ×
+// ManagedCapacityFraction, truncated to whole bytes.
+func (c SystemConfig) ManagedCapacity() int64 {
+	return int64(float64(c.GPU.HBMCapacity) * c.ManagedCapacityFraction)
+}
+
 // FitsFootprint reports whether a workload footprint can run under
 // every registered setup on this system: the explicit-copy setups
 // need the whole footprint resident in device memory at once (managed

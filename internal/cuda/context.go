@@ -71,20 +71,20 @@ func NewContext(cfg SystemConfig, setup Setup, seed int64) *Context {
 	eng := sim.New()
 	bus := pcie.New(eng, cfg.PCIe)
 	ctrs := &counters.Set{}
-	managedCap := int64(float64(cfg.GPU.HBMCapacity) * cfg.ManagedCapacityFraction)
 	ctx := &Context{
 		cfg:   cfg,
 		setup: setup,
 		eng:   eng,
 		bus:   bus,
 		model: gpu.NewModel(cfg.GPU),
-		mgr:   uvm.NewManager(cfg.UVM, bus, managedCap, &ctrs.UVM),
+		mgr:   uvm.NewManager(cfg.UVM, bus, cfg.ManagedCapacity(), &ctrs.UVM),
 		host:  hostmem.New(cfg.Host),
 		dev:   devmem.NewAllocator(cfg.GPU.HBMCapacity),
 		ctrs:  ctrs,
 		// seedrng reproduces rand.NewSource(seed)'s stream exactly while
-		// making the per-iteration reseed in Reset a state copy instead of
-		// a full generator expansion (see internal/seedrng).
+		// computing each seeded state word directly, so the per-iteration
+		// reseed in Reset stays cheap for seeds never seen before (see
+		// internal/seedrng).
 		rng: rand.New(seedrng.New(seed)),
 	}
 	ctx.host.Randomize(ctx.rng)

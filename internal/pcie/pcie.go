@@ -135,6 +135,22 @@ func (b *Bus) PrefetchChunk(t float64, bytes int64) float64 {
 	return end
 }
 
+// PrefetchRun reserves len(ends) > 0 back-to-back prefetch transfers of
+// bytes each, the first no earlier than t, writes each completion time
+// into ends and returns the last one. It equals a PrefetchChunk loop
+// that starts each chunk at the previous chunk's completion, bit for
+// bit, spans included: one span per chunk on the prefetch track.
+func (b *Bus) PrefetchRun(t float64, bytes int64, ends []float64) float64 {
+	start := b.H2D.ReserveRun(t, b.H2D.TransferTime(float64(bytes), 0, b.cfg.PrefetchEfficiency), ends)
+	if tr := b.Tracer(); tr != nil {
+		for _, end := range ends {
+			tr.Span(trace.Prefetch, "prefetch", start, end, trace.Args{Bytes: bytes})
+			start = end
+		}
+	}
+	return ends[len(ends)-1]
+}
+
 // Writeback reserves a device->host dirty-page writeback and returns the
 // completion time.
 func (b *Bus) Writeback(t float64, bytes int64) float64 {

@@ -148,6 +148,45 @@ func TestValidateRejectsRelationalNonsense(t *testing.T) {
 	}
 }
 
+// TestValidateManagedCapacity: a managed capacity below one migration
+// chunk could never hold the first managed chunk (the evictor has
+// nothing to evict), so Validate rejects it and names the fields that
+// produce it; exactly one chunk is enough.
+func TestValidateManagedCapacity(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*cuda.SystemConfig)
+		ok     bool
+	}{
+		{"1 MB device", func(c *cuda.SystemConfig) { c.GPU.HBMCapacity = 1 << 20 }, false},
+		{"tiny managed fraction", func(c *cuda.SystemConfig) { c.ManagedCapacityFraction = 0.00001 }, false},
+		{"one chunk", func(c *cuda.SystemConfig) {
+			c.GPU.HBMCapacity = c.UVM.ChunkBytes
+			c.ManagedCapacityFraction = 1
+		}, true},
+	}
+	for _, tc := range cases {
+		cfg := cuda.DefaultSystemConfig()
+		tc.mutate(&cfg)
+		err := Validate(cfg)
+		if tc.ok {
+			if err != nil {
+				t.Errorf("%s: Validate rejected a managed capacity of one chunk: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: Validate accepted managed capacity %d below one chunk", tc.name, cfg.ManagedCapacity())
+			continue
+		}
+		for _, field := range []string{"gpu.HBMCapacity", "ManagedCapacityFraction", "uvm.ChunkBytes"} {
+			if !strings.Contains(err.Error(), field) {
+				t.Errorf("%s: error does not name %s: %v", tc.name, field, err)
+			}
+		}
+	}
+}
+
 func nan() float64 {
 	z := 0.0
 	return z / z

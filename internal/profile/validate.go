@@ -46,8 +46,9 @@ func (v *violations) frac0lt1(name string, val float64) {
 // Validate rejects nonsensical system configurations: non-positive
 // bandwidths, capacities or granules, shared-memory carveouts exceeding
 // the unified cache, link efficiencies outside (0, 1], fractions outside
-// their ranges. It reports every violation, not just the first, so a
-// hand-written profile JSON can be fixed in one pass.
+// their ranges, a managed capacity smaller than one migration chunk. It
+// reports every violation, not just the first, so a hand-written profile
+// JSON can be fixed in one pass.
 func Validate(cfg cuda.SystemConfig) error {
 	var v violations
 
@@ -117,6 +118,12 @@ func Validate(cfg cuda.SystemConfig) error {
 	v.nonneg("KernelLaunchNs", cfg.KernelLaunchNs)
 	v.frac01("ManagedCapacityFraction", cfg.ManagedCapacityFraction)
 	v.frac01("HostConsumeFraction", cfg.HostConsumeFraction)
+	// Every request for device room is at most one chunk, so a managed
+	// capacity of one chunk is the least the evictor can always satisfy.
+	if mc := cfg.ManagedCapacity(); g.HBMCapacity > 0 && cfg.ManagedCapacityFraction > 0 && mc < u.ChunkBytes {
+		v.addf("managed capacity gpu.HBMCapacity × ManagedCapacityFraction (%d × %v = %d bytes) is below uvm.ChunkBytes (%d)",
+			g.HBMCapacity, cfg.ManagedCapacityFraction, mc, u.ChunkBytes)
+	}
 
 	if len(v) == 0 {
 		return nil

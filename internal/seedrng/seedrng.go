@@ -1,112 +1,169 @@
-// Package seedrng is a drop-in math/rand Source64 that makes reseeding
+// Package seedrng is a drop-in math/rand Source64 that makes seeding
 // cheap. The harness pins determinism by reseeding one context per
-// iteration (cuda.Context.Reset), and math/rand's generator pays a full
-// additive-lagged-Fibonacci state expansion — ~607 LCG scrambles plus a
-// warm-up pass — on every Seed call. Profiles put that expansion at ~8%
-// of a warmed simulation iteration (EXPERIMENTS.md, GC-free section).
+// iteration (cuda.Context.Reset), and a cold request brings hundreds of
+// seeds no process has seen before, so every Seed must be cheap on its
+// own, not only on a repeat.
 //
-// This package removes the floor without changing a single draw: the
-// expanded 607-word state of each seed is computed once (with math/rand
-// itself, so the stream is identical by construction), memoized in a
-// bounded process-wide cache, and every later Seed of the same value
-// restores it with one memcpy. The memoized state is the generator's
-// state *after* the first 607 outputs; restoring replays those outputs
-// from the state words themselves — during the first full lap of the
-// feedback ring, every slot is written exactly once with the value the
-// generator emitted, so the cached array doubles as the output log.
+// math/rand's Seed runs the Park–Miller generator x' = 48271·x mod
+// 2³¹−1 from the seed through 20 warm-up steps and then three steps per
+// state word, XORing each word with a private "cooked" table. Word i
+// therefore depends only on generator values 21+3i, 22+3i and 23+3i,
+// which are seed·48271^k mod 2³¹−1 for those k. Seed computes each word
+// directly from a table of those multipliers with a Mersenne reduction,
+// so the words are independent and the 1,821 modular products carry no
+// chain of dependent steps.
 //
-// The cache only trades memory for speed: eviction or a cold cache
-// falls back to math/rand's own expansion, and a replay test pins both
-// paths to the reference stream word for word.
+// The cooked table is not copied into this package. The generator's
+// first lap of 607 outputs is invertible back to the seeded state, so
+// the first Seed in a process recovers the table from math/rand's own
+// first lap for one seed and self-checks it against math/rand on
+// another. Both tables are built once, on first use rather than at
+// package init so that a process that never seeds pays nothing, and are
+// only read afterwards; the package keeps no mutable state.
 package seedrng
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 )
 
-// ringLen is math/rand's additive-generator ring length (its private
-// rngLen). The generator is frozen by the Go 1 compatibility promise —
-// rand.NewSource(seed) must produce the same stream forever — so these
-// structural constants are stable. The replay test cross-checks them
-// against math/rand on every run.
-const ringLen = 607
-
-// feedStart and tapStart are the ring positions math/rand's Seed
-// leaves its feed and tap pointers at (rngLen-rngTap = 607-273 = 334,
-// and 0). Both pointers step backwards one slot per draw.
+// ringLen and ringTap are math/rand's additive-generator ring length
+// and tap distance (its private rngLen and rngTap). The generator is
+// frozen by the Go 1 compatibility promise — rand.NewSource(seed) must
+// produce the same stream forever — and the self-check fails loudly if
+// it ever changes.
 const (
-	feedStart = ringLen - 273
+	ringLen = 607
+	ringTap = 273
+)
+
+// feedStart and tapStart are the ring positions math/rand's Seed leaves
+// its feed and tap pointers at. Both pointers step backwards one slot
+// per draw.
+const (
+	feedStart = ringLen - ringTap
 	tapStart  = 0
 )
 
-// maxCached bounds the seed-state cache: 4096 entries x ~4.9 KB. The
-// harness's seed space per process is far smaller (seeds recur across
-// every setup of every cell), so eviction is a safety valve, not a
-// steady state. Eviction order is arbitrary — the cache affects speed
-// only, never a draw.
-const maxCached = 4096
-
-var (
-	cacheMu sync.RWMutex
-	cache   = make(map[int64]*[ringLen]int64)
+// Park–Miller constants of math/rand's seed expansion (seedrand):
+// the modulus 2³¹−1, the multiplier, the warm-up step count, and the
+// replacement for a seed that reduces to zero.
+const (
+	pmMod    = 1<<31 - 1
+	pmMul    = 48271
+	pmWarmup = 20
+	zeroSeed = 89482311
 )
 
-// cachedState returns the memoized post-expansion state for seed,
-// expanding and memoizing it on first use. The returned array is shared
-// and must not be written.
-func cachedState(seed int64) *[ringLen]int64 {
-	cacheMu.RLock()
-	st, ok := cache[seed]
-	cacheMu.RUnlock()
-	if ok {
-		return st
-	}
-	st = expand(seed)
-	cacheMu.Lock()
-	if have, ok := cache[seed]; ok {
-		st = have
-	} else {
-		if len(cache) >= maxCached {
-			for k := range cache {
-				delete(cache, k)
-				break
-			}
-		}
-		cache[seed] = st
-	}
-	cacheMu.Unlock()
-	return st
+// tables holds what Seed needs besides the seed.
+type tables struct {
+	// mult[3i+j] is 48271^(21+3i+j) mod 2³¹−1, the multiplier that takes
+	// the seed to the generator value feeding part j of state word i.
+	mult [3 * ringLen]uint64
+	// cooked is math/rand's rngCooked table, recovered from its output.
+	cooked [ringLen]int64
 }
 
-// expand runs math/rand's own seed expansion and drains one full lap of
-// the ring. Draw k (1-based) writes the generator's k-th output into
-// ring slot (feedStart-k) mod ringLen, and each slot is written exactly
-// once during the lap, so the final state is also the output log the
-// restore path replays.
-func expand(seed int64) *[ringLen]int64 {
-	src := rand.NewSource(seed).(rand.Source64)
-	var st [ringLen]int64
-	feed := feedStart
-	for k := 0; k < ringLen; k++ {
-		feed--
-		if feed < 0 {
-			feed += ringLen
-		}
-		st[feed] = int64(src.Uint64())
+// loadTables builds the tables on first use. A failed self-check panics:
+// only a changed math/rand or a bug here can cause it.
+var loadTables = sync.OnceValue(func() *tables {
+	t, err := newTables()
+	if err != nil {
+		panic(err)
 	}
-	return &st
+	return t
+})
+
+// mulMod returns a·b mod 2³¹−1 for a, b < 2³¹. The product fits in 62
+// bits; folding the high bits onto the low ones (2³¹ ≡ 1) leaves a value
+// below 2·(2³¹−1), so one conditional subtraction finishes the
+// reduction.
+func mulMod(a, b uint64) uint64 {
+	p := a * b
+	r := p&pmMod + p>>31
+	if r >= pmMod {
+		r -= pmMod
+	}
+	return r
+}
+
+// seedState fills vec with math/rand's seeded state for seed: word i is
+// (x₁ << 40) ^ (x₂ << 20) ^ x₃ ^ cooked[i] for the three generator values
+// the word consumes. It reduces the seed exactly as math/rand does.
+func (t *tables) seedState(vec *[ringLen]int64, seed int64) {
+	seed %= pmMod
+	if seed < 0 {
+		seed += pmMod
+	}
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	x := uint64(seed)
+	for i := range vec {
+		m := t.mult[3*i : 3*i+3 : 3*i+3]
+		vec[i] = int64(mulMod(x, m[0])<<40^mulMod(x, m[1])<<20^mulMod(x, m[2])) ^ t.cooked[i]
+	}
+}
+
+// newTables computes the multipliers and inverts math/rand's first lap
+// for the cooked table. Draw k (1-based) adds the tap slot 607−k to the
+// feed slot 334−k (mod 607), stores the sum in the feed slot and returns
+// it, so the feed slot's seeded value is the output minus the tap slot's
+// current value. For k > 273 the tap slot was already overwritten by
+// draw k−273; for k ≤ 273 it still holds its seeded value, which draw
+// k+334 recovers first. XORing the recovered state with the Park–Miller
+// words of the same seed (seedState while the cooked table is still
+// zero) leaves the table. A source built on the result must then match
+// math/rand for two laps at a second seed.
+func newTables() (*tables, error) {
+	const probe, check = 1, -7919
+	t := &tables{}
+	x := uint64(1)
+	for k := 1; k <= pmWarmup+3*ringLen; k++ {
+		x = mulMod(x, pmMul)
+		if k > pmWarmup {
+			t.mult[k-pmWarmup-1] = x
+		}
+	}
+
+	src := rand.NewSource(probe).(rand.Source64)
+	var out [ringLen + 1]int64 // out[k] is draw k
+	for k := 1; k <= ringLen; k++ {
+		out[k] = int64(src.Uint64())
+	}
+	slot := func(k int) int { return ((feedStart-k)%ringLen + ringLen) % ringLen }
+	var seeded, pm [ringLen]int64
+	for k := ringTap + 1; k <= ringLen; k++ {
+		seeded[slot(k)] = out[k] - out[k-ringTap]
+	}
+	for k := 1; k <= ringTap; k++ {
+		seeded[slot(k)] = out[k] - seeded[ringLen-k]
+	}
+	t.seedState(&pm, probe)
+	for i := range t.cooked {
+		t.cooked[i] = seeded[i] ^ pm[i]
+	}
+
+	s := Source{t: t}
+	s.reseed(check)
+	ref := rand.NewSource(check).(rand.Source64)
+	for k := 0; k < 2*ringLen; k++ {
+		if g, w := s.Uint64(), ref.Uint64(); g != w {
+			return nil, fmt.Errorf("seedrng: recovered table disagrees with math/rand at draw %d (seed %d)", k, check)
+		}
+	}
+	return t, nil
 }
 
 // Source is a rand.Source64 producing exactly rand.NewSource(seed)'s
-// stream, with Seed restored by copy from the process-wide state cache.
-// Like math/rand's own source it is not safe for concurrent use; the
-// cache behind it is.
+// stream once seeded. Like math/rand's own source it is not safe for
+// concurrent use.
 type Source struct {
-	vec    [ringLen]int64
-	tap    int
-	feed   int
-	replay int // outputs left to replay from vec before resuming the recurrence
+	t    *tables // nil until the first Seed
+	vec  [ringLen]int64
+	tap  int
+	feed int
 }
 
 // New returns a Source seeded with seed.
@@ -116,20 +173,24 @@ func New(seed int64) *Source {
 	return s
 }
 
-// Seed resets the source to the expanded state of seed: one array copy
-// on a cache hit, math/rand's full expansion (which then populates the
-// cache) on a miss.
+// Seed resets the source to math/rand's seeded state for seed, computed
+// word by word from the multiplier and cooked tables.
 func (s *Source) Seed(seed int64) {
-	s.vec = *cachedState(seed)
-	s.tap = tapStart
-	s.feed = feedStart
-	s.replay = ringLen
+	if s.t == nil {
+		s.t = loadTables()
+	}
+	s.reseed(seed)
 }
 
-// Uint64 returns the next value of the stream. While replaying the
-// first lap, the pre-recorded outputs are read from the state words in
-// place (they already hold their final values); afterwards the additive
-// recurrence runs exactly as in math/rand.
+// reseed resets the source to seed's state under its tables.
+func (s *Source) reseed(seed int64) {
+	s.t.seedState(&s.vec, seed)
+	s.tap = tapStart
+	s.feed = feedStart
+}
+
+// Uint64 returns the next value of the stream: math/rand's additive
+// lagged-Fibonacci recurrence.
 func (s *Source) Uint64() uint64 {
 	s.tap--
 	if s.tap < 0 {
@@ -138,10 +199,6 @@ func (s *Source) Uint64() uint64 {
 	s.feed--
 	if s.feed < 0 {
 		s.feed += ringLen
-	}
-	if s.replay > 0 {
-		s.replay--
-		return uint64(s.vec[s.feed])
 	}
 	x := s.vec[s.feed] + s.vec[s.tap]
 	s.vec[s.feed] = x

@@ -93,6 +93,33 @@ func (l *Link) ReserveAt(earliest, size, latency, eff float64, done func(end flo
 	return start, end
 }
 
+// ReserveRun reserves len(ends) back-to-back transfers of duration dur,
+// the first starting no earlier than earliest, and writes each
+// completion time into ends. It returns the first start. It equals
+// len(ends) successive ReserveAt calls, each starting no earlier than
+// the previous end, bit for bit: the first start is max(earliest, now,
+// drain time) and every later start is exactly the previous end, so the
+// busy set merges the run into one span and records it with one Add.
+func (l *Link) ReserveRun(earliest, dur float64, ends []float64) float64 {
+	start := earliest
+	if now := l.eng.Now(); start < now {
+		start = now
+	}
+	if l.busyUntil > start {
+		start = l.busyUntil
+	}
+	end := start
+	for i := range ends {
+		end += dur
+		ends[i] = end
+	}
+	if len(ends) > 0 {
+		l.busyUntil = end
+		l.busy.Add(start, end)
+	}
+	return start
+}
+
 // Tracer returns the tracer attached to the link's engine (nil when
 // tracing is disabled).
 func (l *Link) Tracer() *trace.Tracer { return l.eng.Tracer() }

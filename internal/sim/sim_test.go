@@ -246,3 +246,61 @@ func TestQuickLinkBusyConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveRunMatchesReserveAt pins the chain reservation to its
+// definition: ReserveRun(earliest, dur, ends) equals len(ends)
+// successive ReserveAt calls, the first at earliest and each later one at
+// the previous end, bit for bit — first start, every end, drain time and
+// the merged busy set — from random link states: the engine clock ahead
+// of or behind the drain time, and earliest behind the clock, behind the
+// drain time or ahead of both.
+func TestReserveRunMatchesReserveAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		bw := 1 + rng.Float64()*40
+		eRun, eRef := New(), New()
+		run, ref := NewLink(eRun, "run", bw), NewLink(eRef, "ref", bw)
+		at := 0.0
+		for k := rng.Intn(4); k > 0; k-- {
+			at += rng.Float64() * 5e5
+			size, eff := float64(1+rng.Intn(4<<20)), 0.1+0.9*rng.Float64()
+			run.ReserveAt(at, size, 0, eff, nil)
+			ref.ReserveAt(at, size, 0, eff, nil)
+		}
+		clock := rng.Float64() * 2 * run.BusyUntil()
+		eRun.RunUntil(clock)
+		eRef.RunUntil(clock)
+		earliest := rng.Float64() * 2 * math.Max(run.BusyUntil(), clock)
+		if rng.Intn(4) == 0 {
+			earliest = run.BusyUntil() - 1 // chain starts behind the drain time
+		}
+		size, eff := float64(1+rng.Intn(4<<20)), 0.1+0.9*rng.Float64()
+		ends := make([]float64, rng.Intn(40))
+
+		start := run.ReserveRun(earliest, ref.TransferTime(size, 0, eff), ends)
+
+		next := earliest
+		for k := range ends {
+			s, e := ref.ReserveAt(next, size, 0, eff, nil)
+			if k == 0 && s != start {
+				t.Fatalf("trial %d: first start %v, ReserveAt %v", trial, start, s)
+			}
+			if ends[k] != e {
+				t.Fatalf("trial %d: end %d is %v, ReserveAt %v", trial, k, ends[k], e)
+			}
+			next = e
+		}
+		if run.BusyUntil() != ref.BusyUntil() {
+			t.Fatalf("trial %d: drain time %v, ReserveAt %v", trial, run.BusyUntil(), ref.BusyUntil())
+		}
+		got, want := run.Busy().Intervals(), ref.Busy().Intervals()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d busy spans, ReserveAt %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: busy span %d is %v, ReserveAt %v", trial, k, got[k], want[k])
+			}
+		}
+	}
+}

@@ -12,14 +12,17 @@ import (
 	"uvmasim/internal/trace"
 )
 
-// The differential harness drives the O(1) LRU-ring evictor and the
-// retained reference scan evictor (refscan.go) through identical random
-// workloads — demand faults, prefetch streams, device writes, dirty
-// marks, partial writebacks, unregister/re-register — on two managers
-// with independent buses, and asserts they stay bit-for-bit equal:
-// identical victim order and eviction-complete times, identical returned
-// availability times, identical UVMStats, identical per-chunk state and
-// identical trace event streams.
+// The differential harness drives the fast manager — the O(1) LRU-ring
+// evictor and the per-run paths of lru.go — and the reference manager
+// (SetReferenceEviction: the scan evictor of refscan.go and the
+// per-chunk path everywhere) through identical random workloads — demand
+// faults, prefetch streams, device writes, dirty marks, partial
+// writebacks, unregister/re-register — on two managers with independent
+// buses, and asserts they stay bit-for-bit equal: identical victim order
+// and eviction-complete times, identical returned availability times,
+// identical UVMStats, identical per-chunk state and ring order, and
+// identical trace event streams. Every comparison runs with tracers
+// attached and without, so no path can depend on the tracer.
 
 type evictRec struct {
 	region int // ordinal in the harness's region table
@@ -37,10 +40,14 @@ type diffRig struct {
 	evicts  []evictRec
 }
 
-func newDiffRig(capacity int64, reference bool) *diffRig {
+// newDiffRig builds a rig; traced attaches a tracer to its engine.
+func newDiffRig(capacity int64, reference, traced bool) *diffRig {
 	eng := sim.New()
-	tr := trace.New()
-	eng.SetTracer(tr)
+	var tr *trace.Tracer
+	if traced {
+		tr = trace.New()
+		eng.SetTracer(tr)
+	}
 	bus := pcie.New(eng, pcie.DefaultConfig())
 	rig := &diffRig{
 		m:    NewManager(DefaultConfig(), bus, capacity, &counters.UVMStats{}),
@@ -108,67 +115,78 @@ func TestDifferentialEviction(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			capacity := int64(3+rng.Intn(10)) << 20
-			nRegions := 2 + rng.Intn(3)
-			sizes := make([]int64, nRegions)
-			for i := range sizes {
-				// Up to ~2x capacity so single regions oversubscribe.
-				sizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
-				if rng.Intn(3) == 0 {
-					sizes[i] -= int64(rng.Intn(1 << 20)) // short tail chunk
-				}
-			}
-
-			fast := newDiffRig(capacity, false)
-			ref := newDiffRig(capacity, true)
-			for _, s := range sizes {
-				fast.register(t, s)
-				ref.register(t, s)
-			}
-
-			// Both rigs replay the same script: clone the op stream by
-			// running two identical RNGs in lockstep.
-			opsA := rand.New(rand.NewSource(seed + 1000))
-			opsB := rand.New(rand.NewSource(seed + 1000))
-			now := 0.0
-			for step := 0; step < 300; step++ {
-				gotA, label := fast.step(opsA, now)
-				gotB, _ := ref.step(opsB, now)
-				if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
-					t.Fatalf("step %d (%s): time %v (lru) != %v (scan)", step, label, gotA, gotB)
-				}
-				if !math.IsNaN(gotA) && gotA > now {
-					now = gotA
-				}
-				// Occasionally recycle a region mid-run.
-				if step%97 == 96 {
-					i := opsA.Intn(len(fast.regions))
-					_ = opsB.Intn(len(ref.regions))
-					recycle(t, fast, i)
-					recycle(t, ref, i)
-				}
-				// And occasionally reset the whole manager (the pooled
-				// context lifecycle), re-registering every region from
-				// the recycled arenas.
-				if step%131 == 130 {
-					resetRig(t, fast, sizes)
-					resetRig(t, ref, sizes)
-				}
-			}
-
-			compareRigs(t, fast, ref)
-
-			// Everything ends clean.
-			for i := range fast.regions {
-				recycle(t, fast, i)
-				recycle(t, ref, i)
-			}
-			if fast.m.ResidentBytes() != 0 || ref.m.ResidentBytes() != 0 {
-				t.Fatalf("resident bytes leaked: lru %d, scan %d",
-					fast.m.ResidentBytes(), ref.m.ResidentBytes())
-			}
+			forTracing(t, func(t *testing.T, traced bool) { differentialEviction(t, seed, traced) })
 		})
+	}
+}
+
+// forTracing runs f as two subtests, with tracers attached and without.
+func forTracing(t *testing.T, f func(t *testing.T, traced bool)) {
+	t.Helper()
+	t.Run("traced", func(t *testing.T) { f(t, true) })
+	t.Run("untraced", func(t *testing.T) { f(t, false) })
+}
+
+func differentialEviction(t *testing.T, seed int64, traced bool) {
+	rng := rand.New(rand.NewSource(seed))
+	capacity := int64(3+rng.Intn(10)) << 20
+	nRegions := 2 + rng.Intn(3)
+	sizes := make([]int64, nRegions)
+	for i := range sizes {
+		// Up to ~2x capacity so single regions oversubscribe.
+		sizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
+		if rng.Intn(3) == 0 {
+			sizes[i] -= int64(rng.Intn(1 << 20)) // short tail chunk
+		}
+	}
+
+	fast := newDiffRig(capacity, false, traced)
+	ref := newDiffRig(capacity, true, traced)
+	for _, s := range sizes {
+		fast.register(t, s)
+		ref.register(t, s)
+	}
+
+	// Both rigs replay the same script: clone the op stream by
+	// running two identical RNGs in lockstep.
+	opsA := rand.New(rand.NewSource(seed + 1000))
+	opsB := rand.New(rand.NewSource(seed + 1000))
+	now := 0.0
+	for step := 0; step < 300; step++ {
+		gotA, label := fast.step(opsA, now)
+		gotB, _ := ref.step(opsB, now)
+		if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
+			t.Fatalf("step %d (%s): time %v (lru) != %v (scan)", step, label, gotA, gotB)
+		}
+		if !math.IsNaN(gotA) && gotA > now {
+			now = gotA
+		}
+		// Occasionally recycle a region mid-run.
+		if step%97 == 96 {
+			i := opsA.Intn(len(fast.regions))
+			_ = opsB.Intn(len(ref.regions))
+			recycle(t, fast, i)
+			recycle(t, ref, i)
+		}
+		// And occasionally reset the whole manager (the pooled
+		// context lifecycle), re-registering every region from
+		// the recycled arenas.
+		if step%131 == 130 {
+			resetRig(t, fast, sizes)
+			resetRig(t, ref, sizes)
+		}
+	}
+
+	compareRigs(t, fast, ref)
+
+	// Everything ends clean.
+	for i := range fast.regions {
+		recycle(t, fast, i)
+		recycle(t, ref, i)
+	}
+	if fast.m.ResidentBytes() != 0 || ref.m.ResidentBytes() != 0 {
+		t.Fatalf("resident bytes leaked: lru %d, scan %d",
+			fast.m.ResidentBytes(), ref.m.ResidentBytes())
 	}
 }
 
@@ -250,6 +268,15 @@ func compareRigs(t *testing.T, fast, ref *diffRig) {
 // recycled rig's tracer keeps its warm-phase events).
 func compareRigsState(t *testing.T, fast, ref *diffRig) {
 	t.Helper()
+	ringA, ringB := fast.ring(), ref.ring()
+	if len(ringA) != len(ringB) {
+		t.Fatalf("ring lengths differ: %d vs %d", len(ringA), len(ringB))
+	}
+	for i := range ringA {
+		if ringA[i] != ringB[i] {
+			t.Fatalf("ring position %d differs: %+v vs %+v", i, ringA[i], ringB[i])
+		}
+	}
 	if len(fast.evicts) != len(ref.evicts) {
 		t.Fatalf("eviction counts differ: %d (lru) vs %d (scan)", len(fast.evicts), len(ref.evicts))
 	}
@@ -286,6 +313,17 @@ func compareRigsState(t *testing.T, fast, ref *diffRig) {
 	}
 }
 
+// ring returns the rig's LRU ring from oldest to newest as (region
+// ordinal, chunk) pairs.
+func (rig *diffRig) ring() []evictRec {
+	var out []evictRec
+	for s := rig.m.nodes[0].next; s != 0; s = rig.m.nodes[s].next {
+		r := rig.m.owner(s)
+		out = append(out, evictRec{region: rig.ords[r], idx: int(s - r.base)})
+	}
+	return out
+}
+
 // compareTraces asserts two trace event streams are identical.
 func compareTraces(t *testing.T, evA, evB []trace.Event) {
 	t.Helper()
@@ -303,7 +341,7 @@ func compareTraces(t *testing.T, evA, evB []trace.Event) {
 // victim choice: the global ring is always sorted by last-use stamp.
 func TestLRUMatchesStampOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	rig := newDiffRig(9<<20, false)
+	rig := newDiffRig(9<<20, false, true)
 	for _, s := range []int64{5 << 20, 7 << 20, 4<<20 - 777} {
 		rig.register(t, s)
 	}
@@ -346,66 +384,68 @@ func TestDemandRangeMatchesChunkLoop(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			capacity := int64(3+rng.Intn(8)) << 20
-			nRegions := 1 + rng.Intn(3)
-			sizes := make([]int64, nRegions)
-			for i := range sizes {
-				sizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
-				if rng.Intn(3) == 0 {
-					sizes[i] -= int64(rng.Intn(1 << 20))
-				}
-			}
-
-			batched := newDiffRig(capacity, false)
-			looped := newDiffRig(capacity, false)
-			for _, s := range sizes {
-				batched.register(t, s)
-				looped.register(t, s)
-			}
-
-			opsA := rand.New(rand.NewSource(seed + 2000))
-			opsB := rand.New(rand.NewSource(seed + 2000))
-			now := 0.0
-			for step := 0; step < 200; step++ {
-				// Mostly mixed ops (run in lockstep on both rigs) to build
-				// up partial residency, prefetch races and dirty state;
-				// every fourth step is the range-vs-loop probe itself.
-				if step%4 != 3 {
-					gotA, label := batched.step(opsA, now)
-					gotB, _ := looped.step(opsB, now)
-					if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
-						t.Fatalf("step %d (%s): mixed op diverged: %v vs %v", step, label, gotA, gotB)
+			forTracing(t, func(t *testing.T, traced bool) {
+				rng := rand.New(rand.NewSource(seed))
+				capacity := int64(3+rng.Intn(8)) << 20
+				nRegions := 1 + rng.Intn(3)
+				sizes := make([]int64, nRegions)
+				for i := range sizes {
+					sizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
+					if rng.Intn(3) == 0 {
+						sizes[i] -= int64(rng.Intn(1 << 20))
 					}
-					if !math.IsNaN(gotA) && gotA > now {
+				}
+
+				batched := newDiffRig(capacity, false, traced)
+				looped := newDiffRig(capacity, false, traced)
+				for _, s := range sizes {
+					batched.register(t, s)
+					looped.register(t, s)
+				}
+
+				opsA := rand.New(rand.NewSource(seed + 2000))
+				opsB := rand.New(rand.NewSource(seed + 2000))
+				now := 0.0
+				for step := 0; step < 200; step++ {
+					// Mostly mixed ops (run in lockstep on both rigs) to build
+					// up partial residency, prefetch races and dirty state;
+					// every fourth step is the range-vs-loop probe itself.
+					if step%4 != 3 {
+						gotA, label := batched.step(opsA, now)
+						gotB, _ := looped.step(opsB, now)
+						if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
+							t.Fatalf("step %d (%s): mixed op diverged: %v vs %v", step, label, gotA, gotB)
+						}
+						if !math.IsNaN(gotA) && gotA > now {
+							now = gotA
+						}
+						continue
+					}
+					ri := opsA.Intn(len(batched.regions))
+					_ = opsB.Intn(len(looped.regions))
+					rA, rB := batched.regions[ri], looped.regions[ri]
+					n := rA.NumChunks()
+					lo := opsA.Intn(n)
+					hi := lo + 1 + opsA.Intn(n-lo)
+					cpb := opsA.Float64() * 0.01
+					_, _, _ = opsB.Intn(n), opsB.Intn(n-lo), opsB.Float64()
+
+					gotA := batched.m.DemandRange(rA, lo, hi, now, cpb)
+					cursor := now
+					for i := lo; i < hi; i++ {
+						avail := looped.m.DemandChunk(rB, i, cursor, 1, true)
+						cursor = avail + float64(looped.m.chunkSize(rB, i))*cpb
+					}
+					if gotA != cursor {
+						t.Fatalf("step %d: DemandRange r%d[%d:%d) returned %v, chunk loop %v",
+							step, ri, lo, hi, gotA, cursor)
+					}
+					if gotA > now {
 						now = gotA
 					}
-					continue
 				}
-				ri := opsA.Intn(len(batched.regions))
-				_ = opsB.Intn(len(looped.regions))
-				rA, rB := batched.regions[ri], looped.regions[ri]
-				n := rA.NumChunks()
-				lo := opsA.Intn(n)
-				hi := lo + 1 + opsA.Intn(n-lo)
-				cpb := opsA.Float64() * 0.01
-				_, _, _ = opsB.Intn(n), opsB.Intn(n-lo), opsB.Float64()
-
-				gotA := batched.m.DemandRange(rA, lo, hi, now, cpb)
-				cursor := now
-				for i := lo; i < hi; i++ {
-					avail := looped.m.DemandChunk(rB, i, cursor, 1, true)
-					cursor = avail + float64(looped.m.chunkSize(rB, i))*cpb
-				}
-				if gotA != cursor {
-					t.Fatalf("step %d: DemandRange r%d[%d:%d) returned %v, chunk loop %v",
-						step, ri, lo, hi, gotA, cursor)
-				}
-				if gotA > now {
-					now = gotA
-				}
-			}
-			compareRigs(t, batched, looped)
+				compareRigs(t, batched, looped)
+			})
 		})
 	}
 }
@@ -419,66 +459,178 @@ func TestResetMatchesFresh(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			capacity := int64(3+rng.Intn(8)) << 20
-			warmSizes := make([]int64, 2+rng.Intn(3))
-			for i := range warmSizes {
-				warmSizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
-			}
-			sizes := make([]int64, 2+rng.Intn(3))
-			for i := range sizes {
-				sizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
-				if rng.Intn(3) == 0 {
-					sizes[i] -= int64(rng.Intn(1 << 20))
+			forTracing(t, func(t *testing.T, traced bool) {
+				rng := rand.New(rand.NewSource(seed))
+				capacity := int64(3+rng.Intn(8)) << 20
+				warmSizes := make([]int64, 2+rng.Intn(3))
+				for i := range warmSizes {
+					warmSizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
 				}
-			}
-
-			recycled := newDiffRig(capacity, false)
-			for _, s := range warmSizes {
-				recycled.register(t, s)
-			}
-			warm := rand.New(rand.NewSource(seed + 500))
-			now := 0.0
-			for i := 0; i < 150; i++ {
-				if got, _ := recycled.step(warm, now); !math.IsNaN(got) && got > now {
-					now = got
+				sizes := make([]int64, 2+rng.Intn(3))
+				for i := range sizes {
+					sizes[i] = int64(1+rng.Intn(int(2*capacity>>20))) << 20
+					if rng.Intn(3) == 0 {
+						sizes[i] -= int64(rng.Intn(1 << 20))
+					}
 				}
-			}
 
-			// Reset the full simulated machine the way cuda.Context.Reset
-			// does: manager arenas, bus timeline, counters. The tracer keeps
-			// its warm-phase events; the comparison below starts after them.
-			recycled.m.Reset()
-			checkClean(t, recycled.m)
-			recycled.bus.Reset()
-			*recycled.m.Stats = counters.UVMStats{}
-			recycled.evicts = recycled.evicts[:0]
-			recycled.regions = recycled.regions[:0]
-			recycled.ords = make(map[*Region]int)
-			warmEvents := len(recycled.tr.Events())
-
-			fresh := newDiffRig(capacity, false)
-			for _, s := range sizes {
-				recycled.register(t, s)
-				fresh.register(t, s)
-			}
-
-			opsA := rand.New(rand.NewSource(seed + 900))
-			opsB := rand.New(rand.NewSource(seed + 900))
-			now = 0.0
-			for step := 0; step < 200; step++ {
-				gotA, label := recycled.step(opsA, now)
-				gotB, _ := fresh.step(opsB, now)
-				if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
-					t.Fatalf("step %d (%s): recycled %v, fresh %v", step, label, gotA, gotB)
+				recycled := newDiffRig(capacity, false, traced)
+				for _, s := range warmSizes {
+					recycled.register(t, s)
 				}
-				if !math.IsNaN(gotA) && gotA > now {
-					now = gotA
+				warm := rand.New(rand.NewSource(seed + 500))
+				now := 0.0
+				for i := 0; i < 150; i++ {
+					if got, _ := recycled.step(warm, now); !math.IsNaN(got) && got > now {
+						now = got
+					}
 				}
-			}
 
-			compareRigsState(t, recycled, fresh)
-			compareTraces(t, recycled.tr.Events()[warmEvents:], fresh.tr.Events())
+				// Reset the full simulated machine the way cuda.Context.Reset
+				// does: manager arenas, bus timeline, counters. The tracer keeps
+				// its warm-phase events; the comparison below starts after them.
+				recycled.m.Reset()
+				checkClean(t, recycled.m)
+				recycled.bus.Reset()
+				*recycled.m.Stats = counters.UVMStats{}
+				recycled.evicts = recycled.evicts[:0]
+				recycled.regions = recycled.regions[:0]
+				recycled.ords = make(map[*Region]int)
+				warmEvents := len(recycled.tr.Events())
+
+				fresh := newDiffRig(capacity, false, traced)
+				for _, s := range sizes {
+					recycled.register(t, s)
+					fresh.register(t, s)
+				}
+
+				opsA := rand.New(rand.NewSource(seed + 900))
+				opsB := rand.New(rand.NewSource(seed + 900))
+				now = 0.0
+				for step := 0; step < 200; step++ {
+					gotA, label := recycled.step(opsA, now)
+					gotB, _ := fresh.step(opsB, now)
+					if gotA != gotB && !(math.IsNaN(gotA) && math.IsNaN(gotB)) {
+						t.Fatalf("step %d (%s): recycled %v, fresh %v", step, label, gotA, gotB)
+					}
+					if !math.IsNaN(gotA) && gotA > now {
+						now = gotA
+					}
+				}
+
+				compareRigsState(t, recycled, fresh)
+				compareTraces(t, recycled.tr.Events()[warmEvents:], fresh.tr.Events())
+			})
+		})
+	}
+}
+
+// TestRunPathsMatchReference scripts the shapes that split, end or skip
+// runs and checks each run path against reference mode, with tracers and
+// without: returned times, then the full state comparison (arrivals,
+// stamps, ring order, stats, victims, traces) and the clean invariant
+// after every release.
+func TestRunPathsMatchReference(t *testing.T) {
+	const chunk = 2 << 20
+	cases := []struct {
+		name     string
+		capacity int64
+		sizes    []int64
+		script   func(t *testing.T, rig *diffRig) []float64
+	}{
+		{"partial residency", 64 * chunk, []int64{16 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a := rig.m, rig.regions[0]
+			out := []float64{
+				m.DemandChunk(a, 3, 0, 1, true),
+				m.DemandChunk(a, 9, 1e3, 0.5, false),
+				// Prefetch runs [0,3), [4,9), [10,16) around resident chunks.
+				m.PrefetchRegion(a, 2e3),
+			}
+			out = append(out, m.DemandRange(a, 0, 16, out[2]/2, 1e-3))
+			recycle(t, rig, 0)
+			a = rig.regions[0]
+			m.DemandChunk(a, 0, 0, 1, true)
+			m.DemandChunk(a, 15, 0, 1, true)
+			m.MarkDeviceWritten(a, 5e6) // one write run between resident ends
+			return append(out, m.DemandRange(a, 2, 14, 6e6, 0))
+		}},
+		{"short tail", 64 * chunk, []int64{11*chunk - 12345, 7*chunk + 1}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{
+				m.PrefetchRegion(a, 0),
+				m.DemandRange(b, 0, b.NumChunks(), 0, 1e-4),
+				m.DemandRange(a, 0, a.NumChunks(), 1e5, 1e-4),
+			}
+			m.DemandChunk(b, 2, 0, 1, false)
+			recycle(t, rig, 1)
+			b = rig.regions[1]
+			m.DemandChunk(b, 3, 0, 1, false)
+			m.MarkDeviceWritten(b, 9e6) // runs [0,3) and [4,8), the latter ending at the short tail
+			m.MarkDirty(b, 0, b.Size)
+			return append(out, m.WritebackDirty(b, 1e7))
+		}},
+		{"interleaved regions", 64 * chunk, []int64{16 * chunk, 12 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{m.PrefetchRegion(a, 0), m.PrefetchRegion(b, 1e3)}
+			out = append(out,
+				m.DemandRange(a, 4, 10, 2e6, 1e-4), // a stretch cut from mid-ring
+				m.DemandRange(b, 0, 12, 3e6, 1e-4),
+				m.DemandRange(a, 0, 16, 4e6, 1e-4), // three stretches: [0,4), [4,10), [10,16)
+				m.DemandChunk(b, 5, 5e6, 1, true),
+				m.DemandRange(b, 0, 12, 6e6, 1e-4), // [0,5), [5,6) and [6,12)
+			)
+			recycle(t, rig, 0) // a is one run in slot order
+			recycle(t, rig, 1) // b is one run in slot order
+			return out
+		}},
+		{"fit then evict", 10 * chunk, []int64{16 * chunk, 6*chunk - 7}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{m.DemandRange(a, 0, 16, 0, 1e-4)} // ten fit, six evict a's own head
+			m.MarkDirty(a, 0, a.Size)
+			out = append(out,
+				m.PrefetchRegion(b, out[0]), // a fitting prefix of zero, then evictions
+				m.DemandRange(a, 0, 16, out[0], 1e-4),
+				m.WritebackPartial(a, out[0], 5*chunk),
+			)
+			recycle(t, rig, 1)
+			b = rig.regions[1]
+			m.MarkDeviceWritten(b, out[0]) // oversubscribing write, per chunk
+			recycle(t, rig, 0)             // a's remaining chunks: one run from mid-region
+			return append(out, m.PrefetchRegion(rig.regions[0], out[0]))
+		}},
+		{"release not one run", 64 * chunk, []int64{12 * chunk, 8 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{m.PrefetchRegion(a, 0), m.PrefetchRegion(b, 0)}
+			out = append(out, m.DemandRange(a, 3, 6, out[1], 1e-4)) // a: [0,3) [6,12) ... b ... [3,6)
+			recycle(t, rig, 0)
+			a = rig.regions[0]
+			out = append(out, m.PrefetchRegion(a, out[2]))
+			out = append(out, m.DemandChunk(a, 4, out[3], 1, true)) // one ring stretch, not in slot order
+			recycle(t, rig, 0)
+			out = append(out, m.DemandRange(b, 0, 8, out[4], 0))
+			m.DemandChunk(b, 0, out[5], 1, true) // b: [1,8) then 0
+			recycle(t, rig, 1)
+			return out
+		}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			forTracing(t, func(t *testing.T, traced bool) {
+				fast := newDiffRig(tc.capacity, false, traced)
+				ref := newDiffRig(tc.capacity, true, traced)
+				for _, s := range tc.sizes {
+					fast.register(t, s)
+					ref.register(t, s)
+				}
+				got, want := tc.script(t, fast), tc.script(t, ref)
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("result %d: %v, reference %v", i, got[i], want[i])
+					}
+				}
+				compareRigs(t, fast, ref)
+			})
 		})
 	}
 }

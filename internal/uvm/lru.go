@@ -29,9 +29,11 @@ import "math"
 // of a slot is a binary search over Manager.regs by base (owner), and the
 // chunk index is the slot's offset from that base. Only victim selection
 // needs the lookup; every other path already knows its region. Unregister
-// walks the region's own slot range instead of a per-region resident
-// list, stopping once it has unlinked residentCount chunks, so hold and
-// release relink the global ring and nothing else.
+// cuts a region whose resident chunks are one slot-ordered run out of the
+// ring in O(1), and otherwise walks the region's own slot range instead
+// of a per-region resident list, stopping once it has unlinked
+// residentCount chunks, so hold and release relink the global ring and
+// nothing else.
 //
 // The arena grows by doubling (newNodeRange), so building a large
 // region's slots copies the existing arena at most once per doubling
@@ -141,6 +143,110 @@ func (m *Manager) touch(r *Region, idx int) {
 		m.nodes[n.next].prev = n.prev
 		m.linkTail(s)
 	}
+}
+
+// Run primitives. A run is a stretch of consecutive chunks of one region
+// in the same state; the run paths in uvm.go hand whole runs to these,
+// and each is equivalent, bit for bit, to the per-chunk primitives above
+// applied to the run's chunks in ascending order: the same stamps, the
+// same ring order, the same counters. Stamps stay one store per chunk;
+// ring work drops to O(1) splices per run. They share no ring code with
+// the per-chunk primitives, which reference mode runs as their oracle.
+
+// cutChain removes the chain of ring nodes a..last (a's successors up to
+// last) from the ring; the chain's own links are left for the caller.
+func (m *Manager) cutChain(a, last int32) {
+	prev, next := m.nodes[a].prev, m.nodes[last].next
+	m.nodes[prev].next = next
+	m.nodes[next].prev = prev
+}
+
+// appendChain links the chain of slots a..last, already linked to each
+// other, at the MRU end of the ring.
+func (m *Manager) appendChain(a, last int32) {
+	tail := m.nodes[0].prev
+	m.nodes[tail].next = a
+	m.nodes[a].prev = tail
+	m.nodes[last].next = 0
+	m.nodes[0].prev = last
+}
+
+// stampRun gives chunks [i, j) the next stamps in order, as touch does
+// one chunk at a time.
+func (m *Manager) stampRun(r *Region, i, j int) {
+	s := m.stamp
+	lu := r.lastUse[i:j]
+	for k := range lu {
+		s++
+		lu[k] = s
+	}
+	m.stamp = s
+}
+
+// holdRun makes non-resident chunks [i, j), whose arrivals the caller has
+// written, resident exactly as hold followed by touch would chunk by
+// chunk: the chunks are stamped in order, linked at the MRU end of the
+// ring in chunk order with one splice, and the counters move once by the
+// run's length and bytes.
+func (m *Manager) holdRun(r *Region, i, j int, bytes int64) {
+	m.stampRun(r, i, j)
+	a, b := r.base+int32(i), r.base+int32(j)
+	for s := a; s < b; s++ {
+		m.nodes[s] = chunkNode{prev: s - 1, next: s + 1}
+	}
+	m.appendChain(a, b-1)
+	r.residentCount += j - i
+	r.residentBytes += bytes
+	m.resident += bytes
+}
+
+// touchRun touches resident chunks [i, j) exactly as touch would chunk by
+// chunk: they are stamped in order and end at the MRU end of the ring in
+// chunk order, the rest of the ring keeping its order. Chunks whose slots
+// are already linked to their successor move as one stretch, cut and
+// appended with O(1) relinks, and a stretch that already is the ring's
+// tail stays where it is. A run that PrefetchRegion or an earlier
+// in-order touch left behind is one such stretch, so touching it costs
+// one link read per chunk and no relink.
+func (m *Manager) touchRun(r *Region, i, j int) {
+	m.stampRun(r, i, j)
+	end := r.base + int32(j)
+	for a := r.base + int32(i); a < end; {
+		b := a + 1
+		for b < end && m.nodes[b-1].next == b {
+			b++
+		}
+		if last := b - 1; m.nodes[last].next != 0 {
+			m.cutChain(a, last)
+			m.appendChain(a, last)
+		}
+		a = b
+	}
+}
+
+// cutResident releases r's resident chunks from the ring with one splice
+// when they are a single stretch of consecutive slots linked in slot
+// order, the shape the run paths leave, and then clears their links and
+// arrivals with straight stores. It reports false, changing nothing, for
+// any other shape. The resident counters are the caller's.
+func (m *Manager) cutResident(r *Region) bool {
+	a := r.base
+	for m.nodes[a].next < 0 {
+		a++
+	}
+	nodes := m.nodes[a : a+int32(r.residentCount)]
+	for k := 1; k < len(nodes); k++ {
+		if nodes[k-1].next != a+int32(k) {
+			return false
+		}
+	}
+	m.cutChain(a, a+int32(len(nodes))-1)
+	arr := r.arrival[a-r.base:][:len(nodes)]
+	for k := range nodes {
+		nodes[k] = unlinked
+		arr[k] = math.Inf(1)
+	}
+	return true
 }
 
 // victim returns the least-recently-used resident chunk, or (nil, -1)

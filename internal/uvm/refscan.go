@@ -28,8 +28,9 @@ func (m *Manager) victimScan() (*Region, int) {
 	return victim, vIdx
 }
 
-// SetReferenceEviction switches victim selection to the reference scan
-// evictor (on) or back to the O(1) LRU ring (off). Both produce
-// bit-identical simulation results; the scan exists as the oracle for
-// differential tests and benchmarks.
+// SetReferenceEviction switches the manager to reference mode (on): the
+// scan evictor selects victims and every residency path runs chunk by
+// chunk. Off restores the O(1) LRU ring and the per-run paths. Both
+// produce bit-identical simulation results; reference mode exists as the
+// oracle for differential tests and benchmarks.
 func (m *Manager) SetReferenceEviction(on bool) { m.scanEvict = on }

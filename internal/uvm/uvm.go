@@ -25,6 +25,31 @@
 // implementation (refscan.go) and pinned equivalent by a differential
 // test. All timing is bit-for-bit identical to the scan era: same victim
 // order, same writeback reservations, same stats, same trace instants.
+//
+// Work is done per run, not per chunk, where a run is a maximal stretch
+// of consecutive chunks of one region in the same state:
+//
+//   - PrefetchRegion streams a run of non-resident full chunks that fits
+//     the device as one chain reservation on the link, one splice at the
+//     ring's MRU end and one counter update.
+//   - DemandRange moves a run of resident chunks to the MRU end with one
+//     cut and splice per stretch of already-consecutive links (nothing at
+//     all for the run a prefetch just left at the tail); a run of
+//     non-resident full chunks that fits still reserves one migration per
+//     chunk, each after the compute cursor, but joins the ring and moves
+//     the counters once.
+//   - MarkDeviceWritten links each non-resident run with one splice when
+//     the writes fit.
+//   - Unregister and Reset cut a region whose resident chunks are one run
+//     in slot order out of the ring in O(1), then clear its chunk state
+//     with straight stores.
+//
+// Per chunk stay: chunks that need room (the evicting loops of an
+// oversubscribed stream), short tail chunks, the bookkeeping cost of
+// prefetching resident chunks, stamps and per-chunk arrival and cursor
+// arithmetic, DemandChunk's shuffled irregular demand, and every path in
+// reference mode (SetReferenceEviction), which stays the oracle the run
+// paths are tested against, with and without a tracer.
 package uvm
 
 import (
@@ -123,7 +148,7 @@ type Manager struct {
 	nodes     []chunkNode
 	regs      []*Region
 	free      []*Region
-	scanEvict bool // select victims with the reference scan instead
+	scanEvict bool // reference mode: scan evictor, per-chunk paths only
 	// onEvict, when non-nil, observes every eviction (region, chunk,
 	// eviction-complete time). Differential tests use it to record and
 	// compare victim order between the two evictors.
@@ -230,16 +255,20 @@ func (m *Manager) Unregister(r *Region) error {
 }
 
 // releaseAll unlinks every resident chunk of r from the global ring and
-// clears the arrivals. It walks r's own slot range in chunk order and
-// stops once residentCount chunks are unlinked; unlinking in any order
+// clears the arrivals. When the resident chunks are one run linked in
+// slot order it cuts them out with one splice (cutResident); otherwise,
+// and in reference mode, it walks r's own slot range in chunk order and
+// stops once residentCount chunks are unlinked. Unlinking in any order
 // leaves the rest of the ring in the same order.
 func (m *Manager) releaseAll(r *Region) {
-	left := r.residentCount
-	for i := 0; left > 0; i++ {
-		if s := r.base + int32(i); m.nodes[s].next >= 0 {
-			m.unlink(s)
-			r.arrival[i] = math.Inf(1)
-			left--
+	if r.residentCount > 0 && (m.scanEvict || !m.cutResident(r)) {
+		left := r.residentCount
+		for i := 0; left > 0; i++ {
+			if s := r.base + int32(i); m.nodes[s].next >= 0 {
+				m.unlink(s)
+				r.arrival[i] = math.Inf(1)
+				left--
+			}
 		}
 	}
 	m.resident -= r.residentBytes
@@ -336,22 +365,7 @@ func (m *Manager) makeRoom(t float64, need int64) float64 {
 func (m *Manager) DemandChunk(r *Region, idx int, t float64, patternEff float64, coalesced bool) float64 {
 	m.touch(r, idx)
 	if r.Resident(idx) {
-		if arr := r.arrival[idx]; arr > t {
-			m.Stats.PageFaults++
-			m.Stats.FaultBatches++
-			wait := t + m.cfg.FaultBatchLatencyNs
-			if arr > wait {
-				wait = arr
-			}
-			if tr := m.bus.Tracer(); tr != nil {
-				// The access raced an in-flight prefetch: one fault, no
-				// migration traffic.
-				tr.Instant(trace.UVMFaults, "fault_wait", t, trace.ChunkArgs(idx, 0))
-				tr.Count("uvm.fault_batches", 1)
-			}
-			return wait
-		}
-		return t
+		return m.awaitResident(r, idx, t, m.bus.Tracer())
 	}
 	size := m.chunkSize(r, idx)
 	ready := m.makeRoom(t, size)
@@ -364,62 +378,125 @@ func (m *Manager) DemandChunk(r *Region, idx int, t float64, patternEff float64,
 	m.Stats.PageFaults += blocks
 	m.Stats.FaultBatches++
 	m.Stats.MigratedBytes += float64(size)
-	if tr := m.bus.Tracer(); tr != nil {
-		args := trace.ChunkArgs(idx, size)
-		args.Batch = blocks
-		tr.Instant(trace.UVMFaults, "fault_batch", ready, args)
-		tr.Count("uvm.fault_batches", 1)
-		tr.Count("uvm.migrated_bytes", float64(size))
-	}
+	traceFaultBatch(m.bus.Tracer(), idx, size, blocks, ready)
 	end := m.bus.MigrateOnDemand(ready+latency, size, patternEff)
 	m.hold(r, idx, end, size)
 	return end
+}
+
+// traceFaultBatch records a fault batch of blocks fault blocks that
+// migrates chunk idx (size bytes) at time at.
+func traceFaultBatch(tr *trace.Tracer, idx int, size int64, blocks, at float64) {
+	if tr == nil {
+		return
+	}
+	args := trace.ChunkArgs(idx, size)
+	args.Batch = blocks
+	tr.Instant(trace.UVMFaults, "fault_batch", at, args)
+	tr.Count("uvm.fault_batches", 1)
+	tr.Count("uvm.migrated_bytes", float64(size))
+}
+
+// awaitResident is the demand step of resident chunk idx at time t: an
+// access that finds the chunk still in flight raises one fault and waits
+// for max(arrival, t+batch latency). It returns the time the access can
+// proceed.
+func (m *Manager) awaitResident(r *Region, idx int, t float64, tr *trace.Tracer) float64 {
+	arr := r.arrival[idx]
+	if arr <= t {
+		return t
+	}
+	m.Stats.PageFaults++
+	m.Stats.FaultBatches++
+	wait := t + m.cfg.FaultBatchLatencyNs
+	if arr > wait {
+		wait = arr
+	}
+	if tr != nil {
+		// The access raced an in-flight prefetch: one fault, no
+		// migration traffic.
+		tr.Instant(trace.UVMFaults, "fault_wait", t, trace.ChunkArgs(idx, 0))
+		tr.Count("uvm.fault_batches", 1)
+	}
+	return wait
+}
+
+// runEnd returns the end of the run of non-resident chunks that starts at
+// non-resident chunk i: the largest j ≤ hi such that [i, j) are
+// non-resident full-size chunks whose residency fits the device without
+// eviction. j == i sends chunk i down the per-chunk path: a short tail
+// chunk, a chunk that needs room, or any chunk in reference mode.
+func (m *Manager) runEnd(r *Region, i, hi int) int {
+	if m.scanEvict {
+		return i
+	}
+	if full := int(r.Size / m.cfg.ChunkBytes); hi > full {
+		hi = full
+	}
+	if fit := i + int((m.capacity-m.resident)/m.cfg.ChunkBytes); hi > fit {
+		hi = fit
+	}
+	j := i
+	for j < hi && math.IsInf(r.arrival[j], 1) {
+		j++
+	}
+	return j
 }
 
 // DemandRange walks chunks [lo, hi) of r as one coalesced sequential
 // demand stream: per chunk it performs exactly what
 // DemandChunk(r, i, cursor, 1, true) does, then advances the compute
 // cursor by the chunk's payload bytes × computePerByte, starting from
-// cursor = t. The per-chunk float arithmetic, stats accumulation order
-// and trace instants are identical to the equivalent caller-side
-// DemandChunk loop — goldens and traces observe the same bytes — while
-// the loop invariants (tracer lookup, the fault geometry of full-size
-// chunks, the coalesced batch latency) are hoisted out of the hot loop.
-// It returns the compute cursor after the last chunk.
+// cursor = t. The per-chunk float arithmetic and trace instants are
+// identical to the equivalent caller-side DemandChunk loop — goldens and
+// traces observe the same bytes — while ring and counter work is done
+// per run (see the package comment). It returns the compute cursor
+// after the last chunk.
 func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) float64 {
 	tr := m.bus.Tracer()
 	full := m.cfg.ChunkBytes
 	fullBlocks := float64((full+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) / 8
 	latency := m.cfg.FaultBatchLatencyNs / 8
-	last := r.NumChunks() - 1
 	cursor := t
-	for i := lo; i < hi; i++ {
-		m.touch(r, i)
-		size := full
-		blocks := fullBlocks
-		if i == last {
-			if rem := r.Size % full; rem != 0 {
-				size = rem
-				blocks = float64((size+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) / 8
+	for i := lo; i < hi; {
+		if !m.scanEvict && r.Resident(i) {
+			j := i + 1
+			for j < hi && r.Resident(j) {
+				j++
 			}
-		}
-		if !math.IsInf(r.arrival[i], 1) {
-			avail := cursor
-			if arr := r.arrival[i]; arr > cursor {
-				m.Stats.PageFaults++
-				m.Stats.FaultBatches++
-				wait := cursor + m.cfg.FaultBatchLatencyNs
-				if arr > wait {
-					wait = arr
-				}
-				if tr != nil {
-					tr.Instant(trace.UVMFaults, "fault_wait", cursor, trace.ChunkArgs(i, 0))
-					tr.Count("uvm.fault_batches", 1)
-				}
-				avail = wait
+			m.touchRun(r, i, j)
+			for ; i < j; i++ {
+				cursor = m.awaitResident(r, i, cursor, tr) + float64(m.chunkSize(r, i))*computePerByte
 			}
-			cursor = avail + float64(size)*computePerByte
 			continue
+		}
+		if j := m.runEnd(r, i, hi); j > i {
+			for k := i; k < j; k++ {
+				traceFaultBatch(tr, k, full, fullBlocks, cursor)
+				end := m.bus.MigrateOnDemand(cursor+latency, full, 1)
+				r.arrival[k] = end
+				cursor = end + float64(full)*computePerByte
+			}
+			// Whole bytes and eighths of fault blocks add exactly in float64
+			// below 2⁵⁰, so one update equals the per-chunk additions.
+			n := float64(j - i)
+			m.Stats.PageFaults += fullBlocks * n
+			m.Stats.FaultBatches += n
+			m.Stats.MigratedBytes += float64(full) * n
+			m.holdRun(r, i, j, int64(j-i)*full)
+			i = j
+			continue
+		}
+		m.touch(r, i)
+		size := m.chunkSize(r, i)
+		if r.Resident(i) {
+			cursor = m.awaitResident(r, i, cursor, tr) + float64(size)*computePerByte
+			i++
+			continue
+		}
+		blocks := fullBlocks
+		if size != full {
+			blocks = float64((size+m.cfg.FaultBlockBytes-1)/m.cfg.FaultBlockBytes) / 8
 		}
 		ready := cursor
 		if m.resident+size > m.capacity {
@@ -428,16 +505,11 @@ func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) 
 		m.Stats.PageFaults += blocks
 		m.Stats.FaultBatches++
 		m.Stats.MigratedBytes += float64(size)
-		if tr != nil {
-			args := trace.ChunkArgs(i, size)
-			args.Batch = blocks
-			tr.Instant(trace.UVMFaults, "fault_batch", ready, args)
-			tr.Count("uvm.fault_batches", 1)
-			tr.Count("uvm.migrated_bytes", float64(size))
-		}
+		traceFaultBatch(tr, i, size, blocks, ready)
 		end := m.bus.MigrateOnDemand(ready+latency, size, 1)
 		m.hold(r, i, end, size)
 		cursor = end + float64(size)*computePerByte
+		i++
 	}
 	return cursor
 }
@@ -447,29 +519,33 @@ func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) 
 // the time the prefetch stream drains. Already-resident chunks cost only
 // driver bookkeeping time (page-table walks, no link traffic).
 //
-// Room for the whole prefetch is checked once against the aggregate
-// non-resident byte count: when the stream fits, the per-chunk
-// room-making calls are skipped entirely. Under capacity pressure the
-// driver keeps evicting per chunk as the stream advances, because victim
-// writebacks and evict instants are defined to happen at stream time —
-// an oversubscribed prefetch evicts its own earliest chunks mid-stream.
+// A run of non-resident full chunks that fits the device streams as one
+// chain reservation written straight into the arrivals. Under capacity
+// pressure the driver keeps evicting per chunk as the stream advances,
+// because victim writebacks and evict instants are defined to happen at
+// stream time — an oversubscribed prefetch evicts its own earliest
+// chunks mid-stream.
 func (m *Manager) PrefetchRegion(r *Region, t float64) float64 {
 	end := t + m.cfg.PrefetchCallNs
-	evicting := m.resident+r.Size-r.residentBytes > m.capacity
-	for i := 0; i < r.NumChunks(); i++ {
+	for i := 0; i < r.NumChunks(); {
 		size := m.chunkSize(r, i)
 		if r.Resident(i) {
 			end += float64(size) / float64(1<<30) * m.cfg.ResidentPrefetchNsPerGB
+			i++
 			continue
 		}
-		ready := end
-		if evicting {
-			ready = m.makeRoom(end, size)
+		if j := m.runEnd(r, i, r.NumChunks()); j > i {
+			end = m.bus.PrefetchRun(end, size, r.arrival[i:j])
+			m.holdRun(r, i, j, int64(j-i)*size)
+			m.Stats.PrefetchBytes += float64(size) * float64(j-i) // exact, as in DemandRange
+			i = j
+			continue
 		}
-		end = m.bus.PrefetchChunk(ready, size)
+		end = m.bus.PrefetchChunk(m.makeRoom(end, size), size)
 		m.hold(r, i, end, size)
 		m.Stats.PrefetchBytes += float64(size)
 		m.touch(r, i)
+		i++
 	}
 	return end
 }
@@ -480,18 +556,20 @@ func (m *Manager) PrefetchRegion(r *Region, t float64) float64 {
 // migrate stale host data.
 //
 // The capacity check happens once for the aggregate need: the common
-// case (everything fits) links all non-resident chunks without a single
-// room-making call. Only when the aggregate need oversubscribes the
-// device does the driver fall back to allocate-and-evict per chunk —
-// there the interleaving is observable (a written region larger than
-// device memory evicts its own earliest chunks as later ones allocate),
-// so it is preserved exactly.
+// case (everything fits) links each run of non-resident chunks with one
+// splice (holdRun) and no room-making call. Only when the aggregate need
+// oversubscribes the device does the driver fall back to
+// allocate-and-evict per chunk — there the interleaving is observable (a
+// written region larger than device memory evicts its own earliest
+// chunks as later ones allocate), so it is preserved exactly. Reference
+// mode takes that per-chunk loop too; while the need fits, its
+// room-making calls return at once.
 func (m *Manager) MarkDeviceWritten(r *Region, t float64) {
 	need := r.Size - r.residentBytes
 	if need == 0 {
 		return
 	}
-	if m.resident+need > m.capacity {
+	if m.scanEvict || m.resident+need > m.capacity {
 		for i := range r.arrival {
 			if r.Resident(i) {
 				continue
@@ -503,12 +581,25 @@ func (m *Manager) MarkDeviceWritten(r *Region, t float64) {
 		}
 		return
 	}
-	for i := range r.arrival {
+	n := r.NumChunks()
+	for i := 0; i < n; {
 		if r.Resident(i) {
+			i++
 			continue
 		}
-		m.hold(r, i, t, m.chunkSize(r, i))
-		m.touch(r, i)
+		j := i + 1
+		for j < n && !r.Resident(j) {
+			j++
+		}
+		bytes := int64(j-i) * m.cfg.ChunkBytes
+		if j == n {
+			bytes += m.chunkSize(r, n-1) - m.cfg.ChunkBytes
+		}
+		for k := i; k < j; k++ {
+			r.arrival[k] = t
+		}
+		m.holdRun(r, i, j, bytes)
+		i = j
 	}
 }
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env sh
 # bench_suite.sh — run the figure-suite benchmark, the cold-latency
-# benchmarks at one core and at every core, plus a timed 1-core
-# `uvmbench all`, and emit/check a machine-readable baseline.
+# benchmarks at one core and at every core, the layer rows of the cold
+# path (one warm managed iteration, one fresh seed and math/rand's
+# reference expansion), plus a timed 1-core `uvmbench all`, and
+# emit/check a machine-readable baseline.
 #
 #   scripts/bench_suite.sh write [out.json]
 #       Run the measurements and write the JSON baseline (default
@@ -24,7 +26,10 @@
 #
 # BENCHTIME overrides the per-benchmark iteration count (default 1x;
 # simulation benchmarks are deterministic, so one iteration measures the
-# workload, not noise).
+# workload, not noise). The layer rows time steady-state operations of
+# tens of microseconds or less, where one iteration would measure timer
+# and cache noise, so they run fixed counts: 200 managed iterations and
+# 20000 seeds.
 set -eu
 
 mode="${1:-write}"
@@ -71,9 +76,13 @@ run_bench() {
     rows_multi=$(go test -run '^$' \
         -bench 'BenchmarkColdCellMegaUVM$|BenchmarkServeColdFig7$' \
         -benchtime "$benchtime" -benchmem . | parse_bench "/multicore")
+    rows_iter=$(go test -run '^$' -bench 'BenchmarkManagedIteration$' \
+        -benchtime 200x -benchmem . | parse_bench "")
+    rows_seed=$(go test -run '^$' -bench 'BenchmarkSeedFresh$|BenchmarkSeedMathRand$' \
+        -benchtime 20000x -benchmem ./internal/seedrng | parse_bench "")
 
-    printf '{\n  "benchmarks": [%s,%s,%s\n  ],\n' \
-        "$rows_suite" "$rows_1core" "$rows_multi"
+    printf '{\n  "benchmarks": [%s,%s,%s,%s,%s\n  ],\n' \
+        "$rows_suite" "$rows_1core" "$rows_multi" "$rows_iter" "$rows_seed"
     printf '  "uvmbench_all_1core_wall_seconds": %s\n}\n' "$wall"
 }
 
