@@ -20,7 +20,6 @@
 //	uvmbench list              workload inventory
 //	uvmbench profiles          hardware-profile inventory (list|show|dump)
 //	uvmbench compare-profiles  one workload across hardware profiles
-//	uvmbench merge             reassemble output from -shard artifacts
 //	uvmbench serve             experiment HTTP service with /metrics
 //	uvmbench all               everything above
 //
@@ -43,21 +42,14 @@
 // policy; with the trace subcommand they select per-GPU schedule
 // timelines instead), -out (directory for trace files),
 // -cpuprofile and -memprofile
-// (write pprof profiles covering the whole invocation), -cache-dir (the
-// persistent cell store: hits skip simulation, misses are written back,
-// so a warm rerun of any sweep costs file reads, not simulation), and
-// -shard i/n (run the i-th of n deterministic partitions of the cell
-// grid and print a mergeable shard artifact — the run's Request, the
-// captured cells and the seconds spent simulating them — instead of
-// normal output; `uvmbench merge a.json b.json ...` over a complete
-// partition prints output byte-identical to the unsharded run).
+// (write pprof profiles covering the whole invocation), and -cache-dir
+// (the persistent cell store: hits skip simulation, misses are written
+// back, so a warm rerun of any sweep costs file reads, not simulation).
 //
 // The run flags (-i, -seed, -size, -jobs, -workload, -gpus, -topology,
 // -policy, -setups, -profile, -profiles) build one serve.Request, the
 // run description a POST /v1/experiments spec resolves to, with the
 // same defaults; Request.Validate checks it before anything simulates.
-// merge replays the Request its artifacts carry and reads only -par,
-// -json and -cache-dir; any other flag fails, naming it.
 //
 // The serve subcommand runs the experiment service (internal/serve):
 // POST /v1/experiments computes figures (responses byte-identical to
@@ -111,11 +103,11 @@ func main() {
 // itself is the Request.
 type options struct {
 	req       *serve.Request
-	out       io.Writer // artifact destination (io.Discard in -shard mode)
+	out       io.Writer // artifact destination
 	json      bool
 	setupName string
 	outDir    string
-	rest      []string // arguments after the subcommand (profiles show/dump, merge files)
+	rest      []string // arguments after the subcommand (profiles show/dump)
 	// reg is the invocation's metrics registry; traceTotals accumulates
 	// the trace subcommand's counter-registry totals. Both feed the
 	// cache-summary JSON doc.
@@ -141,19 +133,8 @@ func (o *options) emit(text func() string, doc core.FigureDoc) error {
 // commandNames lists every subcommand — the CLI-only ones plus the
 // figures serve.Figure renders — for upfront validation (a typo in
 // `fig4,nope` must fail before fig4 spends seconds simulating).
-var commandNames = append([]string{"list", "trace", "profiles", "merge", "serve", "all"},
+var commandNames = append([]string{"list", "trace", "profiles", "serve", "all"},
 	serve.FigureNames...)
-
-// shardable reports whether a subcommand's cells can be partitioned.
-// Inventory listings and trace (whose artifact is a timeline, not cells)
-// cannot; merge is the consumer side of sharding.
-func shardable(cmd string) bool {
-	switch cmd {
-	case "trace", "list", "profiles", "merge", "serve":
-		return false
-	}
-	return true
-}
 
 func run(args []string) error {
 	// The run flags bind straight into the Request, whose constructor
@@ -185,14 +166,12 @@ func run(args []string) error {
 	cpuProf := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memProf := fs.String("memprofile", "", "write a pprof heap profile (taken after the run) to this file")
 	cacheDir := fs.String("cache-dir", "", "directory of the persistent cell store (created if missing); cell hits skip simulation, misses are written back")
-	shard := fs.String("shard", "", "run one shard i/n of the cell grid and print a mergeable shard artifact instead of normal output")
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address for the serve subcommand")
 	maxInflight := fs.Int("max-inflight", 0, "serve: max concurrently admitted experiment requests (0 = one per core); excess requests get 429")
 	usage := func(w io.Writer) {
 		fmt.Fprintln(w, "usage: uvmbench [flags] <subcommand>[,<subcommand>...]")
-		fmt.Fprintln(w, "       uvmbench [flags] merge <shard.json> ...")
 		fmt.Fprintln(w, "       uvmbench [flags] serve")
-		fmt.Fprintln(w, "merge reads only -par -json -cache-dir; serve reads only -addr -max-inflight -par -cache-dir -profile")
+		fmt.Fprintln(w, "serve reads only -addr -max-inflight -par -cache-dir -profile")
 		fmt.Fprintln(w, "subcommands:", strings.Join(commandNames, " "))
 		fmt.Fprintln(w, "flags:")
 		fs.SetOutput(w)
@@ -219,9 +198,8 @@ func run(args []string) error {
 	}
 
 	// Validate everything cheap before the first simulation: subcommand
-	// names, the Request, the shard spec, output paths, the cell-store
-	// directory. A typo in any of them must fail in milliseconds, not
-	// after a full sweep.
+	// names, the Request, output paths, the cell-store directory. A typo
+	// in any of them must fail in milliseconds, not after a full sweep.
 	cmds := strings.Split(fs.Arg(0), ",")
 	for _, cmd := range cmds {
 		if !slices.Contains(commandNames, cmd) {
@@ -229,9 +207,7 @@ func run(args []string) error {
 		}
 	}
 	o.rest = fs.Args()[1:]
-	var merged *store.Mem
-	switch {
-	case slices.Contains(cmds, "serve"):
+	if slices.Contains(cmds, "serve") {
 		// Each request's spec describes its run, so serve reads only the
 		// process settings.
 		if len(cmds) != 1 {
@@ -241,54 +217,26 @@ func run(args []string) error {
 			return err
 		}
 		return runServe(*addr, *maxInflight, *par, *cacheDir, *prof)
-	case slices.Contains(cmds, "merge"):
-		// The artifacts describe the run; merge replays it.
-		if len(cmds) != 1 {
-			return fmt.Errorf("merge cannot be combined with other subcommands")
-		}
-		if err := onlyFlags(fs, "merge", "par", "json", "cache-dir"); err != nil {
-			return err
-		}
-		var err error
-		if req, merged, err = loadShards(o.rest); err != nil {
-			return err
-		}
-		o.req = req
-		cmds = req.Figures
-	default:
-		var err error
-		if *setupsCSV != "" {
-			if req.Setups, err = cuda.ParseSetupList(*setupsCSV); err != nil {
-				return fmt.Errorf("-setups: %w", err)
-			}
-		}
-		if req.Profile, err = profile.Resolve(*prof); err != nil {
-			return err
-		}
-		if req.Profiles, err = resolveProfiles(*profs); err != nil {
-			return err
-		}
-		for _, cmd := range cmds {
-			if cmd == "all" || serve.IsFigure(cmd) {
-				req.Figures = append(req.Figures, cmd)
-			}
-		}
-		if err := req.Validate(); err != nil {
-			return err
+	}
+	var err error
+	if *setupsCSV != "" {
+		if req.Setups, err = cuda.ParseSetupList(*setupsCSV); err != nil {
+			return fmt.Errorf("-setups: %w", err)
 		}
 	}
-	shardIdx, shardCnt := 0, 0
-	if *shard != "" {
-		var err error
-		shardIdx, shardCnt, err = parseShard(*shard)
-		if err != nil {
-			return err
+	if req.Profile, err = profile.Resolve(*prof); err != nil {
+		return err
+	}
+	if req.Profiles, err = resolveProfiles(*profs); err != nil {
+		return err
+	}
+	for _, cmd := range cmds {
+		if cmd == "all" || serve.IsFigure(cmd) {
+			req.Figures = append(req.Figures, cmd)
 		}
-		for _, cmd := range cmds {
-			if !shardable(cmd) {
-				return fmt.Errorf("subcommand %s cannot run sharded", cmd)
-			}
-		}
+	}
+	if err := req.Validate(); err != nil {
+		return err
 	}
 	if slices.Contains(cmds, "trace") {
 		if err := os.MkdirAll(o.outDir, 0o755); err != nil {
@@ -310,37 +258,8 @@ func run(args []string) error {
 		}
 		dir.Instrument(o.reg)
 		base.Store = dir
-		if merged != nil {
-			// Persist the union of the shards, leaving the same warm
-			// store a single-shot -cache-dir run would have written.
-			for _, doc := range merged.Docs() {
-				if err := dir.Put(doc.Key, doc); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	if merged != nil {
-		// Every cell of the replay is in the union, so it is served
-		// from memory and simulates nothing.
-		base.Store = merged
 	}
 	r := req.Runner(base)
-
-	if shardCnt > 0 {
-		// Shard mode: normal output is suppressed (its cells are mostly
-		// placeholders); the run's product is the captured-cell artifact,
-		// whose spec is the Request. Pinning the compare-profiles set
-		// keeps the artifact independent of the merging build's
-		// built-in machines, as the resolved Profile already is.
-		r.ShardIndex, r.ShardCount = shardIdx, shardCnt
-		r.Capture = store.NewMem()
-		o.out = io.Discard
-		o.json = false
-		if req.Profiles == nil && slices.Contains(cmds, "compare-profiles") {
-			req.Profiles = profile.Builtins()
-		}
-	}
 
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -353,21 +272,7 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if shardCnt > 0 {
-		if err := emitShardArtifact(os.Stdout, shardArtifact{
-			Schema:     store.SchemaVersion,
-			Spec:       *req,
-			ShardIndex: shardIdx,
-			ShardCount: shardCnt,
-			// Looking the histogram up returns the one the runner's
-			// instruments registered above.
-			ActualCellSeconds: o.reg.Histogram("uvmbench_cell_seconds", "", nil).Sum(),
-			Cells:             r.Capture.Docs(),
-		}); err != nil {
-			stopProfiles()
-			return err
-		}
-	} else if slices.Contains(cmds, "all") || r.Store != nil {
+	if slices.Contains(cmds, "all") || r.Store != nil {
 		// The two-tier traffic summary rides along with every
 		// store-backed run (satellite: not just `all`): on stderr, so
 		// stdout artifacts stay byte-comparable cold vs warm.
@@ -377,8 +282,8 @@ func run(args []string) error {
 }
 
 // onlyFlags rejects every flag set on the command line that cmd does
-// not read, naming it: a run flag given to merge or serve would
-// otherwise be silently dropped.
+// not read, naming it: a run flag given to serve would otherwise be
+// silently dropped.
 func onlyFlags(fs *flag.FlagSet, cmd string, reads ...string) error {
 	var err error
 	fs.Visit(func(f *flag.Flag) {
@@ -412,8 +317,8 @@ func resolveProfiles(list string) ([]profile.Profile, error) {
 
 // printCacheSummary reports both cache tiers after an `all` or any
 // store-backed run — to stderr, so stdout artifacts stay
-// byte-comparable between cold, warm, and merged runs whose cache
-// traffic necessarily differs. In JSON mode the doc also carries the
+// byte-comparable between cold and warm runs whose cache traffic
+// necessarily differs. In JSON mode the doc also carries the
 // full metrics-registry snapshot and the trace subcommand's
 // counter-registry totals, so batch runs expose the same numbers a
 // serve process exports over /metrics.

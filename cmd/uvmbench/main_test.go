@@ -3,8 +3,10 @@ package main
 import (
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestDispatchSubcommands smoke-tests every subcommand end to end with a
@@ -56,8 +58,7 @@ func TestCommaSeparatedCommands(t *testing.T) {
 
 // capture runs the CLI with stdout redirected and returns what it
 // printed. The pipe is drained concurrently, so outputs larger than the
-// kernel pipe buffer (full -json dumps, shard artifacts) cannot
-// deadlock the writer.
+// kernel pipe buffer (full -json dumps) cannot deadlock the writer.
 func capture(t *testing.T, args ...string) string {
 	t.Helper()
 	old := os.Stdout
@@ -140,5 +141,52 @@ func TestHelpFlag(t *testing.T) {
 	}
 	if !strings.Contains(out, "subcommands:") || !strings.Contains(out, "-i int") {
 		t.Errorf("usage should list subcommands and flags:\n%s", out)
+	}
+}
+
+// TestCacheDirWarmRerun: a second run against the same -cache-dir
+// prints byte-identical output (exercising the CLI wiring of the
+// persistent store; the ≥5x wall-time claim is gated by
+// scripts/bench_store.sh).
+func TestCacheDirWarmRerun(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "cellstore")
+	cold := capture(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")
+	warm := capture(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")
+	if cold != warm {
+		t.Error("warm -cache-dir rerun diverges from cold run")
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, "v1"))
+	if err != nil || len(entries) == 0 {
+		t.Errorf("cache dir not populated (err=%v, entries=%d)", err, len(entries))
+	}
+}
+
+// TestUpfrontValidation: every path-like flag and the subcommand list
+// are validated before any simulation, so typos fail fast even when the
+// requested run would take minutes.
+func TestUpfrontValidation(t *testing.T) {
+	// A huge iteration count, still within the iters ceiling, makes
+	// these hang for minutes if validation happens after the run; the
+	// deadline catches regressions.
+	cases := map[string][]string{
+		"bad cache-dir":        {"-i", "100000", "-cache-dir", "/dev/null/nope", "fig12"},
+		"bad out for trace":    {"-i", "100000", "-out", "/dev/null/nope", "trace"},
+		"unknown late command": {"-i", "100000", "fig12,bogus"},
+		"bad late workload":    {"-i", "100000", "-workload", "nope", "fig12,compare-profiles"},
+		"bad late profiles":    {"-i", "100000", "-profiles", "nope", "fig12,compare-profiles"},
+	}
+	for name, args := range cases {
+		done := make(chan error, 1)
+		go func() { done <- run(args) }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: expected an error", name)
+			} else if strings.Contains(err.Error(), "iters") {
+				t.Errorf("%s: failed on the iters ceiling instead of its own fault: %v", name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: validation did not fail fast", name)
+		}
 	}
 }

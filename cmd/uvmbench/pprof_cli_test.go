@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -48,6 +49,8 @@ func TestPprofFlagErrors(t *testing.T) {
 		case err := <-done:
 			if err == nil {
 				t.Errorf("unwritable -%s path should error", name)
+			} else if strings.Contains(err.Error(), "iters") {
+				t.Errorf("-%s: failed on the iters ceiling instead of the path: %v", name, err)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("-%s: bad path did not fail before the run", name)

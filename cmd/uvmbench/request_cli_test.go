@@ -2,19 +2,13 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"reflect"
-	"regexp"
 	"strings"
 	"testing"
 
-	"uvmasim/internal/profile"
 	"uvmasim/internal/serve"
 )
 
@@ -47,6 +41,10 @@ func TestCLISpecParity(t *testing.T) {
 		{[]string{"-i", "1", "-seed", "3", "-profile", "v100-16g-pcie3", "-size", "tiny", "fig12"},
 			`{"figure":"fig12","iters":1,"seed":3,"profile":"v100-16g-pcie3","size":"tiny"}`},
 		{[]string{"-i", "1", "all"}, `{"figure":"all","iters":1}`},
+		// No run flags and no spec fields: the CLI flag defaults and the
+		// spec defaults (iters, seed, jobs, workload, profile set and the
+		// multigpu grid) must agree.
+		{[]string{"fig14,compare-profiles,multigpu"}, `{"figures":["fig14","compare-profiles","multigpu"]}`},
 	}
 	for _, c := range same {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -76,6 +74,12 @@ func TestCLISpecParity(t *testing.T) {
 		{[]string{"-profiles", "nope", "compare-profiles"}, `{"figure":"compare-profiles","profiles":["nope"]}`, `unknown profile "nope"`},
 		{[]string{"-profile", "v100-16g-pcie3", "-size", "mega", "fig8"},
 			`{"figure":"fig8","profile":"v100-16g-pcie3","size":"mega"}`, "does not fit profile v100-16g-pcie3"},
+		{[]string{"-i", "4611686018427387904", "fig12"},
+			`{"figure":"fig12","iters":4611686018427387904}`, "iters must be <= 100000, got 4611686018427387904"},
+		{[]string{"-jobs", "4611686018427387904", "multigpu"},
+			`{"figure":"multigpu","jobs":4611686018427387904}`, "jobs must be <= 16, got 4611686018427387904"},
+		{[]string{"-gpus", "4611686018427387904", "multigpu"},
+			`{"figure":"multigpu","gpus":[4611686018427387904]}`, "gpus entries must be <= 8, got 4611686018427387904"},
 	}
 	for _, c := range fail {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {
@@ -93,52 +97,5 @@ func TestCLISpecParity(t *testing.T) {
 				t.Errorf("POST %s: %d %q, want 400 with %q", c.spec, code, doc.Error, c.want)
 			}
 		})
-	}
-}
-
-// TestFlaglessRequestMatchesSpec: the Request the CLI builds without run
-// flags — read back from a shard artifact, whose spec is that Request —
-// equals the one ParseSpec builds from a spec naming only the figure.
-// Both start from serve.NewRequest, so the CLI flag defaults and the
-// spec defaults cannot drift apart.
-func TestFlaglessRequestMatchesSpec(t *testing.T) {
-	var art shardArtifact
-	if err := json.Unmarshal([]byte(capture(t, "-shard", "1/1", "table3")), &art); err != nil {
-		t.Fatal(err)
-	}
-	want, err := serve.ParseSpec(strings.NewReader(`{"figure":"table3"}`), profile.Default())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(art.Spec, *want) {
-		got, _ := json.Marshal(art.Spec)
-		wantJSON, _ := json.Marshal(want)
-		t.Errorf("flagless CLI Request differs from the spec's:\ncli:  %.600s\nspec: %.600s", got, wantJSON)
-	}
-}
-
-// TestMergeCacheDirWarm: merge -cache-dir leaves behind the warm store a
-// single-shot -cache-dir run would have written, so a later run with
-// the shard producers' flags prints the merged bytes from store hits
-// alone.
-func TestMergeCacheDirWarm(t *testing.T) {
-	dir := t.TempDir()
-	cache := filepath.Join(dir, "cellstore")
-	runFlags := []string{"-i", "1", "-seed", "5", "-size", "tiny", "fig12,oversub"}
-	files := make([]string, 2)
-	for i := range files {
-		art := capture(t, append([]string{"-shard", fmt.Sprintf("%d/2", i+1)}, runFlags...)...)
-		files[i] = filepath.Join(dir, fmt.Sprintf("shard%d.json", i+1))
-		if err := os.WriteFile(files[i], []byte(art), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	merged, _ := captureStderr(t, append([]string{"-cache-dir", cache, "merge"}, files...)...)
-	warm, footer := captureStderr(t, append([]string{"-cache-dir", cache}, runFlags...)...)
-	if warm != merged {
-		t.Errorf("-cache-dir run after merge diverges from the merged output")
-	}
-	if !regexp.MustCompile(`store: [1-9][0-9]* hits, 0 misses`).MatchString(footer) {
-		t.Errorf("-cache-dir run after merge should hit the store for every cell, footer %q", footer)
 	}
 }

@@ -66,16 +66,17 @@ func TestServeResponseMatchesCLI(t *testing.T) {
 	}
 }
 
-// TestServeArgErrors: serve is exclusive and unshardable.
+// TestServeArgErrors: serve is exclusive and reads only its process
+// settings.
 func TestServeArgErrors(t *testing.T) {
 	if err := run([]string{"serve,table3"}); err == nil ||
 		!strings.Contains(err.Error(), "serve cannot be combined") {
 		t.Errorf("serve,table3 should be rejected, got %v", err)
 	}
-	// Each request's spec defines its run, so -shard or a run flag given
-	// to serve fails instead of being silently dropped. Run with a
-	// deadline: a regression would start serving and never return.
-	for _, flag := range [][]string{{"-shard", "1/2"}, {"-i", "5"}, {"-json"}, {"-workload", "lud"}, {"-setups", "uvm"}} {
+	// Each request's spec defines its run, so a run flag given to serve
+	// fails instead of being silently dropped. Run with a deadline: a
+	// regression would start serving and never return.
+	for _, flag := range [][]string{{"-i", "5"}, {"-json"}, {"-workload", "lud"}, {"-setups", "uvm"}} {
 		done := make(chan error, 1)
 		go func() { done <- run(append(flag, "-addr", "127.0.0.1:0", "serve")) }()
 		select {

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,44 @@ func TestSetupsFlagDefaultUnchanged(t *testing.T) {
 	}
 	if !strings.Contains(out, "uvm_prefetch_async") {
 		t.Errorf("default presentation incomplete:\n%s", out)
+	}
+}
+
+// TestSetupsStoreWarmHit: the persistent cell store keys cells by setup
+// name, so a warm re-run over a subset with the extension modes is
+// byte-identical and served from the store.
+func TestSetupsStoreWarmHit(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-i", "1", "-size", "tiny", "-cache-dir", dir,
+		"-setups", "uvm,uvm_zerocopy,uvm_smcopy", "fig7"}
+	cold := capture(t, args...)
+	warm := capture(t, args...)
+	stripFooter := func(s string) string {
+		// The cache-summary footer legitimately differs cold vs warm.
+		if i := strings.Index(s, "cache:"); i >= 0 {
+			return s[:i]
+		}
+		return s
+	}
+	if stripFooter(cold) != stripFooter(warm) {
+		t.Errorf("warm store run diverges from cold run\ncold:\n%s\nwarm:\n%s", cold, warm)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var found bool
+	for _, e := range entries {
+		if e.IsDir() {
+			sub, _ := os.ReadDir(filepath.Join(dir, e.Name()))
+			if len(sub) > 0 {
+				found = true
+			}
+		} else {
+			found = true
+		}
+	}
+	if !found {
+		t.Error("store directory is empty after a subset run")
 	}
 }

@@ -273,52 +273,28 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 		seed:  r.BaseSeed,
 		fp:    profile.Fingerprint(r.Config),
 	}
-	// Shard filter: a runner that does not own this cell returns a zero
-	// placeholder without simulating (and without touching cache
-	// statistics). Placeholder Results keep every study's bookkeeping
-	// shape-correct; their rendered output is discarded in shard mode.
-	if r.ShardCount > 1 {
-		idx := r.ShardIndex
-		if idx < 1 {
-			idx = 1
-		}
-		if storeKeyOf(key).Hash()%uint64(r.ShardCount) != uint64(idx-1) {
-			return Result{
-				Workload:   kind,
-				Setup:      setup,
-				Size:       size,
-				Breakdowns: make([]cuda.Breakdown, r.iters()),
-			}, nil
-		}
-	}
-	if r.Store == nil && r.Capture == nil {
+	if r.Store == nil {
 		return r.cache.do(key, func() (Result, error) {
 			return r.timedCompute(compute)
 		})
 	}
-	skey := storeKeyOf(key)
-	res, err := r.cache.do(key, func() (Result, error) {
-		if r.Store != nil {
-			if doc, ok := r.Store.Get(skey); ok {
-				r.cache.storeHits.Add(1)
-				r.cache.inst.storeHits.Inc()
-				return resultFromDoc(key, doc), nil
-			}
-			r.cache.storeMisses.Add(1)
-			r.cache.inst.storeMisses.Inc()
+	return r.cache.do(key, func() (Result, error) {
+		skey := storeKeyOf(key)
+		if doc, ok := r.Store.Get(skey); ok {
+			r.cache.storeHits.Add(1)
+			r.cache.inst.storeHits.Inc()
+			return resultFromDoc(key, doc), nil
 		}
+		r.cache.storeMisses.Add(1)
+		r.cache.inst.storeMisses.Inc()
 		res, err := r.timedCompute(compute)
-		if err == nil && r.Store != nil {
+		if err == nil {
 			// Best-effort write-back: a failed Put costs a future
 			// recompute, never a wrong result.
 			_ = r.Store.Put(skey, docFromResult(skey, res))
 		}
 		return res, err
 	})
-	if err == nil && r.Capture != nil {
-		_ = r.Capture.Put(skey, docFromResult(skey, res))
-	}
-	return res, err
 }
 
 // CacheHits reports how many cell computations were satisfied from the

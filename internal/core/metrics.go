@@ -48,8 +48,7 @@ var iterSecondsBuckets = []float64{
 }
 
 // timedCompute executes one cell simulation under the executor
-// instruments: the in-flight gauge, the wall-time histogram (whose sum
-// shard artifacts report as the shard's actual cell seconds) and the
+// instruments: the in-flight gauge, the wall-time histogram and the
 // simulated-cells counter. The instruments are nil-safe no-ops when
 // unregistered.
 func (r *Runner) timedCompute(compute func() (Result, error)) (Result, error) {

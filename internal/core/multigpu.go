@@ -109,8 +109,8 @@ func (r *Runner) MultiGPU(name string, setup cuda.Setup, size workloads.Size, jo
 			schedName = "pipelined"
 		}
 		// %s round-trips every field exactly, so equal kinds mean equal
-		// cells across runs, shards and machines (the profile enters the
-		// key via its fingerprint).
+		// cells across runs and machines (the profile enters the key via
+		// its fingerprint).
 		return fmt.Sprintf("multigpu:%s:%s:%d:%s:%d:%s", name, c.kind, c.gpus, policy, jobs, schedName)
 	}
 	// Every cell measures the same workload cell, then replays the
@@ -182,19 +182,12 @@ func multiGPUJobs(mb cuda.Breakdown, size workloads.Size, link float64, jobs int
 // from these, so a cell stays a pure function of its cache key.
 func (r *Runner) multiGPUCell(name string, setup cuda.Setup, size workloads.Size, jobs int, kind topo.Kind, gpus int, policy sched.Policy, pipelined bool) (Result, error) {
 	// The stage durations come from the ordinary workload measurement
-	// cell, computed on an unsharded copy of the runner: this cell
-	// already passed the shard filter, so its inputs must not
-	// short-circuit to a shard placeholder. Capture and tracing stay
-	// off — the inner measurement is an input here, not an artifact.
-	inner := *r
-	inner.ShardIndex, inner.ShardCount = 0, 0
-	inner.Capture = nil
-	inner.TraceHook = nil
+	// cell.
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := inner.Measure(w, setup, size)
+	res, err := r.Measure(w, setup, size)
 	if err != nil {
 		return Result{}, err
 	}
@@ -247,15 +240,11 @@ func runMultiGPUSchedule(cfg cuda.SystemConfig, mb cuda.Breakdown, size workload
 // The schedule is a cheap deterministic replay of the cell, so tracing
 // never perturbs or bypasses the cell cache.
 func (r *Runner) MultiGPUTrace(name string, setup cuda.Setup, size workloads.Size, jobs int, kind topo.Kind, gpus int, policy sched.Policy, pipelined bool) (*sched.Stats, error) {
-	inner := *r
-	inner.ShardIndex, inner.ShardCount = 0, 0
-	inner.Capture = nil
-	inner.TraceHook = nil
 	w, err := workloads.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	res, err := inner.Measure(w, setup, size)
+	res, err := r.Measure(w, setup, size)
 	if err != nil {
 		return nil, err
 	}
@@ -264,9 +253,10 @@ func (r *Runner) MultiGPUTrace(name string, setup cuda.Setup, size workloads.Siz
 
 // decodeMultiGPUCell reconstructs one schedule's aggregates from the
 // cell encoding. soloTransfer is the uncontended transfer duration (the
-// analytic row's), the stretch baseline. Shard placeholders (too few
-// breakdowns) decode to zeros: rendered output is only meaningful
-// unsharded, matching the harness-wide sharding contract.
+// analytic row's), the stretch baseline. A cell with too few
+// breakdowns decodes to zeros instead of indexing past its end: a
+// truncated -cache-dir document still passes store.CellDoc.Valid,
+// which asks only for a non-empty payload, and reaches this decoder.
 func decodeMultiGPUCell(res Result, jobs, gpus int, soloTransfer float64) MultiGPUSchedule {
 	var out MultiGPUSchedule
 	if len(res.Breakdowns) < jobs+gpus {

@@ -6,6 +6,7 @@ import (
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/sched"
+	"uvmasim/internal/store"
 	"uvmasim/internal/topo"
 	"uvmasim/internal/workloads"
 )
@@ -133,12 +134,20 @@ func TestMultiGPUValidation(t *testing.T) {
 	}
 }
 
-// TestMultiGPUDecodePlaceholder: a shard placeholder (fewer breakdowns
-// than jobs+gpus) must decode to zeros, never index out of range.
+// TestMultiGPUDecodePlaceholder: a truncated -cache-dir document, with
+// fewer breakdowns than jobs+gpus, still passes CellDoc.Valid, so the
+// cell it replays must decode to zeros, never index out of range.
 func TestMultiGPUDecodePlaceholder(t *testing.T) {
-	res := Result{Breakdowns: make([]cuda.Breakdown, 2)}
-	if agg := decodeMultiGPUCell(res, 3, 2, 100); agg != (MultiGPUSchedule{}) {
-		t.Errorf("placeholder decoded to %+v, want zeros", agg)
+	key := cellKey{kind: "multigpu:vector_seq:nvlink:2:least-loaded:3:serial",
+		setup: cuda.UVMPrefetchAsync, size: workloads.Super, iters: 1, seed: 1}
+	skey := storeKeyOf(key)
+	doc := store.CellDoc{Schema: store.SchemaVersion, Key: skey, Workload: "multigpu",
+		Breakdowns: make([]store.Breakdown, 2)}
+	if !doc.Valid(skey) {
+		t.Fatal("a truncated cell document should pass Valid")
+	}
+	if agg := decodeMultiGPUCell(resultFromDoc(key, doc), 3, 2, 100); agg != (MultiGPUSchedule{}) {
+		t.Errorf("truncated cell decoded to %+v, want zeros", agg)
 	}
 }
 

@@ -60,7 +60,7 @@ func (r *Runner) Oversubscription(setup cuda.Setup, ratios []float64, passes int
 		// Each point is one cacheable cell: %g round-trips the ratio
 		// exactly, the footprint follows from ratio and the profile
 		// (which keys the cache via its fingerprint), so equal kinds
-		// mean equal cells across runs, shards and machines.
+		// mean equal cells across runs and machines.
 		res, err := r.cached(fmt.Sprintf("oversub:%g:%d", ratio, passes), setup, workloads.Tiny,
 			func() (Result, error) { return r.oversubCell(setup, footprint, passes) })
 		if err != nil {

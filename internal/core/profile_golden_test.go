@@ -11,7 +11,7 @@ import (
 
 // Golden guard for the profile refactor: running on the default profile
 // (explicitly, through NewRunnerFor) must reproduce the same committed
-// goldens the implicit-config code produced, byte for byte. Together
+// golden the implicit-config code produced, byte for byte. Together
 // with profile.TestDefaultMatchesPaperTestbed this proves the profile
 // layer is a pure re-plumbing of the paper's testbed.
 
@@ -27,43 +27,6 @@ func TestGoldenDefaultProfileOversub(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden_oversub_default.json", js)
-}
-
-func TestGoldenDefaultProfileOversubDense(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dense grid sweep in -short mode")
-	}
-	r := NewRunnerFor(profile.Default())
-	study, err := r.Oversubscription(cuda.UVMPrefetch, DefaultOversubRatios, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_oversub_dense.txt", study.Render())
-	js, err := RenderJSON(study.Doc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_oversub_dense.json", js)
-}
-
-func TestGoldenDefaultProfileFig12(t *testing.T) {
-	r := NewRunnerFor(profile.Default())
-	r.Iterations = 2
-	sw, err := r.SweepThreads(workloads.Large, []int{1024, 512, 256, 128, 64, 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepGolden(t, sw, "Figure 12", "fig12", "golden_fig12")
-}
-
-func TestGoldenDefaultProfileFig13(t *testing.T) {
-	r := NewRunnerFor(profile.Default())
-	r.Iterations = 2
-	sw, err := r.SweepShared(workloads.Large, []float64{2, 4, 8, 16, 32, 64, 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sweepGolden(t, sw, "Figure 13", "fig13", "golden_fig13")
 }
 
 // TestCacheKeysSeparateProfiles is the cross-profile cache-collision

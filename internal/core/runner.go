@@ -24,7 +24,6 @@ import (
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
 	"uvmasim/internal/stats"
-	"uvmasim/internal/store"
 	"uvmasim/internal/trace"
 	"uvmasim/internal/workloads"
 )
@@ -68,17 +67,6 @@ type Runner struct {
 	// concurrent callers of one cell trigger at most one disk read (or
 	// one simulate+write). Requires Cache.
 	Store CellStore
-	// Capture, when non-nil, records every cell that flows through the
-	// cache — in-memory hits included — as portable cell documents; the
-	// -shard CLI mode drains it into the shard artifact. Requires Cache.
-	Capture *store.Mem
-	// ShardIndex/ShardCount (1-based index) restrict the runner to the
-	// cells whose key hash lands in this shard: non-owned cells
-	// short-circuit to a zero placeholder Result without simulating.
-	// Rendered output is meaningless under sharding — only the Capture
-	// artifact is (`uvmbench merge` reassembles real output from it).
-	// ShardCount <= 1 disables partitioning. Requires Cache.
-	ShardIndex, ShardCount int
 
 	// TraceHook, when non-nil, is consulted once per simulated iteration
 	// of every measurement cell; a non-nil return value is attached to

@@ -126,63 +126,3 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 		t.Errorf("healed store still simulated %d cells", warm.StoreMisses())
 	}
 }
-
-// TestShardPartitionCoversKeyspace: for several shard counts, the cells
-// captured by the n shard runners form a disjoint, complete partition of
-// the unsharded capture set — the property `uvmbench merge` relies on.
-func TestShardPartitionCoversKeyspace(t *testing.T) {
-	full := testRunner(2)
-	full.Capture = store.NewMem()
-	renderSuite(t, full)
-	want := map[store.Key]bool{}
-	for _, doc := range full.Capture.Docs() {
-		want[doc.Key] = true
-	}
-	if len(want) == 0 {
-		t.Fatal("capture recorded no cells")
-	}
-
-	for _, n := range []int{2, 3, 5} {
-		got := map[store.Key]int{}
-		for i := 1; i <= n; i++ {
-			r := testRunner(2)
-			r.ShardIndex, r.ShardCount = i, n
-			r.Capture = store.NewMem()
-			renderSuite(t, r)
-			for _, doc := range r.Capture.Docs() {
-				got[doc.Key]++
-			}
-		}
-		if len(got) != len(want) {
-			t.Errorf("n=%d: shards captured %d unique cells, want %d", n, len(got), len(want))
-		}
-		for key, count := range got {
-			if count != 1 {
-				t.Errorf("n=%d: cell %v owned by %d shards", n, key, count)
-			}
-			if !want[key] {
-				t.Errorf("n=%d: cell %v not in unsharded capture", n, key)
-			}
-		}
-	}
-}
-
-// TestCaptureRecordsMemoryHits: warm shard reruns must still emit full
-// artifacts, so Capture sees cells served from the in-memory cache too.
-func TestCaptureRecordsMemoryHits(t *testing.T) {
-	r := testRunner(2)
-	r.Capture = store.NewMem()
-	w := mustWorkloads(t, "vector_seq")[0]
-	if _, err := r.Measure(w, cuda.Standard, workloads.Small); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Measure(w, cuda.Standard, workloads.Small); err != nil {
-		t.Fatal(err)
-	}
-	if r.CacheHits() != 1 {
-		t.Fatalf("second Measure should hit the memory cache, hits=%d", r.CacheHits())
-	}
-	if r.Capture.Len() != 1 {
-		t.Errorf("capture holds %d cells, want 1", r.Capture.Len())
-	}
-}

@@ -9,8 +9,7 @@
 // cannot drift from the CLI artifact — the byte-identity acceptance
 // criterion is structural, not tested-into-existence. Both also describe
 // a run with one Request (spec.go), defaulted and validated in one
-// place, whether it came from CLI flags, a POST body or a shard
-// artifact.
+// place, whether it came from CLI flags or a POST body.
 package serve
 
 import (
@@ -29,16 +28,16 @@ import (
 
 // FigureOptions carries the per-run knobs a figure consumes; a
 // Request embeds them. An empty string takes the figure's default, so
-// the CLI, the server and merge agree byte for byte on what any option
-// set produces.
+// the CLI and the server agree byte for byte on what any option set
+// produces.
 type FigureOptions struct {
-	Size     string            `json:"size,omitempty"`     // size-class override ("" = the figure's default class)
-	Jobs     int               `json:"jobs"`               // fig14/multigpu pipeline batch size
-	Workload string            `json:"workload"`           // compare-profiles (and trace) workload
-	Profiles []profile.Profile `json:"profiles,omitempty"` // compare-profiles machines (nil = every built-in)
-	GPUs     string            `json:"gpus,omitempty"`     // multigpu device-count list ("" = DefaultGPUs)
-	Topology string            `json:"topology,omitempty"` // multigpu interconnect list ("" = DefaultTopology)
-	Policy   string            `json:"policy,omitempty"`   // multigpu placement policy ("" = DefaultPolicy)
+	Size     string            // size-class override ("" = the figure's default class)
+	Jobs     int               // fig14/multigpu pipeline batch size
+	Workload string            // compare-profiles (and trace) workload
+	Profiles []profile.Profile // compare-profiles machines (nil = every built-in)
+	GPUs     string            // multigpu device-count list ("" = DefaultGPUs)
+	Topology string            // multigpu interconnect list ("" = DefaultTopology)
+	Policy   string            // multigpu placement policy ("" = DefaultPolicy)
 }
 
 // Multi-GPU defaults, applied by ResolveMultiGPU when the corresponding
@@ -294,6 +293,9 @@ func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error
 		n, err := strconv.Atoi(part)
 		if err != nil || n < 1 {
 			return nil, nil, 0, fmt.Errorf("gpus entry %q is not a positive device count", part)
+		}
+		if n > MaxGPUs {
+			return nil, nil, 0, fmt.Errorf("gpus entries must be <= %d, got %d", MaxGPUs, n)
 		}
 		gpus = append(gpus, n)
 	}

@@ -200,6 +200,11 @@ func TestSpecValidation(t *testing.T) {
 		// figure runs fail before anything simulates.
 		{"size exceeds profile", `{"figure":"fig8","size":"mega","profile":"v100-16g-pcie3"}`, "does not fit profile v100-16g-pcie3"},
 		{"size exceeds a compared profile", `{"figure":"compare-profiles","size":"mega"}`, "does not fit profile v100-16g-pcie3"},
+		// Counts above their ceilings fail instead of panicking a worker
+		// on an impossible allocation.
+		{"iters above ceiling", `{"figure":"fig12","iters":4611686018427387904}`, "iters must be <= 100000"},
+		{"jobs above ceiling", `{"figure":"multigpu","jobs":4611686018427387904}`, "jobs must be <= 16"},
+		{"gpus above ceiling", `{"figure":"multigpu","gpus":[4611686018427387904]}`, "gpus entries must be <= 8"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -215,6 +220,37 @@ func TestSpecValidation(t *testing.T) {
 	if w := get(h, "/v1/experiments"); w.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status %d, want 405", w.Code)
 	}
+}
+
+// FuzzParseSpec: every body yields a Request or an error, never a
+// panic, and an accepted Request passes Validate again with every count
+// within its ceiling. ParseSpec never simulates, so each input is cheap.
+// The seed corpus lives in testdata/fuzz/FuzzParseSpec.
+func FuzzParseSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		req, err := ParseSpec(bytes.NewReader(body), profile.Default())
+		if err != nil {
+			if req != nil {
+				t.Fatalf("ParseSpec returned a Request with error %v", err)
+			}
+			return
+		}
+		if err := req.Validate(); err != nil {
+			t.Fatalf("accepted spec %q fails Validate: %v", body, err)
+		}
+		gpus, _, _, err := ResolveMultiGPU(req.FigureOptions)
+		if err != nil {
+			t.Fatalf("accepted spec %q has an unresolvable grid: %v", body, err)
+		}
+		if req.Iters < 1 || req.Iters > MaxIters || req.Jobs < 1 || req.Jobs > MaxJobs {
+			t.Fatalf("accepted spec %q: iters %d, jobs %d outside their bounds", body, req.Iters, req.Jobs)
+		}
+		for _, g := range gpus {
+			if g < 1 || g > MaxGPUs {
+				t.Fatalf("accepted spec %q: gpus entry %d outside its bounds", body, g)
+			}
+		}
+	})
 }
 
 // TestSpecSizeOnManagedSetups: a size override that exceeds device

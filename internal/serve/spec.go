@@ -140,19 +140,30 @@ func (s *Spec) request(defaultProfile profile.Profile) (*Request, error) {
 }
 
 // Request is one resolved run description: the figures, the machine,
-// the runner settings and the figure options. The CLI flags, a POST
-// /v1/experiments spec and a shard artifact each build one and check it
-// with Validate, so a run means the same thing on every path; its JSON
-// encoding is a shard artifact's spec.
+// the runner settings and the figure options. The CLI flags and a POST
+// /v1/experiments spec each build one and check it with Validate, so a
+// run means the same thing on both paths.
 type Request struct {
 	// Figures lists figure names; "all" stands for AllFigures.
-	Figures []string        `json:"figures"`
-	Profile profile.Profile `json:"profile"`
-	Iters   int             `json:"iters"`
-	Seed    int64           `json:"seed"`
-	Setups  []cuda.Setup    `json:"setups,omitempty"` // study subset (nil = the paper's five)
+	Figures []string
+	Profile profile.Profile
+	Iters   int
+	Seed    int64
+	Setups  []cuda.Setup // study subset (nil = the paper's five)
 	FigureOptions
 }
+
+// Ceilings on a run's counts, checked by Validate. Each is at or above
+// the largest value a documented run uses (the paper repeats 30 times;
+// README's multigpu example batches 16 jobs on up to 8 GPUs) and far
+// below the sizes at which the harness's per-iteration, per-job and
+// per-GPU slices can no longer be allocated, so an out-of-range count
+// fails with an error naming it instead of panicking a worker.
+const (
+	MaxIters = 100000
+	MaxJobs  = 16
+	MaxGPUs  = 8
+)
 
 // NewRequest returns the default run on machine p, the defaults of the
 // CLI flags: 30 iterations, seed 1, 8 jobs, workload gemm, each
@@ -167,9 +178,9 @@ func NewRequest(p profile.Profile) *Request {
 }
 
 // Validate checks every name and count of the run before anything
-// simulates: the figure names, iters and jobs, the workload, the
-// multigpu grid, every profile, and the size against the machines the
-// figures run on (CheckSize).
+// simulates: the figure names, iters and jobs (within their ceilings),
+// the workload, the multigpu grid, every profile, and the size against
+// the machines the figures run on (CheckSize).
 func (q *Request) Validate() error {
 	for _, f := range q.Figures {
 		if f != "all" && !IsFigure(f) {
@@ -180,8 +191,14 @@ func (q *Request) Validate() error {
 	if q.Iters < 1 {
 		return fmt.Errorf("iters must be >= 1, got %d", q.Iters)
 	}
+	if q.Iters > MaxIters {
+		return fmt.Errorf("iters must be <= %d, got %d", MaxIters, q.Iters)
+	}
 	if q.Jobs < 1 {
 		return fmt.Errorf("jobs must be >= 1, got %d", q.Jobs)
+	}
+	if q.Jobs > MaxJobs {
+		return fmt.Errorf("jobs must be <= %d, got %d", MaxJobs, q.Jobs)
 	}
 	if _, err := workloads.ByName(q.Workload); err != nil {
 		return err

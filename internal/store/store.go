@@ -6,8 +6,8 @@
 // be written to disk once and replayed forever, across process restarts
 // and across machines. The store is what turns sweep breadth from a
 // wall-clock cost into a caching knob: warm reruns of `uvmbench all`
-// skip simulation entirely, and shard artifacts produced on different
-// machines merge into one store because equal cells share one address.
+// and a restarted server skip simulation entirely, because equal cells
+// share one address.
 //
 // Design rules, in order of importance:
 //
@@ -40,8 +40,6 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
 
 	"uvmasim/internal/metrics"
 )
@@ -76,9 +74,9 @@ func (k Key) canonical() string {
 		SchemaVersion, k.Kind, k.Setup, k.Size, k.Iters, k.Seed, k.ProfileFP)
 }
 
-// Hash returns the FNV-1a digest of the canonical key. The shard
-// partitioner reduces this modulo the shard count, so the partition is
-// stable across processes and machines.
+// Hash returns the FNV-1a digest of the canonical key, the basis of
+// Fingerprint; it depends only on the key's fields, so it is stable
+// across processes and machines.
 func (k Key) Hash() uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(k.canonical()))
@@ -264,58 +262,4 @@ func (d *Dir) Len() int {
 		}
 	}
 	return n
-}
-
-// Mem is the in-memory store used to capture shard artifacts and to
-// replay them during merge. It applies the same Valid gate as Dir so a
-// tampered artifact degrades to recomputation, not a wrong figure.
-type Mem struct {
-	mu sync.Mutex
-	m  map[Key]CellDoc
-}
-
-// NewMem returns an empty in-memory store.
-func NewMem() *Mem { return &Mem{m: make(map[Key]CellDoc)} }
-
-// Get returns the captured cell for key, if valid.
-func (m *Mem) Get(key Key) (CellDoc, bool) {
-	m.mu.Lock()
-	doc, ok := m.m[key]
-	m.mu.Unlock()
-	if !ok || !doc.Valid(key) {
-		return CellDoc{}, false
-	}
-	return doc, true
-}
-
-// Put records the cell for key (last write wins; equal keys hold equal
-// docs in correct use).
-func (m *Mem) Put(key Key, doc CellDoc) error {
-	m.mu.Lock()
-	m.m[key] = doc
-	m.mu.Unlock()
-	return nil
-}
-
-// Len returns the number of captured cells.
-func (m *Mem) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.m)
-}
-
-// Docs returns every captured cell sorted by canonical key, the
-// deterministic order shard artifacts are serialized in (so artifacts
-// are byte-identical at any executor parallelism).
-func (m *Mem) Docs() []CellDoc {
-	m.mu.Lock()
-	out := make([]CellDoc, 0, len(m.m))
-	for _, doc := range m.m {
-		out = append(out, doc)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		return out[i].Key.canonical() < out[j].Key.canonical()
-	})
-	return out
 }

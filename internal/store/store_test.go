@@ -195,31 +195,3 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 		t.Error("Open should fail when the path is a file")
 	}
 }
-
-func TestMemDocsSortedAndValidGated(t *testing.T) {
-	m := NewMem()
-	for _, kind := range []string{"zeta", "alpha", "gemm"} {
-		key := testKey(kind)
-		if err := m.Put(key, testDoc(key)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	docs := m.Docs()
-	if len(docs) != 3 || m.Len() != 3 {
-		t.Fatalf("captured %d docs, want 3", len(docs))
-	}
-	for i := 1; i < len(docs); i++ {
-		if docs[i-1].Key.canonical() >= docs[i].Key.canonical() {
-			t.Errorf("docs not sorted: %q before %q", docs[i-1].Key.Kind, docs[i].Key.Kind)
-		}
-	}
-	// An invalid doc (wrong schema) inserted into a Mem — e.g. from a
-	// tampered artifact — must not be served.
-	key := testKey("tampered")
-	bad := testDoc(key)
-	bad.Schema = 99
-	m.Put(key, bad)
-	if _, ok := m.Get(key); ok {
-		t.Error("Mem must gate Get on Valid")
-	}
-}
