@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"uvmasim/internal/cuda"
+	"uvmasim/internal/workloads"
 )
 
 // -update regenerates every golden file from the current code. Only use
@@ -14,58 +15,56 @@ import (
 // byte-identical; regenerating afterwards would defeat the pin.
 var updateGoldens = flag.Bool("update", false, "rewrite golden files from current output")
 
-// golden_oversub_default pins the oversub sweep on its old default
-// ratio grid {0.25 .. 1.3}, captured from the pre-refactor full-scan
-// evictor (now uvm.SetReferenceEviction's reference path), so a
-// byte-for-byte match proves the indexed eviction bookkeeping changed
-// no simulated timing, counter or rendered digit. Every figure,
-// oversub on its current grid included, is pinned by internal/serve's
-// golden table.
+// Golden byte-identity tests for the O(1) eviction refactor. Every
+// golden was captured from the pre-refactor code (the full-scan
+// evictor, now retained as uvm.SetReferenceEviction's reference path),
+// so a byte-for-byte match here proves the indexed bookkeeping changed
+// no simulated timing, counter, or rendered digit:
+//
+//   - testdata/golden_oversub_default: the oversub sweep on the old
+//     default ratio grid {0.25 .. 1.3}, pinning the refactor itself;
+//   - golden_oversub: the old engine run on the DefaultOversubRatios
+//     grid, pinning the denser default separately from the
+//     data-structure change;
+//   - golden_fig12/fig13: sweeps whose workloads evict under UVM
+//     pressure, covering the demand/prefetch/writeback paths.
+//
+// The last three live in figureGoldens, where internal/serve's golden
+// table reads them through its figure dispatch; the tests here reach
+// the same bytes through the Runner API alone.
+const figureGoldens = "../serve/testdata"
 
-func readGolden(t *testing.T, name string) string {
-	t.Helper()
-	b, err := os.ReadFile(filepath.Join("testdata", name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-func checkGolden(t *testing.T, name, got string) {
+// checkGolden compares got against the golden file at path, or rewrites
+// it under -update. A mismatch reports the first divergent byte.
+func checkGolden(t *testing.T, path, got string) {
 	t.Helper()
 	if *updateGoldens {
-		if err := os.WriteFile(filepath.Join("testdata", name), []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want := readGolden(t, name)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := string(b)
 	if got == want {
 		return
 	}
-	// Locate the first divergent byte for a usable failure message.
 	i := 0
 	for i < len(got) && i < len(want) && got[i] == want[i] {
 		i++
 	}
-	lo := i - 60
-	if lo < 0 {
-		lo = 0
-	}
-	hiG, hiW := i+60, i+60
-	if hiG > len(got) {
-		hiG = len(got)
-	}
-	if hiW > len(want) {
-		hiW = len(want)
-	}
+	lo := max(i-60, 0)
 	t.Errorf("%s: output diverges from pre-refactor golden at byte %d\n got: %q\nwant: %q",
-		name, i, got[lo:hiG], want[lo:hiW])
+		path, i, got[lo:min(i+60, len(got))], want[lo:min(i+60, len(want))])
 }
 
-func oversubGolden(t *testing.T, ratios []float64, base string) {
+// oversubGolden pins r's oversub sweep over ratios against base.txt
+// (text) and base.json (JSON).
+func oversubGolden(t *testing.T, r *Runner, ratios []float64, base string) {
 	t.Helper()
-	r := NewRunner()
 	study, err := r.Oversubscription(cuda.UVMPrefetch, ratios, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -78,6 +77,47 @@ func oversubGolden(t *testing.T, ratios []float64, base string) {
 	checkGolden(t, base+".json", js)
 }
 
-func TestGoldenOversubOldGrid(t *testing.T) {
-	oversubGolden(t, []float64{0.25, 0.5, 0.75, 0.9, 1.1, 1.3}, "golden_oversub_default")
+// sweepGolden pins a launch-parameter sweep the same way.
+func sweepGolden(t *testing.T, sw *Sweep, figure, tag, base string) {
+	t.Helper()
+	checkGolden(t, base+".txt", sw.Render(figure))
+	js, err := RenderJSON(sw.Doc(tag))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, base+".json", js)
 }
+
+var oldOversubRatios = []float64{0.25, 0.5, 0.75, 0.9, 1.1, 1.3}
+
+func TestGoldenOversubOldGrid(t *testing.T) {
+	oversubGolden(t, NewRunner(), oldOversubRatios, filepath.Join("testdata", "golden_oversub_default"))
+}
+
+func TestGoldenOversubDenseGrid(t *testing.T) {
+	oversubGolden(t, NewRunner(), DefaultOversubRatios, filepath.Join(figureGoldens, "golden_oversub"))
+}
+
+func fig12Golden(t *testing.T, r *Runner) {
+	t.Helper()
+	r.Iterations = 2
+	sw, err := r.SweepThreads(workloads.Large, []int{1024, 512, 256, 128, 64, 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepGolden(t, sw, "Figure 12", "fig12", filepath.Join(figureGoldens, "golden_fig12"))
+}
+
+func fig13Golden(t *testing.T, r *Runner) {
+	t.Helper()
+	r.Iterations = 2
+	sw, err := r.SweepShared(workloads.Large, []float64{2, 4, 8, 16, 32, 64, 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweepGolden(t, sw, "Figure 13", "fig13", filepath.Join(figureGoldens, "golden_fig13"))
+}
+
+func TestGoldenFig12(t *testing.T) { fig12Golden(t, NewRunner()) }
+
+func TestGoldenFig13(t *testing.T) { fig13Golden(t, NewRunner()) }

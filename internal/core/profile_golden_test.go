@@ -1,6 +1,7 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,23 +12,21 @@ import (
 
 // Golden guard for the profile refactor: running on the default profile
 // (explicitly, through NewRunnerFor) must reproduce the same committed
-// golden the implicit-config code produced, byte for byte. Together
+// goldens the implicit-config code produced, byte for byte. Together
 // with profile.TestDefaultMatchesPaperTestbed this proves the profile
 // layer is a pure re-plumbing of the paper's testbed.
 
 func TestGoldenDefaultProfileOversub(t *testing.T) {
-	r := NewRunnerFor(profile.Default())
-	study, err := r.Oversubscription(cuda.UVMPrefetch, []float64{0.25, 0.5, 0.75, 0.9, 1.1, 1.3}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_oversub_default.txt", study.Render())
-	js, err := RenderJSON(study.Doc())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_oversub_default.json", js)
+	oversubGolden(t, NewRunnerFor(profile.Default()), oldOversubRatios, filepath.Join("testdata", "golden_oversub_default"))
 }
+
+func TestGoldenDefaultProfileOversubDense(t *testing.T) {
+	oversubGolden(t, NewRunnerFor(profile.Default()), DefaultOversubRatios, filepath.Join(figureGoldens, "golden_oversub"))
+}
+
+func TestGoldenDefaultProfileFig12(t *testing.T) { fig12Golden(t, NewRunnerFor(profile.Default())) }
+
+func TestGoldenDefaultProfileFig13(t *testing.T) { fig13Golden(t, NewRunnerFor(profile.Default())) }
 
 // TestCacheKeysSeparateProfiles is the cross-profile cache-collision
 // test: one runner measuring the same cell under two different system
