@@ -232,9 +232,9 @@ func BenchmarkFig14MultiJob(b *testing.B) {
 
 // BenchmarkOversubscription regenerates the full oversub artifact on the
 // default dense ratio grid — the sweep whose per-eviction full scan made
-// the pre-refactor `uvmbench oversub` CPU-bound in uvm.makeRoom. Its
-// ns/op is the committed baseline in BENCH_oversub.json; CI fails if it
-// regresses more than 3x (scripts/bench_oversub.sh).
+// the pre-refactor `uvmbench oversub` CPU-bound in uvm.makeRoom. It is
+// a row of the benchmark ledger (BENCH.json, scripts/ledger), whose
+// check fails CI past 3x its ns/op or 2x its allocs/op.
 func BenchmarkOversubscription(b *testing.B) {
 	r := benchRunner()
 	var evicted float64
@@ -259,9 +259,8 @@ func BenchmarkOversubscription(b *testing.B) {
 // the default 1/2/4-GPU sweep over both topologies, serial and
 // pipelined, so 12 DES schedules plus the analytic §6 oracle — with the
 // cell cache off, so every op pays the inner workload measurement and
-// every schedule replay. Its ns/op is the committed baseline in
-// BENCH_multigpu.json; CI fails if it regresses more than 3x
-// (scripts/bench_multigpu.sh).
+// every schedule replay. It is a row of the benchmark ledger
+// (BENCH.json, scripts/ledger).
 func BenchmarkMultiGPU(b *testing.B) {
 	r := benchRunner()
 	var retained float64
@@ -287,9 +286,9 @@ func BenchmarkMultiGPU(b *testing.B) {
 
 // BenchmarkFigureSuite regenerates the fig4 distribution grid plus the
 // fig7 Large breakdown on one serial worker with allocation accounting —
-// the end-to-end hot loop the GC-free refactor targets. Its ns/op and
-// allocs/op are the committed baseline in BENCH_suite.json; CI fails if
-// either regresses past its ratio gate (scripts/bench_suite.sh).
+// the end-to-end hot loop the GC-free refactor targets. It is a row of
+// the benchmark ledger (BENCH.json, scripts/ledger), gated on ns/op and
+// allocs/op.
 func BenchmarkFigureSuite(b *testing.B) {
 	r := benchRunner()
 	r.Parallelism = 1
@@ -309,8 +308,8 @@ func BenchmarkFigureSuite(b *testing.B) {
 // the Mega (32 GB) input — with the default executor and iteration
 // fan-out. This is the latency the iteration fan-out targets: without it
 // a lone cold cell runs its iterations serially and leaves every other
-// executor worker idle, so the 1-core and multi-core rows of
-// BENCH_suite.json bracket the speedup. A fresh seed per op keeps every
+// executor worker idle, so the ledger's 1-core and multi-core rows
+// (BENCH.json) bracket the speedup. A fresh seed per op keeps every
 // measurement cold.
 func BenchmarkColdCellMegaUVM(b *testing.B) {
 	w, err := workloads.ByName("vector_seq")
@@ -357,8 +356,8 @@ func BenchmarkServeColdFig7(b *testing.B) {
 // cell store in isolation: the store is populated once, then every b.N
 // iteration builds a fresh runner (fresh in-memory cache) and re-measures
 // the same cell, so each Measure resolves from disk instead of
-// simulating. Its ns/op is the committed baseline in BENCH_store.json;
-// CI fails if it regresses more than 3x (scripts/bench_store.sh).
+// simulating. It is a row of the benchmark ledger (BENCH.json,
+// scripts/ledger).
 func BenchmarkStoreWarmHit(b *testing.B) {
 	st, err := store.Open(b.TempDir())
 	if err != nil {
@@ -523,8 +522,7 @@ func BenchmarkWorkloads(b *testing.B) {
 // file reads and JSON rendering — no simulation. Every b.N iteration
 // boots a fresh server (fresh in-memory cache, fresh registry) against
 // the same store directory, modelling the restarted-process warm path.
-// Its ns/op is the committed baseline in BENCH_serve.json; CI fails if
-// it regresses more than 3x (scripts/bench_serve.sh).
+// It is a row of the benchmark ledger (BENCH.json, scripts/ledger).
 func BenchmarkServeWarmHit(b *testing.B) {
 	dirPath := b.TempDir()
 	const spec = `{"figure":"fig6","iters":3}`

@@ -146,8 +146,8 @@ func TestHelpFlag(t *testing.T) {
 
 // TestCacheDirWarmRerun: a second run against the same -cache-dir
 // prints byte-identical output (exercising the CLI wiring of the
-// persistent store; the ≥5x wall-time claim is gated by
-// scripts/bench_store.sh).
+// persistent store; the ≥5x wall-time claim is gated by the benchmark
+// ledger, scripts/ledger).
 func TestCacheDirWarmRerun(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "cellstore")
 	cold := capture(t, "-i", "2", "-cache-dir", dir, "fig9,fig12,oversub")

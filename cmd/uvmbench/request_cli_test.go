@@ -80,6 +80,13 @@ func TestCLISpecParity(t *testing.T) {
 			`{"figure":"multigpu","jobs":4611686018427387904}`, "jobs must be <= 16, got 4611686018427387904"},
 		{[]string{"-gpus", "4611686018427387904", "multigpu"},
 			`{"figure":"multigpu","gpus":[4611686018427387904]}`, "gpus entries must be <= 8, got 4611686018427387904"},
+		{[]string{"-i", "1", "all,all"}, `{"figures":["all","all"],"iters":1}`, `figure "table3" listed twice`},
+		{[]string{"-i", "1", "fig7,all"}, `{"figures":["fig7","all"],"iters":1}`, `figure "fig7" listed twice`},
+		{[]string{"-gpus", "2,2,2", "multigpu"}, `{"figure":"multigpu","gpus":[2,2,2]}`, `gpus entry "2" listed twice`},
+		{[]string{"-topology", "nvlink,nvlink", "multigpu"},
+			`{"figure":"multigpu","topology":["nvlink","nvlink"]}`, `topology "nvlink" listed twice`},
+		{[]string{"-profiles", "a100-40g-pcie4,a100-40g-pcie4", "compare-profiles"},
+			`{"figure":"compare-profiles","profiles":["a100-40g-pcie4","a100-40g-pcie4"]}`, `profile "a100-40g-pcie4" listed twice`},
 	}
 	for _, c := range fail {
 		t.Run(strings.Join(c.args, " "), func(t *testing.T) {

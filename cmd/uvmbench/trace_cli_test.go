@@ -162,3 +162,32 @@ func TestTraceJSONSummary(t *testing.T) {
 	}
 	readTrace(t, dir, "gemm", "uvm")
 }
+
+// TestMultiGPUTraceExport: -gpus makes trace export the multigpu
+// schedules, one Chrome trace per (topology, device count, schedule),
+// with rows for every GPU.
+func TestMultiGPUTraceExport(t *testing.T) {
+	dir := t.TempDir()
+	capture(t, "-i", "1", "-gpus", "2", "-out", dir, "trace")
+	for _, file := range []string{"pcie-switch_2_serial", "pcie-switch_2_pipelined", "nvlink_2_serial", "nvlink_2_pipelined"} {
+		var doc struct {
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(readTrace(t, dir, "multigpu", file), &doc); err != nil {
+			t.Fatal(err)
+		}
+		spans, rows := 0, map[string]bool{}
+		for _, e := range doc.TraceEvents {
+			if e["ph"] == "X" {
+				spans++
+			}
+			if args, ok := e["args"].(map[string]any); ok && e["name"] == "thread_name" {
+				name, _ := args["name"].(string)
+				rows[name] = true
+			}
+		}
+		if spans == 0 || !rows["gpu0 kernel"] || !rows["gpu1 kernel"] {
+			t.Errorf("trace_multigpu_%s.json: %d spans, rows %v; want spans and a kernel row per GPU", file, spans, rows)
+		}
+	}
+}

@@ -27,6 +27,30 @@ func relClose(got, want, rel float64) bool {
 	return diff <= rel*scale
 }
 
+// multiGPUGrid is one multigpu grid a contract is checked on.
+type multiGPUGrid struct {
+	name  string
+	jobs  int
+	gpus  []int
+	kinds []topo.Kind
+}
+
+// defaultMultiGPUGrid is the CLI's default grid: 8 jobs on 1, 2 and 4
+// GPUs over both topologies.
+var defaultMultiGPUGrid = multiGPUGrid{"default grid", 8, []int{1, 2, 4}, []topo.Kind{topo.PCIeSwitch, topo.NVLink}}
+
+// multiGPUPoint returns study's grid point at (kind, gpus).
+func multiGPUPoint(t *testing.T, study *MultiGPUStudy, kind topo.Kind, gpus int) MultiGPUPoint {
+	t.Helper()
+	for _, p := range study.Points {
+		if p.Topology == string(kind) && p.GPUs == gpus {
+			return p
+		}
+	}
+	t.Fatalf("no %s point at %d GPUs", kind, gpus)
+	return MultiGPUPoint{}
+}
+
 // TestMultiGPUOracleMatchesAnalytic is the differential-oracle contract
 // (the reason MultiJob stays in the tree): on one GPU with no fabric
 // contention, the measured DES schedule must reproduce the frozen §6
@@ -34,43 +58,50 @@ func relClose(got, want, rel float64) bool {
 // Any drift between the scheduler and the analytic model is a bug in
 // one of them.
 func TestMultiGPUOracleMatchesAnalytic(t *testing.T) {
-	r := testRunner(3)
-	const jobs = 5
-	study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Super,
-		jobs, []int{1}, []topo.Kind{topo.PCIeSwitch}, sched.LeastLoaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := study.Analytic
-	// The Figure 14 point lives in the GPU-bound regime: the GPU phase
-	// must dominate the allocation, or the analytic pipelined total
-	// degenerates to the CPU-bound branch and the comparison means
-	// something else.
-	if an.Transfer+an.Kernel < an.Alloc {
-		t.Fatalf("GPU phase %v below alloc %v: not the GPU-bound regime the oracle pins",
-			an.Transfer+an.Kernel, an.Alloc)
-	}
-	if len(study.Points) != 1 {
-		t.Fatalf("got %d grid points, want 1", len(study.Points))
-	}
-	p := study.Points[0]
-	const rel = 1e-9
-	if !relClose(p.Serial.Makespan, an.SerialTotal, rel) {
-		t.Errorf("1-GPU serial makespan %v, analytic %v", p.Serial.Makespan, an.SerialTotal)
-	}
-	if !relClose(p.Pipelined.Makespan, an.PipelinedTotal, rel) {
-		t.Errorf("1-GPU pipelined makespan %v, analytic %v", p.Pipelined.Makespan, an.PipelinedTotal)
-	}
-	if !relClose(p.Improvement, an.Improvement, 1e-6) {
-		t.Errorf("1-GPU improvement %v, analytic %v", p.Improvement, an.Improvement)
-	}
-	if p.Improvement <= 0 {
-		t.Errorf("pipelining should improve the GPU-bound batch, got %v", p.Improvement)
-	}
-	// One GPU serializes the transfers, so the fabric never contends.
-	if !relClose(p.Serial.TransferStretch, 1, rel) || !relClose(p.Pipelined.TransferStretch, 1, rel) {
-		t.Errorf("uncontended stretch = %v / %v, want 1",
-			p.Serial.TransferStretch, p.Pipelined.TransferStretch)
+	for _, g := range []multiGPUGrid{
+		{"5 jobs", 5, []int{1}, []topo.Kind{topo.PCIeSwitch}},
+		defaultMultiGPUGrid,
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			r := testRunner(3)
+			study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Super,
+				g.jobs, g.gpus, g.kinds, sched.LeastLoaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			an := study.Analytic
+			// The Figure 14 point lives in the GPU-bound regime: the GPU phase
+			// must dominate the allocation, or the analytic pipelined total
+			// degenerates to the CPU-bound branch and the comparison means
+			// something else.
+			if an.Transfer+an.Kernel < an.Alloc {
+				t.Fatalf("GPU phase %v below alloc %v: not the GPU-bound regime the oracle pins",
+					an.Transfer+an.Kernel, an.Alloc)
+			}
+			if len(study.Points) != len(g.gpus)*len(g.kinds) {
+				t.Fatalf("got %d grid points, want %d", len(study.Points), len(g.gpus)*len(g.kinds))
+			}
+			p := multiGPUPoint(t, study, topo.PCIeSwitch, 1)
+			const rel = 1e-9
+			if !relClose(p.Serial.Makespan, an.SerialTotal, rel) {
+				t.Errorf("1-GPU serial makespan %v, analytic %v", p.Serial.Makespan, an.SerialTotal)
+			}
+			if !relClose(p.Pipelined.Makespan, an.PipelinedTotal, rel) {
+				t.Errorf("1-GPU pipelined makespan %v, analytic %v", p.Pipelined.Makespan, an.PipelinedTotal)
+			}
+			if !relClose(p.Improvement, an.Improvement, 1e-6) {
+				t.Errorf("1-GPU improvement %v, analytic %v", p.Improvement, an.Improvement)
+			}
+			if p.Improvement <= 0 || an.Improvement <= 0 {
+				t.Errorf("pipelining should improve the GPU-bound batch, got %v (analytic %v)",
+					p.Improvement, an.Improvement)
+			}
+			// One GPU serializes the transfers, so the fabric never contends.
+			if !relClose(p.Serial.TransferStretch, 1, rel) || !relClose(p.Pipelined.TransferStretch, 1, rel) {
+				t.Errorf("uncontended stretch = %v / %v, want 1",
+					p.Serial.TransferStretch, p.Pipelined.TransferStretch)
+			}
+		})
 	}
 }
 
@@ -79,37 +110,41 @@ func TestMultiGPUOracleMatchesAnalytic(t *testing.T) {
 // erodes the pipeline gain, while point-to-point NVLink keeps transfers
 // at solo speed and retains most of it.
 func TestMultiGPUContentionErodesGain(t *testing.T) {
-	r := testRunner(2)
-	study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Super,
-		6, []int{1, 4}, []topo.Kind{topo.PCIeSwitch, topo.NVLink}, sched.LeastLoaded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byPoint := map[string]MultiGPUPoint{}
-	for _, p := range study.Points {
-		byPoint[p.Topology+string(rune('0'+p.GPUs))] = p
-	}
-	sw1, sw4 := byPoint["pcie-switch1"], byPoint["pcie-switch4"]
-	nv4 := byPoint["nvlink4"]
-	if sw4.Improvement >= sw1.Improvement {
-		t.Errorf("switch contention should erode the gain: 4-GPU %v vs 1-GPU %v",
-			sw4.Improvement, sw1.Improvement)
-	}
-	if sw4.Pipelined.TransferStretch <= 1.1 {
-		t.Errorf("4 GPUs on one uplink should stretch transfers, got %v",
-			sw4.Pipelined.TransferStretch)
-	}
-	if !relClose(nv4.Pipelined.TransferStretch, 1, 1e-9) {
-		t.Errorf("nvlink transfers should run at solo speed, stretch %v",
-			nv4.Pipelined.TransferStretch)
-	}
-	if nv4.Improvement <= sw4.Improvement {
-		t.Errorf("nvlink should retain more gain than the switch: %v vs %v",
-			nv4.Improvement, sw4.Improvement)
-	}
-	// More GPUs never hurt the batch makespan under least-loaded.
-	if sw4.Pipelined.Makespan > sw1.Pipelined.Makespan {
-		t.Errorf("4-GPU makespan %v above 1-GPU %v", sw4.Pipelined.Makespan, sw1.Pipelined.Makespan)
+	for _, g := range []multiGPUGrid{
+		{"6 jobs", 6, []int{1, 4}, []topo.Kind{topo.PCIeSwitch, topo.NVLink}},
+		defaultMultiGPUGrid,
+	} {
+		t.Run(g.name, func(t *testing.T) {
+			r := testRunner(2)
+			study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Super,
+				g.jobs, g.gpus, g.kinds, sched.LeastLoaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sw1 := multiGPUPoint(t, study, topo.PCIeSwitch, 1)
+			sw4 := multiGPUPoint(t, study, topo.PCIeSwitch, 4)
+			nv4 := multiGPUPoint(t, study, topo.NVLink, 4)
+			if sw4.Improvement >= sw1.Improvement {
+				t.Errorf("switch contention should erode the gain: 4-GPU %v vs 1-GPU %v",
+					sw4.Improvement, sw1.Improvement)
+			}
+			if sw4.Pipelined.TransferStretch <= 1.1 {
+				t.Errorf("4 GPUs on one uplink should stretch transfers, got %v",
+					sw4.Pipelined.TransferStretch)
+			}
+			if !relClose(nv4.Pipelined.TransferStretch, 1, 1e-9) {
+				t.Errorf("nvlink transfers should run at solo speed, stretch %v",
+					nv4.Pipelined.TransferStretch)
+			}
+			if nv4.Improvement <= sw4.Improvement {
+				t.Errorf("nvlink should retain more gain than the switch: %v vs %v",
+					nv4.Improvement, sw4.Improvement)
+			}
+			// More GPUs never hurt the batch makespan under least-loaded.
+			if sw4.Pipelined.Makespan > sw1.Pipelined.Makespan {
+				t.Errorf("4-GPU makespan %v above 1-GPU %v", sw4.Pipelined.Makespan, sw1.Pipelined.Makespan)
+			}
+		})
 	}
 }
 

@@ -278,7 +278,8 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 
 // ResolveMultiGPU normalizes the multigpu grid options: empty values
 // take the package defaults, lists parse with validation and nearest
-// hints. Shared by Figure, Request.Validate and the CLI trace path.
+// hints, and a repeated device count or topology fails. Shared by
+// Figure, Request.Validate and the CLI trace path.
 func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error) {
 	gpusCSV := opt.GPUs
 	if gpusCSV == "" {
@@ -296,6 +297,9 @@ func ResolveMultiGPU(opt FigureOptions) ([]int, []topo.Kind, sched.Policy, error
 		}
 		if n > MaxGPUs {
 			return nil, nil, 0, fmt.Errorf("gpus entries must be <= %d, got %d", MaxGPUs, n)
+		}
+		if slices.Contains(gpus, n) {
+			return nil, nil, 0, fmt.Errorf("gpus entry %q listed twice", part)
 		}
 		gpus = append(gpus, n)
 	}

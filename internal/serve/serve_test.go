@@ -205,6 +205,15 @@ func TestSpecValidation(t *testing.T) {
 		{"iters above ceiling", `{"figure":"fig12","iters":4611686018427387904}`, "iters must be <= 100000"},
 		{"jobs above ceiling", `{"figure":"multigpu","jobs":4611686018427387904}`, "jobs must be <= 16"},
 		{"gpus above ceiling", `{"figure":"multigpu","gpus":[4611686018427387904]}`, "gpus entries must be <= 8"},
+		// A repeated entry would only multiply the response: "all"
+		// twice is twice the run of the whole suite.
+		{"repeated figure", `{"figures":["fig7","fig7"]}`, `figure \"fig7\" listed twice`},
+		{"figure repeated by all", `{"figures":["fig7","all"],"iters":1}`, `figure \"fig7\" listed twice`},
+		{"repeated all", `{"figures":["all","all"],"iters":1}`, `figure \"table3\" listed twice`},
+		{"repeated gpus", `{"figure":"multigpu","gpus":[2,2,2]}`, `gpus entry \"2\" listed twice`},
+		{"repeated topology", `{"figure":"multigpu","topology":["nvlink","nvlink"]}`, `topology \"nvlink\" listed twice`},
+		{"repeated profile", `{"figure":"compare-profiles","profiles":["a100-40g-pcie4","a100-40g-pcie4"]}`,
+			`profile \"a100-40g-pcie4\" listed twice`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

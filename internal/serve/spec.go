@@ -178,15 +178,22 @@ func NewRequest(p profile.Profile) *Request {
 }
 
 // Validate checks every name and count of the run before anything
-// simulates: the figure names, iters and jobs (within their ceilings),
-// the workload, the multigpu grid, every profile, and the size against
-// the machines the figures run on (CheckSize).
+// simulates: the figure names (each at most once after "all" expands),
+// iters and jobs (within their ceilings), the workload, the multigpu
+// grid, every profile (each name at most once), and the size against
+// the machines the figures run on (CheckSize). A repeat would only
+// multiply the response.
 func (q *Request) Validate() error {
-	for _, f := range q.Figures {
-		if f != "all" && !IsFigure(f) {
+	seen := make(map[string]bool)
+	for _, f := range q.expanded() {
+		if !IsFigure(f) {
 			cands := append([]string{"all"}, FigureNames...)
 			return fmt.Errorf("unknown figure %q%s", f, nearest.Hint(f, cands, 2))
 		}
+		if seen[f] {
+			return fmt.Errorf("figure %q listed twice", f)
+		}
+		seen[f] = true
 	}
 	if q.Iters < 1 {
 		return fmt.Errorf("iters must be >= 1, got %d", q.Iters)
@@ -209,9 +216,14 @@ func (q *Request) Validate() error {
 	if err := q.Profile.Validate(); err != nil {
 		return err
 	}
-	for _, p := range q.Profiles {
+	for i, p := range q.Profiles {
 		if err := p.Validate(); err != nil {
 			return err
+		}
+		for _, prev := range q.Profiles[:i] {
+			if prev.Name == p.Name {
+				return fmt.Errorf("profile %q listed twice", p.Name)
+			}
 		}
 	}
 	return CheckSize(q)

@@ -11,6 +11,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"uvmasim/internal/cuda"
@@ -46,7 +47,8 @@ func ParseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("unknown topology %q%s", s, nearest.Hint(s, Kinds, 2))
 }
 
-// ParseKindList resolves a comma-separated topology list.
+// ParseKindList resolves a comma-separated topology list, each kind at
+// most once.
 func ParseKindList(csv string) ([]Kind, error) {
 	var out []Kind
 	for _, part := range strings.Split(csv, ",") {
@@ -57,6 +59,9 @@ func ParseKindList(csv string) ([]Kind, error) {
 		k, err := ParseKind(part)
 		if err != nil {
 			return nil, err
+		}
+		if slices.Contains(out, k) {
+			return nil, fmt.Errorf("topology %q listed twice", part)
 		}
 		out = append(out, k)
 	}
