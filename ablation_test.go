@@ -124,7 +124,7 @@ func BenchmarkAblationFastHostChips(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cv = f.MemcpyCV()
+		cv = float64(f.MemcpyCV)
 	}
 	b.ReportMetric(cv, "memcpy-cv")
 }

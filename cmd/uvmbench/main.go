@@ -115,26 +115,29 @@ type options struct {
 	traceTotals map[string]float64
 }
 
-// emit prints either the text rendering or the JSON document, depending
-// on the -json flag.
-func (o *options) emit(text func() string, doc core.FigureDoc) error {
+// emit prints doc to w: its text table, or under -json its JSON
+// encoding.
+func (o *options) emit(w io.Writer, doc core.FigureDoc) error {
 	if !o.json {
-		fmt.Fprint(o.out, text())
+		fmt.Fprint(w, doc.Text())
 		return nil
 	}
 	s, err := core.RenderJSON(doc)
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(o.out, s)
+	fmt.Fprint(w, s)
 	return nil
 }
+
+// cliCommands are the subcommands that are not figures; each may run
+// at most once per invocation.
+var cliCommands = []string{"list", "trace", "profiles"}
 
 // commandNames lists every subcommand — the CLI-only ones plus the
 // figures serve.Figure renders — for upfront validation (a typo in
 // `fig4,nope` must fail before fig4 spends seconds simulating).
-var commandNames = append([]string{"list", "trace", "profiles", "serve", "all"},
-	serve.FigureNames...)
+var commandNames = slices.Concat(cliCommands, []string{"serve", "all"}, serve.FigureNames)
 
 func run(args []string) error {
 	// The run flags bind straight into the Request, whose constructor
@@ -201,9 +204,13 @@ func run(args []string) error {
 	// names, the Request, output paths, the cell-store directory. A typo
 	// in any of them must fail in milliseconds, not after a full sweep.
 	cmds := strings.Split(fs.Arg(0), ",")
-	for _, cmd := range cmds {
+	for i, cmd := range cmds {
 		if !slices.Contains(commandNames, cmd) {
 			return fmt.Errorf("unknown subcommand %q%s", cmd, nearest.Hint(cmd, commandNames, 2))
+		}
+		// Figures repeat-check in Request.Validate, like a POST spec.
+		if slices.Contains(cliCommands, cmd) && slices.Contains(cmds[:i], cmd) {
+			return fmt.Errorf("subcommand %q listed twice", cmd)
 		}
 	}
 	o.rest = fs.Args()[1:]
@@ -274,9 +281,15 @@ func run(args []string) error {
 	}
 	if slices.Contains(cmds, "all") || r.Store != nil {
 		// The two-tier traffic summary rides along with every
-		// store-backed run (satellite: not just `all`): on stderr, so
-		// stdout artifacts stay byte-comparable cold vs warm.
-		printCacheSummary(r, o)
+		// store-backed run, not just `all`: on stderr, so stdout
+		// artifacts stay byte-comparable cold vs warm.
+		doc := core.FigureDoc{Figure: "cache_summary", Data: cacheSummary{
+			r.CacheHits(), r.CacheMisses(), r.StoreHits(), r.StoreMisses(),
+			o.traceTotals, o.reg.Snapshot()}}
+		if err := o.emit(os.Stderr, doc); err != nil {
+			stopProfiles()
+			return err
+		}
 	}
 	return stopProfiles()
 }
@@ -315,31 +328,25 @@ func resolveProfiles(list string) ([]profile.Profile, error) {
 	return ps, nil
 }
 
-// printCacheSummary reports both cache tiers after an `all` or any
-// store-backed run — to stderr, so stdout artifacts stay
+// cacheSummary reports both cache tiers after an `all` or any
+// store-backed run, on stderr, so stdout artifacts stay
 // byte-comparable between cold and warm runs whose cache traffic
-// necessarily differs. In JSON mode the doc also carries the
-// full metrics-registry snapshot and the trace subcommand's
+// necessarily differs. Its JSON encoding also carries the full
+// metrics-registry snapshot and the trace subcommand's
 // counter-registry totals, so batch runs expose the same numbers a
-// serve process exports over /metrics.
-func printCacheSummary(r *core.Runner, o *options) {
-	if o.json {
-		doc := core.FigureDoc{Figure: "cache_summary", Data: struct {
-			MemoryHits    uint64             `json:"memory_hits"`
-			MemoryMisses  uint64             `json:"memory_misses"`
-			StoreHits     uint64             `json:"store_hits"`
-			StoreMisses   uint64             `json:"store_misses"`
-			TraceCounters map[string]float64 `json:"trace_counters,omitempty"`
-			Metrics       []metrics.Snapshot `json:"metrics,omitempty"`
-		}{r.CacheHits(), r.CacheMisses(), r.StoreHits(), r.StoreMisses(),
-			o.traceTotals, o.reg.Snapshot()}}
-		if s, err := core.RenderJSON(doc); err == nil {
-			fmt.Fprint(os.Stderr, s)
-		}
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cache: %d memory hits, %d memory misses; store: %d hits, %d misses\n",
-		r.CacheHits(), r.CacheMisses(), r.StoreHits(), r.StoreMisses())
+// serve process exports over /metrics; the text line shows the tiers.
+type cacheSummary struct {
+	MemoryHits    uint64             `json:"memory_hits"`
+	MemoryMisses  uint64             `json:"memory_misses"`
+	StoreHits     uint64             `json:"store_hits"`
+	StoreMisses   uint64             `json:"store_misses"`
+	TraceCounters map[string]float64 `json:"trace_counters,omitempty"`
+	Metrics       []metrics.Snapshot `json:"metrics,omitempty"`
+}
+
+func (c cacheSummary) Text() string {
+	return fmt.Sprintf("cache: %d memory hits, %d memory misses; store: %d hits, %d misses\n",
+		c.MemoryHits, c.MemoryMisses, c.StoreHits, c.StoreMisses)
 }
 
 // startProfiles begins CPU profiling and/or arms a heap snapshot,
@@ -471,11 +478,11 @@ func dispatch(r *core.Runner, cmd string, o *options) error {
 	// internal/serve and is shared with the HTTP service, which is what
 	// keeps POST /v1/experiments responses byte-identical to -json
 	// output: both sides render the same documents from the same code.
-	text, doc, err := serve.Figure(r, cmd, o.req.FigureOptions)
+	doc, err := serve.Figure(r, cmd, o.req.FigureOptions)
 	if err != nil {
 		return err
 	}
-	return o.emit(text, doc)
+	return o.emit(o.out, doc)
 }
 
 // runMultiGPUTrace writes per-GPU schedule timelines for the multigpu
@@ -496,7 +503,7 @@ func runMultiGPUTrace(r *core.Runner, o *options) error {
 	if err := os.MkdirAll(o.outDir, 0o755); err != nil {
 		return err
 	}
-	var infos []any
+	var files multiGPUTraceListing
 	for _, kind := range topos {
 		for _, g := range gpus {
 			for _, schedName := range []string{"serial", "pipelined"} {
@@ -518,30 +525,33 @@ func runMultiGPUTrace(r *core.Runner, o *options) error {
 				if err := f.Close(); err != nil {
 					return err
 				}
-				if o.json {
-					infos = append(infos, struct {
-						Topology   string  `json:"topology"`
-						GPUs       int     `json:"gpus"`
-						Schedule   string  `json:"schedule"`
-						Path       string  `json:"path"`
-						Jobs       int     `json:"jobs"`
-						MakespanNs float64 `json:"makespan_ns"`
-					}{string(kind), g, schedName, path, len(st.Jobs), st.Makespan})
-					continue
-				}
-				fmt.Fprintf(o.out, "wrote %s (%d jobs, makespan %12.2f ms)\n",
-					path, len(st.Jobs), st.Makespan/1e6)
+				files = append(files, multiGPUTraceFile{string(kind), g, schedName, path, len(st.Jobs), st.Makespan})
 			}
 		}
 	}
-	if o.json {
-		s, err := core.RenderJSON(core.FigureDoc{Figure: "trace", Data: infos})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(o.out, s)
+	return o.emit(o.out, core.FigureDoc{Figure: "trace", Data: files})
+}
+
+// multiGPUTraceFile describes one written per-GPU schedule timeline.
+type multiGPUTraceFile struct {
+	Topology   string  `json:"topology"`
+	GPUs       int     `json:"gpus"`
+	Schedule   string  `json:"schedule"`
+	Path       string  `json:"path"`
+	Jobs       int     `json:"jobs"`
+	MakespanNs float64 `json:"makespan_ns"`
+}
+
+// multiGPUTraceListing is the multigpu trace subcommand's document: the
+// files it wrote.
+type multiGPUTraceListing []multiGPUTraceFile
+
+func (l multiGPUTraceListing) Text() string {
+	var b strings.Builder
+	for _, f := range l {
+		fmt.Fprintf(&b, "wrote %s (%d jobs, makespan %12.2f ms)\n", f.Path, f.Jobs, f.MakespanNs/1e6)
 	}
-	return nil
+	return b.String()
 }
 
 // runProfiles implements the profiles subcommand. With no argument (or
@@ -611,7 +621,7 @@ func runTrace(r *core.Runner, o *options) error {
 		return err
 	}
 
-	infos := make([]any, 0, len(results))
+	files := make(traceListing, 0, len(results))
 	for _, res := range results {
 		path := filepath.Join(o.outDir, fmt.Sprintf("trace_%s_%s.json", res.Workload, res.Setup))
 		f, err := os.Create(path)
@@ -637,41 +647,45 @@ func runTrace(r *core.Runner, o *options) error {
 				o.traceTotals[name] += v
 			}
 		}
-		if o.json {
-			busy := make(map[string]float64, trace.NumTracks)
-			for t := 0; t < trace.NumTracks; t++ {
-				tk := trace.Track(t)
-				if b := m.Busy(tk); b > 0 {
-					busy[tk.String()] = b
-				}
-			}
-			infos = append(infos, struct {
-				Workload string             `json:"workload"`
-				Setup    cuda.Setup         `json:"setup"`
-				Size     workloads.Size     `json:"size"`
-				Path     string             `json:"path"`
-				Events   int                `json:"events"`
-				BusyNs   map[string]float64 `json:"busy_ns_by_track"`
-			}{res.Workload, res.Setup, res.Size, path, res.Tracer.Len(), busy})
-			continue
-		}
-		fmt.Fprintf(o.out, "wrote %s (%d events)\n", path, res.Tracer.Len())
+		busy := make(map[string]float64, trace.NumTracks)
 		for t := 0; t < trace.NumTracks; t++ {
 			tk := trace.Track(t)
-			tm := m.Tracks[t]
+			if b := m.Busy(tk); b > 0 {
+				busy[tk.String()] = b
+			}
+		}
+		files = append(files, traceFile{res.Workload, res.Setup, res.Size, path, res.Tracer.Len(), busy, m.Tracks})
+	}
+	return o.emit(o.out, core.FigureDoc{Figure: "trace", Data: files})
+}
+
+// traceFile describes one written run timeline.
+type traceFile struct {
+	Workload string             `json:"workload"`
+	Setup    cuda.Setup         `json:"setup"`
+	Size     workloads.Size     `json:"size"`
+	Path     string             `json:"path"`
+	Events   int                `json:"events"`
+	BusyNs   map[string]float64 `json:"busy_ns_by_track"`
+	// tracks holds the per-track span and instant counts the text
+	// listing prints next to each track's busy time.
+	tracks [trace.NumTracks]trace.TrackMetrics
+}
+
+// traceListing is the trace subcommand's document: the files it wrote.
+type traceListing []traceFile
+
+func (l traceListing) Text() string {
+	var b strings.Builder
+	for _, f := range l {
+		fmt.Fprintf(&b, "wrote %s (%d events)\n", f.Path, f.Events)
+		for t, tm := range f.tracks {
 			if tm.Spans == 0 && tm.Instants == 0 {
 				continue
 			}
-			fmt.Fprintf(o.out, "  %-16s busy %12.2f ms  spans %5d  instants %5d\n",
-				tk, tm.Busy/1e6, tm.Spans, tm.Instants)
+			fmt.Fprintf(&b, "  %-16s busy %12.2f ms  spans %5d  instants %5d\n",
+				trace.Track(t), tm.Busy/1e6, tm.Spans, tm.Instants)
 		}
 	}
-	if o.json {
-		s, err := core.RenderJSON(core.FigureDoc{Figure: "trace", Data: infos})
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(o.out, s)
-	}
-	return nil
+	return b.String()
 }

@@ -48,6 +48,24 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%v: err = %v, want a count error", args, err)
 		}
 	}
+	// A repeated non-figure subcommand fails before anything runs: no
+	// listing printed twice, no trace directory created.
+	outDir := filepath.Join(t.TempDir(), "traces")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"list,list"}, `subcommand "list" listed twice`},
+		{[]string{"profiles,table3,profiles"}, `subcommand "profiles" listed twice`},
+		{[]string{"-i", "1", "-out", outDir, "trace,trace"}, `subcommand "trace" listed twice`},
+	} {
+		if err := run(c.args); err == nil || err.Error() != c.want {
+			t.Errorf("%v: err = %v, want %q", c.args, err, c.want)
+		}
+	}
+	if _, err := os.Stat(outDir); !os.IsNotExist(err) {
+		t.Errorf("a rejected trace run created its -out directory (stat err = %v)", err)
+	}
 }
 
 func TestCommaSeparatedCommands(t *testing.T) {

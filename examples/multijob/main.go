@@ -77,5 +77,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(study.Render())
+	fmt.Print(study.Doc().Text())
 }

@@ -54,11 +54,11 @@ func TestSizeStability(t *testing.T) {
 	if len(fig6.Runs) != 10 {
 		t.Fatalf("Fig6 runs = %d", len(fig6.Runs))
 	}
-	if fig6.MemcpyCV() <= fig6.KernelCV() {
+	if fig6.MemcpyCV <= fig6.KernelCV {
 		t.Errorf("memcpy cv (%v) should exceed kernel cv (%v) at Mega — Figure 6",
-			fig6.MemcpyCV(), fig6.KernelCV())
+			fig6.MemcpyCV, fig6.KernelCV)
 	}
-	if !strings.Contains(fig6.Render(), "memcpy cv") {
+	if !strings.Contains(fig6.Doc().Text(), "memcpy cv") {
 		t.Error("Fig6 render incomplete")
 	}
 }
@@ -205,7 +205,7 @@ func TestCounterStudies(t *testing.T) {
 		t.Errorf("lud async store miss rate should drop strongly (%v vs %v)",
 			ludAsync.StoreMissRate, ludStd.StoreMissRate)
 	}
-	if !strings.Contains(study.RenderFig9(), "gemm") || !strings.Contains(study.RenderFig10(), "lud") {
+	if !strings.Contains(study.Doc("fig9").Text(), "gemm") || !strings.Contains(study.Doc("fig10").Text(), "lud") {
 		t.Error("counter renders incomplete")
 	}
 }
@@ -217,17 +217,16 @@ func TestSweepBlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pi := range sw.Points {
-		for si := range sw.Setups {
-			v := sw.Normalized(pi, si)
+	for pi, p := range sw.Points {
+		for si, v := range p.NormalizedTotal {
 			if v <= 0 {
 				t.Fatalf("degenerate sweep value at point %d setup %d", pi, si)
 			}
 		}
 		// Standard setup stays within ~15% across block counts.
-		if v := sw.Normalized(pi, 0); v < 0.85 || v > 1.3 {
+		if v := p.NormalizedTotal[0]; v < 0.85 || v > 1.3 {
 			t.Errorf("standard at %v blocks deviates: %.3f (Takeaway 4: stable)",
-				sw.Points[pi].Param, v)
+				p.Param, v)
 		}
 	}
 }
@@ -308,7 +307,7 @@ func TestMultiJob(t *testing.T) {
 	if _, err := r.MultiJob("vector_seq", cuda.Standard, workloads.Super, 0); err == nil {
 		t.Error("zero jobs should error")
 	}
-	if !strings.Contains(res.Render(), "improvement") {
+	if !strings.Contains(res.Doc().Text(), "improvement") {
 		t.Error("multijob render incomplete")
 	}
 }
@@ -339,7 +338,7 @@ func TestPipelineShares(t *testing.T) {
 }
 
 func TestRenderersProduceOutput(t *testing.T) {
-	if !strings.Contains(RenderTable3(), "mega") {
+	if !strings.Contains(Table3Doc().Text(), "mega") {
 		t.Error("Table 3 render incomplete")
 	}
 	r := testRunner(2)
@@ -348,14 +347,14 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(study.RenderFig4(), "saxpy") || !strings.Contains(study.RenderFig5(), "geo-mean") {
+	if !strings.Contains(study.Fig4Doc().Text(), "saxpy") || !strings.Contains(study.Fig5Doc().Text(), "geo-mean") {
 		t.Error("distribution renders incomplete")
 	}
 	bd, err := r.BreakdownComparison(ws, workloads.Small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := bd.Render("Figure 7")
+	out := bd.Doc("fig7").Text()
 	if !strings.Contains(out, "geo-mean improvement") || !strings.Contains(out, "uvm_prefetch_async") {
 		t.Error("breakdown render incomplete")
 	}
@@ -363,7 +362,7 @@ func TestRenderersProduceOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(sw.Render("Figure 11"), "#blocks") {
+	if !strings.Contains(sw.Doc("fig11").Text(), "#blocks") {
 		t.Error("sweep render incomplete")
 	}
 	if _, err := bd.Row("nonexistent"); err == nil {

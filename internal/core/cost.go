@@ -80,8 +80,7 @@ func cellSeconds(cfg cuda.SystemConfig, setup cuda.Setup, size workloads.Size, i
 // over ratio times the managed capacity. The cell is a single run
 // regardless of the runner's iteration count (see oversubCell).
 func oversubSeconds(cfg cuda.SystemConfig, ratio float64, passes int) float64 {
-	capacity := float64(cfg.GPU.HBMCapacity) * cfg.ManagedCapacityFraction
-	perPass := ratio * capacity / chunkBytes(cfg) * costPerChunk
+	perPass := ratio * float64(cfg.ManagedCapacity()) / chunkBytes(cfg) * costPerChunk
 	if ratio > 1 {
 		perPass *= costEvictFactor
 	}

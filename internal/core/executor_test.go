@@ -110,7 +110,7 @@ func TestForEachSaturatedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return study.Render("Figure 7")
+		return study.Doc("fig7").Text()
 	}
 	serial := testRunner(3)
 	serial.Parallelism = 1

@@ -69,7 +69,7 @@ func oversubGolden(t *testing.T, r *Runner, ratios []float64, base string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkGolden(t, base+".txt", study.Render())
+	checkGolden(t, base+".txt", study.Doc().Text())
 	js, err := RenderJSON(study.Doc())
 	if err != nil {
 		t.Fatal(err)
@@ -78,10 +78,11 @@ func oversubGolden(t *testing.T, r *Runner, ratios []float64, base string) {
 }
 
 // sweepGolden pins a launch-parameter sweep the same way.
-func sweepGolden(t *testing.T, sw *Sweep, figure, tag, base string) {
+func sweepGolden(t *testing.T, sw *Sweep, figure, base string) {
 	t.Helper()
-	checkGolden(t, base+".txt", sw.Render(figure))
-	js, err := RenderJSON(sw.Doc(tag))
+	doc := sw.Doc(figure)
+	checkGolden(t, base+".txt", doc.Text())
+	js, err := RenderJSON(doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func fig12Golden(t *testing.T, r *Runner) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweepGolden(t, sw, "Figure 12", "fig12", filepath.Join(figureGoldens, "golden_fig12"))
+	sweepGolden(t, sw, "fig12", filepath.Join(figureGoldens, "golden_fig12"))
 }
 
 func fig13Golden(t *testing.T, r *Runner) {
@@ -115,7 +116,7 @@ func fig13Golden(t *testing.T, r *Runner) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweepGolden(t, sw, "Figure 13", "fig13", filepath.Join(figureGoldens, "golden_fig13"))
+	sweepGolden(t, sw, "fig13", filepath.Join(figureGoldens, "golden_fig13"))
 }
 
 func TestGoldenFig12(t *testing.T) { fig12Golden(t, NewRunner()) }

@@ -20,42 +20,42 @@ import (
 // the pipelined schedule, and reports how much of the projected
 // improvement survives.
 type MultiGPUStudy struct {
-	Workload string
-	Setup    cuda.Setup
-	Size     workloads.Size
-	Jobs     int
-	Policy   string
+	Workload string         `json:"workload"`
+	Setup    cuda.Setup     `json:"setup"`
+	Size     workloads.Size `json:"size"`
+	Jobs     int            `json:"jobs"`
+	Policy   string         `json:"policy"`
 
 	// Analytic is the 1-GPU no-contention §6 projection the grid is
 	// judged against (the frozen Figure 14 oracle).
-	Analytic *MultiJobResult
+	Analytic *MultiJobResult `json:"analytic"`
 
-	Points []MultiGPUPoint
+	Points []MultiGPUPoint `json:"points"`
 }
 
 // MultiGPUSchedule is one schedule's realized aggregates at a grid
 // point, decoded from the cell's per-job and per-GPU breakdowns.
 type MultiGPUSchedule struct {
-	Makespan             float64
-	ThroughputJobsPerSec float64
+	Makespan             float64 `json:"makespan_ns"`
+	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
 	// Fairness is Jain's index over per-job finish times (identical
 	// jobs, so equal to the index over slowdowns).
-	Fairness float64
+	Fairness float64 `json:"fairness"`
 	// TransferStretch is the mean realized/solo transfer-time ratio:
 	// 1.0 means the fabric never contended.
-	TransferStretch float64
+	TransferStretch float64 `json:"transfer_stretch"`
 }
 
 // MultiGPUPoint is one (topology, GPU count) grid point.
 type MultiGPUPoint struct {
-	Topology string
-	GPUs     int
+	Topology string `json:"topology"`
+	GPUs     int    `json:"gpus"`
 
-	Serial    MultiGPUSchedule
-	Pipelined MultiGPUSchedule
+	Serial    MultiGPUSchedule `json:"serial"`
+	Pipelined MultiGPUSchedule `json:"pipelined"`
 	// Improvement is 1 - pipelined/serial makespan: the measured
 	// counterpart of MultiJobResult.Improvement at this grid point.
-	Improvement float64
+	Improvement float64 `json:"improvement"`
 }
 
 // MultiGPU runs the grid study: workload `name` measured once under
@@ -178,7 +178,7 @@ func multiGPUJobs(mb cuda.Breakdown, size workloads.Size, link float64, jobs int
 // 0..jobs-1 are per-job spans (Alloc/Memcpy/Kernel = realized stage
 // durations, Overhead = queueing wait, Total = finish time) and entries
 // jobs..jobs+gpus-1 are per-GPU busy times (Total = the device's last
-// finish). Everything the study and its renderers report is derived
+// finish). Everything the study and its document report is derived
 // from these, so a cell stays a pure function of its cache key.
 func (r *Runner) multiGPUCell(name string, setup cuda.Setup, size workloads.Size, jobs int, kind topo.Kind, gpus int, policy sched.Policy, pipelined bool) (Result, error) {
 	// The stage durations come from the ordinary workload measurement
@@ -287,8 +287,12 @@ func decodeMultiGPUCell(res Result, jobs, gpus int, soloTransfer float64) MultiG
 	return out
 }
 
-// Render prints the grid next to the analytic projection.
-func (s *MultiGPUStudy) Render() string {
+// Doc packages the multi-GPU contention grid next to its analytic
+// reference.
+func (s *MultiGPUStudy) Doc() FigureDoc { return FigureDoc{Figure: "multigpu", Data: s} }
+
+// Text prints the grid next to the analytic projection.
+func (s *MultiGPUStudy) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Multi-GPU batch schedule (%s, %s, %s, %d jobs, %s placement)\n",
 		s.Workload, s.Setup, s.Size, s.Jobs, s.Policy)

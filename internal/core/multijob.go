@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/stats"
@@ -14,29 +15,47 @@ import (
 // deallocation (cudaFree) run on the otherwise idle CPU while the GPU
 // executes kernels.
 type MultiJobResult struct {
-	Workload string
-	Setup    cuda.Setup
-	Jobs     int
+	Workload string     `json:"workload"`
+	Setup    cuda.Setup `json:"setup"`
+	Jobs     int        `json:"jobs"`
 
 	// Per-job stage times (mean of the measured runs).
-	Alloc    float64
-	Transfer float64
-	Kernel   float64
+	Alloc    float64 `json:"alloc_ns"`
+	Transfer float64 `json:"transfer_ns"`
+	Kernel   float64 `json:"kernel_ns"`
 
 	// SerialTotal chains jobs end to end (today's model, Figure 14 top).
-	SerialTotal float64
+	SerialTotal float64 `json:"serial_total_ns"`
 	// PipelinedTotal overlaps CPU allocation work with GPU execution of
 	// the neighboring jobs (Figure 14 bottom).
-	PipelinedTotal float64
+	PipelinedTotal float64 `json:"pipelined_total_ns"`
 	// Improvement is 1 - pipelined/serial.
-	Improvement float64
+	Improvement float64 `json:"improvement"`
 
 	// Shares of the serial per-job time, the quantities §6.1 reports
 	// (allocation 37.66%, kernel 37.79% under uvm_prefetch_async).
-	AllocShare  float64
-	KernelShare float64
+	AllocShare  float64 `json:"alloc_share"`
+	KernelShare float64 `json:"kernel_share"`
 	// Occupancy is the measured time-average SM occupancy.
-	Occupancy float64
+	Occupancy float64 `json:"occupancy"`
+}
+
+// Doc packages the Figure 14 pipeline-model estimate.
+func (m *MultiJobResult) Doc() FigureDoc { return FigureDoc{Figure: "fig14", Data: m} }
+
+// Text prints the Figure 14 / §6 multi-job pipeline estimate.
+func (m *MultiJobResult) Text() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Figure 14 / §6: inter-job pipeline model (%s, %s, %d jobs)\n",
+		m.Workload, m.Setup, m.Jobs)
+	fmt.Fprintf(&b, "per-job stages (ms): alloc %s  transfer %s  kernel %s\n",
+		ms(m.Alloc), ms(m.Transfer), ms(m.Kernel))
+	fmt.Fprintf(&b, "allocation share %.2f%%  kernel share %.2f%%  occupancy %.2f%%\n",
+		100*m.AllocShare, 100*m.KernelShare, 100*m.Occupancy)
+	fmt.Fprintf(&b, "serial batch    %s ms\n", ms(m.SerialTotal))
+	fmt.Fprintf(&b, "pipelined batch %s ms\n", ms(m.PipelinedTotal))
+	fmt.Fprintf(&b, "improvement     %.2f%%\n", 100*m.Improvement)
+	return b.String()
 }
 
 // MultiJob measures workload w once under setup and projects a batch of

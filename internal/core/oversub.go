@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/gpu"
@@ -17,18 +18,18 @@ import (
 // the device's managed capacity and records throughput and eviction
 // traffic per oversubscription ratio.
 type OversubPoint struct {
-	Ratio        float64 // footprint / managed capacity
-	Footprint    int64
-	Total        float64 // wall total, ns
-	BytesPerNs   float64 // effective processing throughput
-	EvictedBytes float64
-	PageFaults   float64
+	Ratio        float64 `json:"ratio"` // footprint / managed capacity
+	Footprint    int64   `json:"footprint_bytes"`
+	Total        float64 `json:"total_ns"`     // wall total
+	BytesPerNs   float64 `json:"bytes_per_ns"` // effective processing throughput
+	EvictedBytes float64 `json:"evicted_bytes"`
+	PageFaults   float64 `json:"page_faults"`
 }
 
 // OversubStudy is the sweep result.
 type OversubStudy struct {
-	Setup  cuda.Setup
-	Points []OversubPoint
+	Setup  cuda.Setup     `json:"setup"`
+	Points []OversubPoint `json:"points"`
 }
 
 // DefaultOversubRatios is the footprint/capacity grid the uvmbench
@@ -119,15 +120,19 @@ func (r *Runner) oversubCell(setup cuda.Setup, footprint int64, passes int) (Res
 	}, nil
 }
 
-// Render prints the oversubscription sweep.
-func (s *OversubStudy) Render() string {
-	out := fmt.Sprintf("Oversubscription sweep (%s): throughput vs footprint/capacity\n", s.Setup)
-	out += fmt.Sprintf("%-8s %12s %14s %14s %12s\n",
+// Doc packages the oversubscription sweep.
+func (s *OversubStudy) Doc() FigureDoc { return FigureDoc{Figure: "oversub", Data: s} }
+
+// Text prints the oversubscription sweep.
+func (s *OversubStudy) Text() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Oversubscription sweep (%s): throughput vs footprint/capacity\n", s.Setup)
+	fmt.Fprintf(&b, "%-8s %12s %14s %14s %12s\n",
 		"ratio", "footprint GB", "GB/s effective", "evicted GB", "faults")
 	for _, p := range s.Points {
-		out += fmt.Sprintf("%-8.2f %12.1f %14.2f %14.2f %12.0f\n",
+		fmt.Fprintf(&b, "%-8.2f %12.1f %14.2f %14.2f %12.0f\n",
 			p.Ratio, float64(p.Footprint)/float64(1<<30),
 			p.BytesPerNs, p.EvictedBytes/float64(1<<30), p.PageFaults)
 	}
-	return out
+	return b.String()
 }

@@ -34,7 +34,7 @@ func TestOversubscriptionSweep(t *testing.T) {
 	if over.PageFaults <= fit.PageFaults {
 		t.Errorf("oversubscribed run should fault more: %v vs %v", over.PageFaults, fit.PageFaults)
 	}
-	if !strings.Contains(study.Render(), "Oversubscription") {
+	if !strings.Contains(study.Doc().Text(), "Oversubscription") {
 		t.Error("render incomplete")
 	}
 }

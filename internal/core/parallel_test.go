@@ -23,35 +23,35 @@ func TestParallelDeterminism(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return study.Render("Figure 7"), nil
+			return study.Doc("fig7").Text(), nil
 		},
 		"distributions": func(r *Runner) (string, error) {
 			study, err := r.Distributions(workloads.Micro()[:3], []workloads.Size{workloads.Small, workloads.Large})
 			if err != nil {
 				return "", err
 			}
-			return study.RenderFig4() + study.RenderFig5(), nil
+			return study.Fig4Doc().Text() + study.Fig5Doc().Text(), nil
 		},
 		"sweep": func(r *Runner) (string, error) {
 			sw, err := r.SweepThreads(workloads.Large, []int{1024, 256, 64})
 			if err != nil {
 				return "", err
 			}
-			return sw.Render("Figure 12"), nil
+			return sw.Doc("fig12").Text(), nil
 		},
 		"counters": func(r *Runner) (string, error) {
 			study, err := r.CounterComparison([]string{"gemm", "lud"}, workloads.Large)
 			if err != nil {
 				return "", err
 			}
-			return study.RenderFig9() + study.RenderFig10(), nil
+			return study.Doc("fig9").Text() + study.Doc("fig10").Text(), nil
 		},
 		"oversub": func(r *Runner) (string, error) {
 			study, err := r.Oversubscription(cuda.UVMPrefetch, []float64{0.5, 1.1}, 2)
 			if err != nil {
 				return "", err
 			}
-			return study.Render(), nil
+			return study.Doc().Text(), nil
 		},
 		"multigpu": func(r *Runner) (string, error) {
 			study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, workloads.Large,
@@ -59,7 +59,7 @@ func TestParallelDeterminism(t *testing.T) {
 			if err != nil {
 				return "", err
 			}
-			return study.Render(), nil
+			return study.Doc().Text(), nil
 		},
 	}
 	for name, render := range cases {
@@ -93,7 +93,7 @@ func TestCacheTransparency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return study.Render("Figure 7")
+		return study.Doc("fig7").Text()
 	}
 	cached := testRunner(2)
 	uncached := testRunner(2)
@@ -140,7 +140,7 @@ func TestCacheDedupesCounterStudy(t *testing.T) {
 	if got, want := r.CacheHits(), uint64(len(first.Rows)); got != want {
 		t.Errorf("second counter study cache hits = %d, want %d", got, want)
 	}
-	if got, want := second.RenderFig9(), first.RenderFig9(); got != want {
+	if got, want := second.Doc("fig9").Text(), first.Doc("fig9").Text(); got != want {
 		t.Errorf("cached counter study diverges:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -86,7 +86,7 @@ func TestCompareProfilesDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return study.Render()
+		return study.Doc().Text()
 	}
 	serial, parallel := run(1), run(8)
 	if serial != parallel {

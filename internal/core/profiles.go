@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
@@ -17,50 +18,42 @@ import (
 
 // ProfileRow is one profile's mean breakdown per study setup.
 type ProfileRow struct {
-	Profile     string
-	Fingerprint string
-	Setups      []cuda.Setup     // the study's setup list, in presentation order
-	Baseline    int              // position in Setups normalization uses
-	BySetup     []cuda.Breakdown // Setups order
-}
-
-// Best returns the winning setup — the lowest region-of-interest time
-// (total minus fixed process overhead) — and its improvement over the
-// baseline setup (positive = faster than the baseline).
-func (row ProfileRow) Best() (cuda.Setup, float64) {
-	best, bestROI := cuda.Standard, 0.0
-	for i, b := range row.BySetup {
-		roi := b.Total - b.Overhead
-		if i == 0 || roi < bestROI {
-			best, bestROI = row.Setups[i], roi
-		}
-	}
-	std := row.BySetup[row.Baseline].Total - row.BySetup[row.Baseline].Overhead
-	if std <= 0 {
-		return best, 0
-	}
-	return best, 1 - bestROI/std
-}
-
-// Normalized returns the setup's ROI time normalized to this profile's
-// own baseline setup (each machine is its own baseline, as when papers
-// compare transfer modes within a testbed).
-func (row ProfileRow) Normalized(setup int) float64 {
-	std := row.BySetup[row.Baseline].Total - row.BySetup[row.Baseline].Overhead
-	if std <= 0 {
-		return 0
-	}
-	b := row.BySetup[setup]
-	return (b.Total - b.Overhead) / std
+	Profile     string           `json:"profile"`
+	Fingerprint string           `json:"fingerprint"`
+	BySetup     []cuda.Breakdown `json:"by_setup"` // ProfileStudy.Setups order
+	// NormalizedTotal is each setup's ROI time over this profile's own
+	// baseline setup's (each machine is its own baseline, as when papers
+	// compare transfer modes within a testbed).
+	NormalizedTotal []float64 `json:"normalized_total"`
+	// BestSetup is the winning setup, the lowest ROI time, and
+	// BestImprovement its gain over the baseline (positive = faster).
+	BestSetup       cuda.Setup `json:"best_setup"`
+	BestImprovement float64    `json:"best_improvement"`
 }
 
 // ProfileStudy is the cross-profile comparison result.
 type ProfileStudy struct {
-	Workload string
-	Size     workloads.Size
-	Setups   []cuda.Setup // the study's setup list, in presentation order
-	Baseline int          // position in Setups normalization uses
-	Rows     []ProfileRow // one per requested profile, in request order
+	Workload string         `json:"workload"`
+	Size     workloads.Size `json:"size"`
+	Setups   []cuda.Setup   `json:"setups"` // the study's setup list, in presentation order
+	Baseline int            `json:"-"`      // position in Setups normalization uses
+	Rows     []ProfileRow   `json:"rows"`   // one per requested profile, in request order
+}
+
+// bestSetup returns the setup with the lowest ROI time and its
+// improvement over the baseline setup.
+func bestSetup(setups []cuda.Setup, bds []cuda.Breakdown, baseline int) (cuda.Setup, float64) {
+	best, bestROI := cuda.Standard, 0.0
+	for i, b := range bds {
+		if i == 0 || roi(b) < bestROI {
+			best, bestROI = setups[i], roi(b)
+		}
+	}
+	std := roi(bds[baseline])
+	if std <= 0 {
+		return best, 0
+	}
+	return best, 1 - bestROI/std
 }
 
 // CompareProfiles measures one workload at one size under every setup in
@@ -113,68 +106,40 @@ func (r *Runner) CompareProfiles(ps []profile.Profile, name string, size workloa
 		Rows:     make([]ProfileRow, len(ps)),
 	}
 	for pi, p := range ps {
+		bds := grid[pi*nSetups : (pi+1)*nSetups]
+		best, gain := bestSetup(setups, bds, base)
 		study.Rows[pi] = ProfileRow{
-			Profile:     p.Name,
-			Fingerprint: p.Fingerprint(),
-			Setups:      setups,
-			Baseline:    base,
-			BySetup:     grid[pi*nSetups : (pi+1)*nSetups],
+			Profile:         p.Name,
+			Fingerprint:     p.Fingerprint(),
+			BySetup:         bds,
+			NormalizedTotal: normalizedTotals(bds, bds[base]),
+			BestSetup:       best,
+			BestImprovement: gain,
 		}
 	}
 	return study, nil
 }
 
-// Render prints the cross-profile comparison: per-profile ROI times by
-// setup, each profile's winning setup, and its gain over the baseline.
-func (s *ProfileStudy) Render() string {
-	out := fmt.Sprintf("Cross-profile comparison: %s (%s input), ROI ms by setup\n", s.Workload, s.Size)
-	out += fmt.Sprintf("%-18s", "profile")
-	for _, setup := range s.Setups {
-		out += fmt.Sprintf(" %18s", setup)
-	}
-	out += fmt.Sprintf(" %20s\n", "best")
-	for _, row := range s.Rows {
-		out += fmt.Sprintf("%-18s", row.Profile)
-		for _, b := range row.BySetup {
-			out += fmt.Sprintf(" %18.2f", (b.Total-b.Overhead)/1e6)
-		}
-		best, gain := row.Best()
-		out += fmt.Sprintf(" %20s\n", fmt.Sprintf("%s (%+.1f%%)", best, 100*gain))
-	}
-	return out
-}
-
 // Doc packages the study as the machine-readable compare-profiles
 // document.
-func (s *ProfileStudy) Doc() FigureDoc {
-	type row struct {
-		Profile         string           `json:"profile"`
-		Fingerprint     string           `json:"fingerprint"`
-		BySetup         []cuda.Breakdown `json:"by_setup"`
-		NormalizedTotal []float64        `json:"normalized_total"`
-		BestSetup       cuda.Setup       `json:"best_setup"`
-		BestImprovement float64          `json:"best_improvement"`
+func (s *ProfileStudy) Doc() FigureDoc { return FigureDoc{Figure: "compare_profiles", Data: s} }
+
+// Text prints the cross-profile comparison: per-profile ROI times by
+// setup, each profile's winning setup, and its gain over the baseline.
+func (s *ProfileStudy) Text() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "Cross-profile comparison: %s (%s input), ROI ms by setup\n", s.Workload, s.Size)
+	fmt.Fprintf(&b, "%-18s", "profile")
+	for _, setup := range s.Setups {
+		fmt.Fprintf(&b, " %18s", setup)
 	}
-	rows := make([]row, len(s.Rows))
-	for i, r := range s.Rows {
-		norm := make([]float64, len(r.BySetup))
-		for si := range r.BySetup {
-			norm[si] = r.Normalized(si)
+	fmt.Fprintf(&b, " %20s\n", "best")
+	for _, row := range s.Rows {
+		fmt.Fprintf(&b, "%-18s", row.Profile)
+		for _, bd := range row.BySetup {
+			fmt.Fprintf(&b, " %18.2f", roi(bd)/1e6)
 		}
-		best, gain := r.Best()
-		rows[i] = row{
-			Profile:         r.Profile,
-			Fingerprint:     r.Fingerprint,
-			BySetup:         r.BySetup,
-			NormalizedTotal: norm,
-			BestSetup:       best,
-			BestImprovement: gain,
-		}
+		fmt.Fprintf(&b, " %20s\n", fmt.Sprintf("%s (%+.1f%%)", row.BestSetup, 100*row.BestImprovement))
 	}
-	return FigureDoc{Figure: "compare_profiles", Data: struct {
-		Workload string         `json:"workload"`
-		Size     workloads.Size `json:"size"`
-		Setups   []cuda.Setup   `json:"setups"`
-		Rows     []row          `json:"rows"`
-	}{s.Workload, s.Size, s.Setups, rows}}
+	return b.String()
 }

@@ -28,7 +28,7 @@ func syntheticSetup(t *testing.T) cuda.Setup {
 	return s
 }
 
-// TestStudiesHandleSixSetups runs a breakdown study, its renderer, its
+// TestStudiesHandleSixSetups runs a breakdown study, its text table, its
 // JSON document and the cross-profile comparison with a six-setup study
 // list (the paper's five plus a synthetic registration) and checks every
 // consumer follows the study's own list: N columns, standard still the
@@ -50,7 +50,7 @@ func TestStudiesHandleSixSetups(t *testing.T) {
 			t.Fatalf("row %s has %d breakdowns, want 6", row.Workload, len(row.BySetup))
 		}
 	}
-	text := study.Render("six-setup study")
+	text := study.Doc("fig7").Text()
 	if !strings.Contains(text, "synthetic_core_test") {
 		t.Errorf("render misses the sixth setup:\n%s", text)
 	}
@@ -78,11 +78,11 @@ func TestStudiesHandleSixSetups(t *testing.T) {
 		if len(row.BySetup) != 6 {
 			t.Fatalf("profile row has %d breakdowns, want 6", len(row.BySetup))
 		}
-		if _, imp := row.Best(); imp < 0 {
-			t.Errorf("best-vs-baseline improvement negative: %v", imp)
+		if row.BestImprovement < 0 {
+			t.Errorf("best-vs-baseline improvement negative: %v", row.BestImprovement)
 		}
 	}
-	if !strings.Contains(ps.Render(), "synthetic_core_test") {
+	if !strings.Contains(ps.Doc().Text(), "synthetic_core_test") {
 		t.Errorf("profile render misses the sixth setup")
 	}
 }
@@ -112,8 +112,7 @@ func TestSubsetBaselineFollowsRegistry(t *testing.T) {
 	}
 	// Improvement math normalizes against the baseline position, so the
 	// baseline's own normalized total is exactly 1.
-	_, _, _, total := study2.Rows[0].Normalized(1)
-	if total != 1 {
+	if total := study2.Rows[0].NormalizedTotal[1]; total != 1 {
 		t.Errorf("baseline normalized total = %v, want 1", total)
 	}
 }

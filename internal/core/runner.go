@@ -325,27 +325,3 @@ func (r *Runner) measureCell(w workloads.Workload, setup cuda.Setup, size worklo
 	}
 	return res, nil
 }
-
-// MeasureAllSetups measures one workload at one size under every setup
-// in the runner's study list (the paper's five by default), returned in
-// that order. Managed setups cost several times their explicit-copy
-// peers, so the dispatch is cost-ordered.
-func (r *Runner) MeasureAllSetups(w workloads.Workload, size workloads.Size) ([]Result, error) {
-	setups := r.setups()
-	out := make([]Result, len(setups))
-	order := r.lptOrder(len(out), func(i int) float64 {
-		return cellSeconds(r.Config, setups[i], size, r.iters())
-	})
-	err := r.forEachOrdered(len(out), order, func(i int) error {
-		res, err := r.Measure(w, setups[i], size)
-		if err != nil {
-			return err
-		}
-		out[i] = res
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}

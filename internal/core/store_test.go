@@ -42,7 +42,7 @@ func renderSuite(t *testing.T, r *Runner) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return study.Render("Figure 7") + cs.RenderFig9() + ov.Render() + mg.Render()
+	return study.Doc("fig7").Text() + cs.Doc("fig9").Text() + ov.Doc().Text() + mg.Doc().Text()
 }
 
 // TestStoreWarmRerun is the tentpole's core guarantee: a second process

@@ -74,161 +74,113 @@ var AllFigures = []string{
 // IsFigure reports whether cmd is one of FigureNames.
 func IsFigure(cmd string) bool { return slices.Contains(FigureNames, cmd) }
 
-// Figure computes one figure artifact on r, returning both renderings:
-// a thunk for the text table (including any advisory note lines the CLI
-// prints in text mode) and the JSON document. The text is lazy because
-// only the CLI's text mode wants it — the JSON server and `-json` runs
-// would otherwise pay the table formatting for every request and throw
-// it away. The thunk is pure over the computed study, so calling it
-// never simulates.
-func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.FigureDoc, error) {
+// Figure computes one figure artifact on r as its document: the CLI's
+// text mode prints doc.Text(), and -json and POST /v1/experiments print
+// its JSON encoding. Text is formatted only when Text is called, so a
+// JSON response never formats a table.
+func Figure(r *core.Runner, cmd string, opt FigureOptions) (core.FigureDoc, error) {
 	switch cmd {
 	case "table3":
-		return core.RenderTable3, core.Table3Doc(), nil
+		return core.Table3Doc(), nil
 
 	case "fig4", "fig5":
 		sizes := FeasibleSizes(r.Config)
 		if len(sizes) == 0 {
-			return nil, core.FigureDoc{}, fmt.Errorf("%s: no size class fits the active profile's memory", cmd)
-		}
-		note := ""
-		if len(sizes) < len(workloads.AllSizes) {
-			note = fmt.Sprintf("note: %d of %d size classes fit this profile's memory; larger classes dropped\n",
-				len(sizes), len(workloads.AllSizes))
+			return core.FigureDoc{}, fmt.Errorf("%s: no size class fits the active profile's memory", cmd)
 		}
 		study, err := r.Distributions(workloads.Micro(), sizes)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		if cmd == "fig4" {
-			return func() string { return note + study.RenderFig4() }, study.Fig4Doc(), nil
+		doc := study.Fig4Doc()
+		if cmd == "fig5" {
+			doc = study.Fig5Doc()
 		}
-		return func() string { return note + study.RenderFig5() }, study.Fig5Doc(), nil
+		if len(sizes) < len(workloads.AllSizes) {
+			doc.Note = fmt.Sprintf("note: %d of %d size classes fit this profile's memory; larger classes dropped\n",
+				len(sizes), len(workloads.AllSizes))
+		}
+		return doc, nil
 
 	case "fig6":
 		// Figure 6 is defined at the mega class (32 GB): on machines whose
 		// memory cannot host it, report the skip instead of failing.
 		if !r.Config.FitsFootprint(workloads.Mega.Footprint()) {
-			note := "fig6 skipped: the mega class (32 GB) does not fit the active profile's memory\n"
-			return func() string { return note }, core.FigureDoc{Figure: "fig6", Data: struct {
-				Skipped string `json:"skipped"`
-			}{"mega footprint exceeds profile memory"}}, nil
+			return core.FigureDoc{Figure: "fig6", Data: skipped{"mega footprint exceeds profile memory"},
+				Note: "fig6 skipped: the mega class (32 GB) does not fit the active profile's memory\n"}, nil
 		}
 		f, err := r.Fig6()
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return f.Render, f.Doc(), nil
+		return f.Doc(), nil
 
 	case "fig7":
 		var studies []*core.BreakdownStudy
 		for _, size := range []workloads.Size{workloads.Large, workloads.Super} {
 			study, err := r.BreakdownComparison(workloads.Micro(), size)
 			if err != nil {
-				return nil, core.FigureDoc{}, err
+				return core.FigureDoc{}, err
 			}
 			studies = append(studies, study)
 		}
-		text := func() string {
-			var b strings.Builder
-			for _, study := range studies {
-				b.WriteString(study.Render("Figure 7"))
-				b.WriteString("\n")
-			}
-			return b.String()
-		}
-		return text, core.Fig7Doc(studies), nil
+		return core.Fig7Doc(studies), nil
 
-	case "fig8":
+	case "fig8", "micro", "apps":
 		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		study, err := r.BreakdownComparison(workloads.Apps(), size)
+		ws := workloads.Apps()
+		if cmd == "micro" {
+			ws = workloads.Micro()
+		}
+		study, err := r.BreakdownComparison(ws, size)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return func() string { return study.Render("Figure 8") }, study.Doc("fig8"), nil
+		return study.Doc(cmd), nil
 
 	case "fig9", "fig10":
 		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
 		study, err := r.CounterComparison([]string{"gemm", "lud", "yolov3"}, size)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		if cmd == "fig9" {
-			return study.RenderFig9, study.Doc("fig9"), nil
-		}
-		return study.RenderFig10, study.Doc("fig10"), nil
+		return study.Doc(cmd), nil
 
-	case "fig11":
+	case "fig11", "fig12", "fig13":
 		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		sw, err := r.SweepBlocks(size, []int{4096, 2048, 1024, 512, 256, 128, 64, 32, 16})
+		var sw *core.Sweep
+		switch cmd {
+		case "fig11":
+			sw, err = r.SweepBlocks(size, []int{4096, 2048, 1024, 512, 256, 128, 64, 32, 16})
+		case "fig12":
+			sw, err = r.SweepThreads(size, []int{1024, 512, 256, 128, 64, 32})
+		default:
+			sw, err = r.SweepShared(size, []float64{2, 4, 8, 16, 32, 64, 128})
+		}
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return func() string { return sw.Render("Figure 11") }, sw.Doc("fig11"), nil
-
-	case "fig12":
-		size, err := opt.SizeOr(workloads.Large)
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		sw, err := r.SweepThreads(size, []int{1024, 512, 256, 128, 64, 32})
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		return func() string { return sw.Render("Figure 12") }, sw.Doc("fig12"), nil
-
-	case "fig13":
-		size, err := opt.SizeOr(workloads.Large)
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		sw, err := r.SweepShared(size, []float64{2, 4, 8, 16, 32, 64, 128})
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		return func() string { return sw.Render("Figure 13") }, sw.Doc("fig13"), nil
+		return sw.Doc(cmd), nil
 
 	case "fig14":
 		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
 		res, err := r.MultiJob("vector_seq", cuda.UVMPrefetchAsync, size, opt.Jobs)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return res.Render, res.Doc(), nil
-
-	case "micro":
-		size, err := opt.SizeOr(workloads.Super)
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		study, err := r.BreakdownComparison(workloads.Micro(), size)
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		return func() string { return study.Render("Microbenchmarks (§4.1.1)") }, study.Doc("micro"), nil
-
-	case "apps":
-		size, err := opt.SizeOr(workloads.Super)
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		study, err := r.BreakdownComparison(workloads.Apps(), size)
-		if err != nil {
-			return nil, core.FigureDoc{}, err
-		}
-		return func() string { return study.Render("Real-world applications (§4.1.2)") }, study.Doc("apps"), nil
+		return res.Doc(), nil
 
 	case "oversub":
 		// Extension experiment: UVM oversubscription (see §2.1's cited
@@ -236,9 +188,9 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		// grid dense around the cliff (cheap now that eviction is O(1)).
 		study, err := r.Oversubscription(cuda.UVMPrefetch, core.DefaultOversubRatios, 2)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return study.Render, study.Doc(), nil
+		return study.Doc(), nil
 
 	case "multigpu":
 		// Tentpole experiment: the Figure 14 pipeline headroom under real
@@ -246,22 +198,22 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		// over a (topology x GPU count) grid.
 		size, err := opt.SizeOr(workloads.Super)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
 		gpus, topos, policy, err := ResolveMultiGPU(opt)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
 		study, err := r.MultiGPU("vector_seq", cuda.UVMPrefetchAsync, size, opt.Jobs, gpus, topos, policy)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return study.Render, study.Doc(), nil
+		return study.Doc(), nil
 
 	case "compare-profiles":
 		size, err := opt.SizeOr(workloads.Large)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
 		ps := opt.Profiles
 		if ps == nil {
@@ -269,12 +221,20 @@ func Figure(r *core.Runner, cmd string, opt FigureOptions) (func() string, core.
 		}
 		study, err := r.CompareProfiles(ps, opt.Workload, size)
 		if err != nil {
-			return nil, core.FigureDoc{}, err
+			return core.FigureDoc{}, err
 		}
-		return study.Render, study.Doc(), nil
+		return study.Doc(), nil
 	}
-	return nil, core.FigureDoc{}, fmt.Errorf("unknown figure %q", cmd)
+	return core.FigureDoc{}, fmt.Errorf("unknown figure %q", cmd)
 }
+
+// skipped is the document of a figure the active profile cannot host;
+// the reason it prints is the doc's note.
+type skipped struct {
+	Reason string `json:"skipped"`
+}
+
+func (skipped) Text() string { return "" }
 
 // ResolveMultiGPU normalizes the multigpu grid options: empty values
 // take the package defaults, lists parse with validation and nearest

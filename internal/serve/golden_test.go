@@ -27,8 +27,15 @@ const everyFieldSpec = `{"figures":["fig8","multigpu","compare-profiles"],"iters
 	`"size":"small","jobs":4,"setups":["standard","uvm_prefetch_async","uvm_zerocopy"],` +
 	`"gpus":[2],"topology":["nvlink"],"policy":"bandwidth-aware"}`
 
+// v100Spec runs the distribution figures on a profile whose memory
+// cannot host the mega class: fig4 and fig5 drop it with a text-only
+// note, and fig6 answers with its skip document. It is the spec form of
+// `-profile v100-16g-pcie3 -i 2 -seed 1 fig4,fig5,fig6`.
+const v100Spec = `{"figures":["fig4","fig5","fig6"],"iters":2,"seed":1,"profile":"v100-16g-pcie3"}`
+
 // TestGoldenFigures pins every figure on the default profile at -i 2
-// -seed 1, plus the every-field run, byte for byte in both encodings:
+// -seed 1, plus the every-field and V100 runs, byte for byte in both
+// encodings:
 // testdata/golden_<name>.txt holds what `uvmbench <flags> <figures>`
 // prints and golden_<name>.json what `uvmbench -json ...` prints (and
 // POST /v1/experiments answers) for the same run. Goldens are
@@ -40,7 +47,7 @@ func TestGoldenFigures(t *testing.T) {
 	for _, fig := range FigureNames {
 		runs = append(runs, run{fig, `{"figure":"` + fig + `","iters":2,"seed":1}`})
 	}
-	runs = append(runs, run{"every-field", everyFieldSpec})
+	runs = append(runs, run{"every-field", everyFieldSpec}, run{"v100-fig4-6", v100Spec})
 	for _, c := range runs {
 		t.Run(c.name, func(t *testing.T) {
 			req, err := ParseSpec(strings.NewReader(c.spec), profile.Default())
@@ -50,11 +57,11 @@ func TestGoldenFigures(t *testing.T) {
 			r := req.Runner(core.NewRunnerFor(req.Profile))
 			var text, js strings.Builder
 			for _, fig := range req.expanded() {
-				thunk, doc, err := Figure(r, fig, req.FigureOptions)
+				doc, err := Figure(r, fig, req.FigureOptions)
 				if err != nil {
 					t.Fatal(err)
 				}
-				text.WriteString(thunk())
+				text.WriteString(doc.Text())
 				s, err := core.RenderJSON(doc)
 				if err != nil {
 					t.Fatal(err)

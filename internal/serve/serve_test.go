@@ -50,7 +50,7 @@ func cliJSON(t *testing.T, iters int, figures ...string) string {
 	r.Iterations = iters
 	var out strings.Builder
 	for _, fig := range figures {
-		_, doc, err := Figure(r, fig, FigureOptions{Jobs: 8, Workload: "gemm"})
+		doc, err := Figure(r, fig, FigureOptions{Jobs: 8, Workload: "gemm"})
 		if err != nil {
 			t.Fatal(err)
 		}

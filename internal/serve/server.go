@@ -286,19 +286,15 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 	rr := req.Runner(s.runnerFor(req.Profile))
 
-	// Encode into a pooled buffer: a json.Encoder with the CLI's indent
-	// writes the same bytes core.RenderJSON would (MarshalIndent plus a
-	// trailing newline per document) without the per-figure []byte →
-	// string → builder copies, and the buffer's backing array is reused
-	// across requests. Nothing reaches the ResponseWriter until every
-	// figure succeeded, so errors still get a clean error document.
-	buf := bodyBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer bodyBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
+	// A json.Encoder with the CLI's indent writes the same bytes
+	// core.RenderJSON would (MarshalIndent plus a trailing newline per
+	// document). Nothing reaches the ResponseWriter until every figure
+	// succeeded, so errors still get a clean error document.
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	for _, fig := range req.expanded() {
-		_, doc, err := Figure(rr, fig, req.FigureOptions)
+		doc, err := Figure(rr, fig, req.FigureOptions)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
@@ -311,11 +307,6 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes())
 }
-
-// bodyBufPool recycles response-body buffers across experiment
-// requests; a figure-all document is a few hundred KiB, well worth not
-// re-growing from scratch on every cold request.
-var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // handleMetrics serves the Prometheus text exposition, refreshing the
 // scrape-time process gauges first.

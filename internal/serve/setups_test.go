@@ -63,7 +63,7 @@ func TestSpecSetupsWithoutMemcpy(t *testing.T) {
 	r := core.NewRunnerFor(profile.Default())
 	r.Iterations = 1
 	r.Setups = []cuda.Setup{cuda.UVMZeroCopy, cuda.UVMSMCopy}
-	_, doc, err := Figure(r, "micro", FigureOptions{Size: "tiny", Jobs: 8, Workload: "gemm"})
+	doc, err := Figure(r, "micro", FigureOptions{Size: "tiny", Jobs: 8, Workload: "gemm"})
 	if err != nil {
 		t.Fatal(err)
 	}
