@@ -429,6 +429,46 @@ func BenchmarkUVMEvictionMega(b *testing.B) { benchUVMEvictionMega(b, false) }
 // the data-structure speedup in isolation.
 func BenchmarkUVMEvictionMegaScan(b *testing.B) { benchUVMEvictionMega(b, true) }
 
+// BenchmarkUVMOversubStream drives one warm uvm.Manager through the
+// oversub cell's call sequence under uvm_prefetch — PrefetchRegion,
+// DemandRange, MarkDeviceWritten and MarkDirty per pass, two passes over
+// a region twice the default profile's managed capacity — so every
+// chunk the stream makes resident evicts one: the evicting run paths
+// behind the oversub sweep, isolated from kernels and figure rendering.
+// An untimed first pass warms the arenas and busy sets, so a timed op
+// allocates nothing. evictions/op is its deterministic work count. It is
+// a row of the benchmark ledger (BENCH.json, scripts/ledger).
+func BenchmarkUVMOversubStream(b *testing.B) {
+	cfg := cuda.DefaultSystemConfig()
+	capacity := cfg.ManagedCapacity()
+	bus := pcie.New(sim.New(), cfg.PCIe)
+	var stats counters.UVMStats
+	m := uvm.NewManager(cfg.UVM, bus, capacity, &stats)
+	op := func() {
+		m.Reset()
+		bus.Reset()
+		stats = counters.UVMStats{}
+		r, err := m.Register(2 * capacity)
+		if err != nil {
+			b.Fatal(err)
+		}
+		now := 0.0
+		for pass := 0; pass < 2; pass++ {
+			now = m.PrefetchRegion(r, now)
+			now = m.DemandRange(r, 0, r.NumChunks(), now, 1e-3)
+			m.MarkDeviceWritten(r, now)
+			m.MarkDirty(r, 0, r.Size)
+		}
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(stats.Evictions, "evictions/op")
+}
+
 // BenchmarkContextCycle measures one full simulated process — context
 // creation through a vector_seq run — with allocation accounting, so the
 // hot-path allocation cuts in internal/cuda and internal/sim stay

@@ -228,10 +228,30 @@ type cellCache struct {
 	// Runner.InstrumentMetrics. The zero value disables them; see
 	// metrics.go.
 	inst cellInstruments
+	// fps memoizes profile.Fingerprint per config value (under mu): the
+	// digest JSON-encodes and hashes the whole SystemConfig, and every
+	// cell lookup needs it.
+	fps map[cuda.SystemConfig]string
 }
 
 func newCellCache() *cellCache {
-	return &cellCache{m: make(map[cellKey]*cellEntry)}
+	return &cellCache{m: make(map[cellKey]*cellEntry), fps: make(map[cuda.SystemConfig]string)}
+}
+
+// fingerprint returns profile.Fingerprint(cfg), digesting each config
+// value once. Fingerprint digests configs equally exactly when they
+// compare equal, so the memo's keys are the digest's own classes.
+func (c *cellCache) fingerprint(cfg cuda.SystemConfig) string {
+	c.mu.Lock()
+	fp, ok := c.fps[cfg]
+	c.mu.Unlock()
+	if !ok {
+		fp = profile.Fingerprint(cfg)
+		c.mu.Lock()
+		c.fps[cfg] = fp
+		c.mu.Unlock()
+	}
+	return fp
 }
 
 // do returns the cached result for key, computing it at most once.
@@ -254,6 +274,18 @@ func (c *cellCache) do(key cellKey, compute func() (Result, error)) (Result, err
 	return e.res, e.err
 }
 
+// cellKey is the cache key of one cell on this Runner.
+func (r *Runner) cellKey(kind string, setup cuda.Setup, size workloads.Size) cellKey {
+	return cellKey{
+		kind:  kind,
+		setup: setup,
+		size:  size,
+		iters: r.iters(),
+		seed:  r.BaseSeed,
+		fp:    r.cache.fingerprint(r.Config),
+	}
+}
+
 // cached routes a cell computation through the cell cache (when enabled).
 // Cached Results are shared between callers and must be treated as
 // read-only, which every consumer in this package does.
@@ -265,14 +297,7 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 	if !r.Cache || r.cache == nil || r.TraceHook != nil {
 		return compute()
 	}
-	key := cellKey{
-		kind:  kind,
-		setup: setup,
-		size:  size,
-		iters: r.iters(),
-		seed:  r.BaseSeed,
-		fp:    profile.Fingerprint(r.Config),
-	}
+	key := r.cellKey(kind, setup, size)
 	if r.Store == nil {
 		return r.cache.do(key, func() (Result, error) {
 			return r.timedCompute(compute)

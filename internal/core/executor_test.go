@@ -2,8 +2,11 @@ package core
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
+	"uvmasim/internal/cuda"
+	"uvmasim/internal/profile"
 	"uvmasim/internal/workloads"
 )
 
@@ -123,4 +126,64 @@ func TestForEachSaturatedDeterminism(t *testing.T) {
 	if got := render(drained); got != want {
 		t.Errorf("drained-pool output diverges from serial\nserial:\n%s\ndrained:\n%s", want, got)
 	}
+}
+
+// TestCellKeyFollowsConfig pins the memoized profile digest in cell
+// keys: a key carries profile.Fingerprint of the Runner's own config, so
+// a Runner copy (which shares the cache, and with it the memo) whose
+// Config changes gets a new key and simulates instead of hitting the
+// original's cells, while the unchanged original keeps its key.
+func TestCellKeyFollowsConfig(t *testing.T) {
+	r := NewRunner()
+	r.Iterations = 1
+	computes := 0
+	compute := func() (Result, error) {
+		computes++
+		return Result{}, nil
+	}
+	lookup := func(r *Runner) cellKey {
+		t.Helper()
+		if _, err := r.cached("k", cuda.UVM, workloads.Tiny, compute); err != nil {
+			t.Fatal(err)
+		}
+		return r.cellKey("k", cuda.UVM, workloads.Tiny)
+	}
+
+	base := lookup(r)
+	if base.fp != profile.Fingerprint(r.Config) {
+		t.Fatalf("key digest %s, profile.Fingerprint %s", base.fp, profile.Fingerprint(r.Config))
+	}
+	if again := lookup(r); again != base || computes != 1 {
+		t.Fatalf("repeat lookup: key %+v (was %+v), %d computes, want 1", again, base, computes)
+	}
+
+	c := *r
+	c.Config.UVM.FaultBatchLatencyNs *= 2
+	changed := lookup(&c)
+	if changed.fp == base.fp || changed.fp != profile.Fingerprint(c.Config) {
+		t.Fatalf("changed config: key digest %s, original %s, profile.Fingerprint %s",
+			changed.fp, base.fp, profile.Fingerprint(c.Config))
+	}
+	if computes != 2 {
+		t.Fatalf("changed config hit the original's cell: %d computes, want 2", computes)
+	}
+	if again := lookup(r); again != base || computes != 2 {
+		t.Fatalf("original after the copy: key %+v (was %+v), %d computes, want 2", again, base, computes)
+	}
+
+	// The memo is shared by every Runner of the family, which looks keys
+	// up from concurrent cells.
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := *r
+			c.Config.UVM.FaultBatchLatencyNs += float64(g % 3)
+			if got, want := c.cellKey("k", cuda.UVM, workloads.Tiny).fp, profile.Fingerprint(c.Config); got != want {
+				t.Errorf("goroutine %d: key digest %s, profile.Fingerprint %s", g, got, want)
+			}
+		}(g)
+	}
+	wg.Wait()
 }

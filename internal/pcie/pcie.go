@@ -113,16 +113,8 @@ func (b *Bus) CopyD2HBulk(t float64, bytes int64, hostEff float64) float64 {
 // coalesce (irregular/random kernels). No descriptor latency is charged
 // here — the UVM fault-batch latency covers it.
 func (b *Bus) MigrateOnDemand(t float64, bytes int64, patternEff float64) float64 {
-	eff := b.cfg.FaultEfficiency * patternEff
-	if eff <= 0 {
-		eff = 0.01
-	}
-	if eff > 1 {
-		eff = 1
-	}
-	start, end := b.H2D.ReserveAt(t, float64(bytes), 0, eff, nil)
-	b.Tracer().Span(trace.PCIeH2D, "migrate", start, end, trace.Args{Bytes: bytes})
-	return end
+	ln := b.MigrateLane(bytes, patternEff)
+	return ln.At(t)
 }
 
 // PrefetchChunk reserves a prefetch-stream host->device transfer and
@@ -130,8 +122,66 @@ func (b *Bus) MigrateOnDemand(t float64, bytes int64, patternEff float64) float6
 // track even though it occupies the H2D link, mirroring how profiler
 // timelines show the prefetch stream as its own row.
 func (b *Bus) PrefetchChunk(t float64, bytes int64) float64 {
-	start, end := b.H2D.ReserveAt(t, float64(bytes), 0, b.cfg.PrefetchEfficiency, nil)
-	b.Tracer().Span(trace.Prefetch, "prefetch", start, end, trace.Args{Bytes: bytes})
+	ln := b.PrefetchLane(bytes)
+	return ln.At(t)
+}
+
+// Writeback reserves a device->host dirty-page writeback and returns the
+// completion time.
+func (b *Bus) Writeback(t float64, bytes int64) float64 {
+	ln := b.WritebackLane(bytes)
+	return ln.At(t)
+}
+
+// A Lane is one kind of chunk transfer — a fault migration, a prefetch
+// or a writeback of a fixed size — with its link time computed once.
+// MigrateOnDemand, PrefetchChunk and Writeback each make a lane for one
+// transfer; a caller reserving a run of same-size transfers makes one
+// lane for the whole run and calls At per transfer.
+type Lane struct {
+	link  *sim.Link
+	tr    *trace.Tracer
+	track trace.Track
+	name  string
+	bytes int64
+	dur   float64
+}
+
+func (b *Bus) lane(l *sim.Link, track trace.Track, name string, bytes int64, eff float64) Lane {
+	return Lane{link: l, tr: b.Tracer(), track: track, name: name, bytes: bytes,
+		dur: l.TransferTime(float64(bytes), 0, eff)}
+}
+
+// MigrateLane is the lane of a fault migration of bytes at patternEff:
+// the fault efficiency derated by the pattern, clamped to [0.01, 1].
+func (b *Bus) MigrateLane(bytes int64, patternEff float64) Lane {
+	eff := b.cfg.FaultEfficiency * patternEff
+	if eff <= 0 {
+		eff = 0.01
+	}
+	if eff > 1 {
+		eff = 1
+	}
+	return b.lane(b.H2D, trace.PCIeH2D, "migrate", bytes, eff)
+}
+
+// PrefetchLane is the lane of a prefetch of bytes.
+func (b *Bus) PrefetchLane(bytes int64) Lane {
+	return b.lane(b.H2D, trace.Prefetch, "prefetch", bytes, b.cfg.PrefetchEfficiency)
+}
+
+// WritebackLane is the lane of a writeback of bytes.
+func (b *Bus) WritebackLane(bytes int64) Lane {
+	return b.lane(b.D2H, trace.PCIeD2H, "writeback", bytes, b.cfg.WritebackEfficiency)
+}
+
+// At reserves the lane's transfer starting no earlier than t and returns
+// its completion time.
+func (ln *Lane) At(t float64) float64 {
+	start, end := ln.link.Reserve(t, ln.dur)
+	if ln.tr != nil {
+		ln.tr.Span(ln.track, ln.name, start, end, trace.Args{Bytes: ln.bytes})
+	}
 	return end
 }
 
@@ -149,14 +199,6 @@ func (b *Bus) PrefetchRun(t float64, bytes int64, ends []float64) float64 {
 		}
 	}
 	return ends[len(ends)-1]
-}
-
-// Writeback reserves a device->host dirty-page writeback and returns the
-// completion time.
-func (b *Bus) Writeback(t float64, bytes int64) float64 {
-	start, end := b.D2H.ReserveAt(t, float64(bytes), 0, b.cfg.WritebackEfficiency, nil)
-	b.Tracer().Span(trace.PCIeD2H, "writeback", start, end, trace.Args{Bytes: bytes})
-	return end
 }
 
 // BusyTotal returns the combined busy time of both directions.

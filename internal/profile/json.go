@@ -6,14 +6,16 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
+	"reflect"
 	"strings"
 
 	"uvmasim/internal/cuda"
 )
 
 // Fingerprint returns a deterministic 16-hex-digit digest of the full
-// system configuration. Two configs fingerprint equally iff every field
-// is bit-identical: the digest hashes the canonical JSON encoding, whose
+// system configuration. Two configs fingerprint equally iff they compare
+// equal (==): every field is bit-identical, except that a -0 field is
+// digested as 0. The digest hashes the canonical JSON encoding, whose
 // field order is the struct declaration order and whose float64
 // rendering is Go's shortest exact round-trip form. The experiment cell
 // cache keys on this digest, so results can never leak between
@@ -21,6 +23,7 @@ import (
 // keeps its fingerprint (the round trip preserves every field exactly,
 // including explicit zeros).
 func Fingerprint(cfg cuda.SystemConfig) string {
+	positiveZeros(reflect.ValueOf(&cfg).Elem())
 	b, err := json.Marshal(cfg)
 	if err != nil {
 		// SystemConfig is all scalar fields; Marshal cannot fail.
@@ -29,6 +32,21 @@ func Fingerprint(cfg cuda.SystemConfig) string {
 	h := fnv.New64a()
 	h.Write(b)
 	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// positiveZeros sets every -0 float field of the struct v to +0, which
+// compares equal to it but encodes as "-0".
+func positiveZeros(v reflect.Value) {
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Struct:
+			positiveZeros(f)
+		case reflect.Float32, reflect.Float64:
+			if f.Float() == 0 && f.CanSet() {
+				f.SetFloat(0)
+			}
+		}
+	}
 }
 
 // Fingerprint digests the profile's configuration (the name and

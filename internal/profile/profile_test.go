@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -77,6 +78,25 @@ func TestFingerprints(t *testing.T) {
 	}
 }
 
+// TestFingerprintSignedZero: -0 and +0 compare equal, so a config
+// holding either is one cell-cache key; the digest encodes both as 0,
+// and every other bit pattern still moves it.
+func TestFingerprintSignedZero(t *testing.T) {
+	pos, neg := cuda.DefaultSystemConfig(), cuda.DefaultSystemConfig()
+	pos.PCIe.LatencyNs, neg.PCIe.LatencyNs = 0, math.Copysign(0, -1)
+	if pos != neg {
+		t.Fatal("configs differing only in the sign of a zero compare unequal")
+	}
+	if Fingerprint(neg) != Fingerprint(pos) {
+		t.Errorf("-0 digests as %s, +0 as %s", Fingerprint(neg), Fingerprint(pos))
+	}
+	tiny := pos
+	tiny.PCIe.LatencyNs = math.SmallestNonzeroFloat64
+	if Fingerprint(tiny) == Fingerprint(pos) {
+		t.Error("the smallest positive latency digests as 0")
+	}
+}
+
 // numericField is one numeric leaf of the SystemConfig struct tree.
 type numericField struct {
 	name  string
@@ -144,6 +164,56 @@ func TestValidateRejectsRelationalNonsense(t *testing.T) {
 		tc.mutate(&cfg)
 		if err := Validate(cfg); err == nil {
 			t.Errorf("Validate accepted config with %s", tc.name)
+		}
+	}
+}
+
+// TestValidateBoundsDurations: a rate or link efficiency so low, a fixed
+// cost or slowdown so high, or a per-device count so high that derived
+// durations overflow used to pass Validate and then panic the UVM
+// evictor or print NaN tables. Validate rejects each and names the
+// field; the bounds themselves are accepted.
+func TestValidateBoundsDurations(t *testing.T) {
+	cases := []struct {
+		field  string
+		mutate func(*cuda.SystemConfig)
+		ok     bool
+	}{
+		{"pcie.BandwidthGBs", func(c *cuda.SystemConfig) { c.PCIe.BandwidthGBs = 1e-300 }, false},
+		{"gpu.HBMBandwidthGBs", func(c *cuda.SystemConfig) { c.GPU.HBMBandwidthGBs = 1e-300 }, false},
+		{"gpu.ClockGHz", func(c *cuda.SystemConfig) { c.GPU.ClockGHz = 1e-300 }, false},
+		{"gpu.SMs", func(c *cuda.SystemConfig) { c.GPU.SMs = 1 << 62 }, false},
+		{"pcie.LatencyNs", func(c *cuda.SystemConfig) { c.PCIe.LatencyNs = math.Inf(1) }, false},
+		{"gpu.HBMBandwidthGBs", func(c *cuda.SystemConfig) { c.GPU.HBMBandwidthGBs = math.Inf(1) }, false},
+		{"SystemOverheadNs", func(c *cuda.SystemConfig) { c.SystemOverheadNs = 1e300 }, false},
+		{"KernelLaunchNs", func(c *cuda.SystemConfig) { c.KernelLaunchNs = 1e308 }, false},
+		{"alloc.ManagedPerGB", func(c *cuda.SystemConfig) { c.Alloc.ManagedPerGB = 1e300 }, false},
+		{"host.CrossPenalty", func(c *cuda.SystemConfig) { c.Host.CrossPenalty = 1e300 }, false},
+		{"host.Chips", func(c *cuda.SystemConfig) { c.Host.Chips = 1 << 40 }, false},
+		{"pcie.BulkEfficiency", func(c *cuda.SystemConfig) { c.PCIe.BulkEfficiency = 1e-300 }, false},
+		{"rates at the floor", func(c *cuda.SystemConfig) {
+			c.PCIe.BandwidthGBs, c.GPU.HBMBandwidthGBs, c.GPU.ClockGHz = minRate, minRate, minRate
+			c.PCIe.BulkEfficiency, c.PCIe.FaultEfficiency = minEff, minEff
+		}, true},
+		{"costs at the ceiling", func(c *cuda.SystemConfig) {
+			c.SystemOverheadNs, c.KernelLaunchNs, c.UVM.FaultBatchLatencyNs = maxNs, maxNs, maxNs
+			c.Alloc.ManagedPerGB, c.Host.CrossPenalty, c.Host.CrossJitter = maxNs, maxFactor, maxFactor
+		}, true},
+		{"counts at the ceiling", func(c *cuda.SystemConfig) {
+			c.GPU.SMs, c.GPU.WarpSize, c.Host.Chips = maxCount, maxCount, maxCount
+		}, true},
+	}
+	for _, tc := range cases {
+		cfg := cuda.DefaultSystemConfig()
+		tc.mutate(&cfg)
+		err := Validate(cfg)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: Validate rejected it: %v", tc.field, err)
+		case !tc.ok && err == nil:
+			t.Errorf("Validate accepted a bad %s", tc.field)
+		case !tc.ok && !strings.Contains(err.Error(), tc.field):
+			t.Errorf("error does not name %s: %v", tc.field, err)
 		}
 	}
 }
@@ -337,4 +407,50 @@ func TestBuiltinsRunTiny(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzProfileLoad drives untrusted profile JSON through the whole
+// boundary: Load, then Validate, then one Tiny iteration of vector_seq
+// under every registered setup. Bad input must yield an error, never a
+// panic, and a profile that loads must simulate non-negative breakdowns
+// that stay finite when scaled by tinyHeadroom, so no larger run sums
+// them to +Inf or a NaN table. The committed corpus holds profiles that
+// once passed Validate and then panicked in the UVM evictor, printed
+// NaN tables or summed their durations past this headroom.
+func FuzzProfileLoad(f *testing.F) {
+	// tinyHeadroom covers the largest run a request can ask for, with
+	// orders of magnitude to spare: the Mega input is 32768× Tiny's
+	// footprint, a request runs at most 100000 iterations, and figures
+	// sum and compare many cells.
+	const tinyHeadroom = 1e20
+	var buf bytes.Buffer
+	if err := Save(&buf, Default()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	w, err := workloads.ByName("vector_seq")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("Load accepted a profile that Validate rejects: %v", err)
+		}
+		for _, setup := range cuda.Registered() {
+			ctx := p.NewContext(setup, 1)
+			if err := w.Run(ctx, workloads.Tiny); err != nil {
+				continue
+			}
+			b := ctx.Breakdown()
+			for _, v := range []float64{b.Alloc, b.Memcpy, b.Kernel, b.Overhead, b.Total} {
+				if !(v >= 0) || math.IsInf(v*tinyHeadroom, 1) {
+					t.Fatalf("%s: breakdown %+v is negative or without headroom to stay finite", setup, b)
+				}
+			}
+		}
+	})
 }

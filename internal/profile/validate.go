@@ -2,6 +2,7 @@ package profile
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"uvmasim/internal/cuda"
@@ -15,10 +16,29 @@ func (v *violations) addf(format string, args ...any) {
 	*v = append(*v, fmt.Sprintf(format, args...))
 }
 
-// pos requires val > 0.
+// Bounds that keep every derived duration finite. A run sums the
+// durations of up to millions of transfers and kernels, and a duration
+// is a fixed cost, a size over a derated rate, a work count over a
+// product of per-device counts, or one of these scaled by a slowdown
+// factor. A rate below minRate (1 KB/s in GB/s, 1 kHz in GHz), a link
+// efficiency below minEff, a fixed or per-GB cost above maxNs (about 32
+// years), a slowdown factor above maxFactor, or a count above maxCount
+// makes single durations or products so large that their sums overflow
+// to +Inf; then the tables print NaN, or the UVM evictor meets a chunk
+// whose arrival is +Inf. Every bound sits orders of magnitude outside
+// any real machine.
+const (
+	minRate   = 1e-6
+	minEff    = 1e-6
+	maxNs     = 1e18
+	maxFactor = 1e6
+	maxCount  = 1 << 20
+)
+
+// pos requires a finite val > 0.
 func (v *violations) pos(name string, val float64) {
-	if !(val > 0) { // rejects NaN too
-		v.addf("%s must be positive, got %v", name, val)
+	if !(val > 0) || math.IsInf(val, 1) { // rejects NaN too
+		v.addf("%s must be positive and finite, got %v", name, val)
 	}
 }
 
@@ -26,6 +46,34 @@ func (v *violations) pos(name string, val float64) {
 func (v *violations) nonneg(name string, val float64) {
 	if !(val >= 0) {
 		v.addf("%s must be non-negative, got %v", name, val)
+	}
+}
+
+// upTo requires val in [0, max].
+func (v *violations) upTo(name string, val, max float64) {
+	if !(val >= 0 && val <= max) {
+		v.addf("%s must be in [0, %g], got %v", name, max, val)
+	}
+}
+
+// rate requires a finite rate of at least minRate.
+func (v *violations) rate(name string, val float64) {
+	if !(val >= minRate) || math.IsInf(val, 1) {
+		v.addf("%s must be a finite rate of at least %g, got %v", name, minRate, val)
+	}
+}
+
+// count requires a per-device count in [1, maxCount].
+func (v *violations) count(name string, val int) {
+	if val < 1 || val > maxCount {
+		v.addf("%s must be in [1, %d], got %d", name, maxCount, val)
+	}
+}
+
+// eff requires a link efficiency in [minEff, 1].
+func (v *violations) eff(name string, val float64) {
+	if !(val >= minEff && val <= 1) {
+		v.addf("%s must be in [%g, 1], got %v", name, minEff, val)
 	}
 }
 
@@ -43,25 +91,26 @@ func (v *violations) frac0lt1(name string, val float64) {
 	}
 }
 
-// Validate rejects nonsensical system configurations: non-positive
-// bandwidths, capacities or granules, shared-memory carveouts exceeding
-// the unified cache, link efficiencies outside (0, 1], fractions outside
-// their ranges, a managed capacity smaller than one migration chunk. It
-// reports every violation, not just the first, so a hand-written profile
-// JSON can be fixed in one pass.
+// Validate rejects nonsensical system configurations: non-positive or
+// infinite quantities; rates, link efficiencies, costs, slowdown factors
+// and per-device counts outside the bounds that keep every derived
+// duration finite; shared-memory carveouts exceeding the unified cache;
+// fractions outside their ranges; a managed capacity smaller than one
+// migration chunk. It reports every violation, not just the first, so a
+// hand-written profile JSON can be fixed in one pass.
 func Validate(cfg cuda.SystemConfig) error {
 	var v violations
 
 	g := cfg.GPU
-	v.pos("gpu.SMs", float64(g.SMs))
-	v.pos("gpu.CoresPerSM", float64(g.CoresPerSM))
-	v.pos("gpu.ClockGHz", g.ClockGHz)
-	v.pos("gpu.MaxThreadsPerSM", float64(g.MaxThreadsPerSM))
-	v.pos("gpu.MaxBlocksPerSM", float64(g.MaxBlocksPerSM))
-	v.pos("gpu.MaxWarpsPerSM", float64(g.MaxWarpsPerSM))
-	v.pos("gpu.WarpSize", float64(g.WarpSize))
-	v.pos("gpu.HBMBandwidthGBs", g.HBMBandwidthGBs)
-	v.nonneg("gpu.HBMLatencyNs", g.HBMLatencyNs)
+	v.count("gpu.SMs", g.SMs)
+	v.count("gpu.CoresPerSM", g.CoresPerSM)
+	v.rate("gpu.ClockGHz", g.ClockGHz)
+	v.count("gpu.MaxThreadsPerSM", g.MaxThreadsPerSM)
+	v.count("gpu.MaxBlocksPerSM", g.MaxBlocksPerSM)
+	v.count("gpu.MaxWarpsPerSM", g.MaxWarpsPerSM)
+	v.count("gpu.WarpSize", g.WarpSize)
+	v.rate("gpu.HBMBandwidthGBs", g.HBMBandwidthGBs)
+	v.upTo("gpu.HBMLatencyNs", g.HBMLatencyNs, maxNs)
 	v.pos("gpu.HBMCapacity", float64(g.HBMCapacity))
 	v.pos("gpu.UnifiedCacheKB", float64(g.UnifiedCacheKB))
 	v.nonneg("gpu.MaxSharedKB", float64(g.MaxSharedKB))
@@ -76,23 +125,23 @@ func Validate(cfg cuda.SystemConfig) error {
 	v.pos("gpu.CacheLineBytes", g.CacheLineBytes)
 
 	p := cfg.PCIe
-	v.pos("pcie.BandwidthGBs", p.BandwidthGBs)
-	v.nonneg("pcie.LatencyNs", p.LatencyNs)
-	v.frac01("pcie.BulkEfficiency", p.BulkEfficiency)
-	v.frac01("pcie.PrefetchEfficiency", p.PrefetchEfficiency)
-	v.frac01("pcie.FaultEfficiency", p.FaultEfficiency)
-	v.frac01("pcie.WritebackEfficiency", p.WritebackEfficiency)
+	v.rate("pcie.BandwidthGBs", p.BandwidthGBs)
+	v.upTo("pcie.LatencyNs", p.LatencyNs, maxNs)
+	v.eff("pcie.BulkEfficiency", p.BulkEfficiency)
+	v.eff("pcie.PrefetchEfficiency", p.PrefetchEfficiency)
+	v.eff("pcie.FaultEfficiency", p.FaultEfficiency)
+	v.eff("pcie.WritebackEfficiency", p.WritebackEfficiency)
 
 	h := cfg.Host
-	v.pos("host.Chips", float64(h.Chips))
+	v.count("host.Chips", h.Chips)
 	v.pos("host.ChipCapacity", float64(h.ChipCapacity))
 	v.frac0lt1("host.AmbientMin", h.AmbientMin)
 	v.frac0lt1("host.AmbientMax", h.AmbientMax)
 	if h.AmbientMax < h.AmbientMin {
 		v.addf("host.AmbientMax (%v) is below host.AmbientMin (%v)", h.AmbientMax, h.AmbientMin)
 	}
-	v.nonneg("host.CrossPenalty", h.CrossPenalty)
-	v.nonneg("host.CrossJitter", h.CrossJitter)
+	v.upTo("host.CrossPenalty", h.CrossPenalty, maxFactor)
+	v.upTo("host.CrossJitter", h.CrossJitter, maxFactor)
 
 	u := cfg.UVM
 	v.pos("uvm.ChunkBytes", float64(u.ChunkBytes))
@@ -100,22 +149,22 @@ func Validate(cfg cuda.SystemConfig) error {
 	if u.FaultBlockBytes > u.ChunkBytes {
 		v.addf("uvm.FaultBlockBytes (%d) exceeds uvm.ChunkBytes (%d)", u.FaultBlockBytes, u.ChunkBytes)
 	}
-	v.nonneg("uvm.FaultBatchLatencyNs", u.FaultBatchLatencyNs)
-	v.nonneg("uvm.PrefetchCallNs", u.PrefetchCallNs)
-	v.nonneg("uvm.ResidentPrefetchNsPerGB", u.ResidentPrefetchNsPerGB)
+	v.upTo("uvm.FaultBatchLatencyNs", u.FaultBatchLatencyNs, maxNs)
+	v.upTo("uvm.PrefetchCallNs", u.PrefetchCallNs, maxNs)
+	v.upTo("uvm.ResidentPrefetchNsPerGB", u.ResidentPrefetchNsPerGB, maxNs)
 
 	a := cfg.Alloc
-	v.nonneg("alloc.MallocBase", a.MallocBase)
-	v.nonneg("alloc.MallocPerGB", a.MallocPerGB)
-	v.nonneg("alloc.ManagedBase", a.ManagedBase)
-	v.nonneg("alloc.ManagedPerGB", a.ManagedPerGB)
-	v.nonneg("alloc.FreeBase", a.FreeBase)
-	v.nonneg("alloc.FreePerGB", a.FreePerGB)
-	v.nonneg("alloc.ManagedFreePerGB", a.ManagedFreePerGB)
+	v.upTo("alloc.MallocBase", a.MallocBase, maxNs)
+	v.upTo("alloc.MallocPerGB", a.MallocPerGB, maxNs)
+	v.upTo("alloc.ManagedBase", a.ManagedBase, maxNs)
+	v.upTo("alloc.ManagedPerGB", a.ManagedPerGB, maxNs)
+	v.upTo("alloc.FreeBase", a.FreeBase, maxNs)
+	v.upTo("alloc.FreePerGB", a.FreePerGB, maxNs)
+	v.upTo("alloc.ManagedFreePerGB", a.ManagedFreePerGB, maxNs)
 
-	v.nonneg("SystemOverheadNs", cfg.SystemOverheadNs)
+	v.upTo("SystemOverheadNs", cfg.SystemOverheadNs, maxNs)
 	v.frac0lt1("OverheadJitterRel", cfg.OverheadJitterRel)
-	v.nonneg("KernelLaunchNs", cfg.KernelLaunchNs)
+	v.upTo("KernelLaunchNs", cfg.KernelLaunchNs, maxNs)
 	v.frac01("ManagedCapacityFraction", cfg.ManagedCapacityFraction)
 	v.frac01("HostConsumeFraction", cfg.HostConsumeFraction)
 	// Every request for device room is at most one chunk, so a managed

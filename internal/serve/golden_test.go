@@ -33,9 +33,23 @@ const everyFieldSpec = `{"figures":["fig8","multigpu","compare-profiles"],"iters
 // `-profile v100-16g-pcie3 -i 2 -seed 1 fig4,fig5,fig6`.
 const v100Spec = `{"figures":["fig4","fig5","fig6"],"iters":2,"seed":1,"profile":"v100-16g-pcie3"}`
 
+// uvmPressureSpec is the end-to-end benchmark's uvm_pressure operation
+// at seed 1: the oversub sweep and the Mega microbenchmarks under the
+// standard and managed setups, the evicting run paths at Mega size. It
+// is the spec form of `-i 4 -seed 1 -size mega -setups
+// standard,uvm,uvm_prefetch,uvm_prefetch_async oversub,micro`.
+const uvmPressureSpec = `{"figures":["oversub","micro"],"iters":4,"seed":1,"size":"mega",` +
+	`"setups":["standard","uvm","uvm_prefetch","uvm_prefetch_async"]}`
+
+// v100OversubSpec sweeps oversubscription on a profile whose managed
+// capacity (0.95 × 16 GiB) is not a whole number of chunks, so the
+// evictor runs with a partial chunk of headroom. It is the spec form of
+// `-profile v100-16g-pcie3 -i 2 -seed 1 oversub`.
+const v100OversubSpec = `{"figure":"oversub","iters":2,"seed":1,"profile":"v100-16g-pcie3"}`
+
 // TestGoldenFigures pins every figure on the default profile at -i 2
-// -seed 1, plus the every-field and V100 runs, byte for byte in both
-// encodings:
+// -seed 1, plus the every-field, V100, uvm_pressure and V100 oversub
+// runs, byte for byte in both encodings:
 // testdata/golden_<name>.txt holds what `uvmbench <flags> <figures>`
 // prints and golden_<name>.json what `uvmbench -json ...` prints (and
 // POST /v1/experiments answers) for the same run. Goldens are
@@ -47,7 +61,8 @@ func TestGoldenFigures(t *testing.T) {
 	for _, fig := range FigureNames {
 		runs = append(runs, run{fig, `{"figure":"` + fig + `","iters":2,"seed":1}`})
 	}
-	runs = append(runs, run{"every-field", everyFieldSpec}, run{"v100-fig4-6", v100Spec})
+	runs = append(runs, run{"every-field", everyFieldSpec}, run{"v100-fig4-6", v100Spec},
+		run{"uvm-pressure", uvmPressureSpec}, run{"v100-oversub", v100OversubSpec})
 	for _, c := range runs {
 		t.Run(c.name, func(t *testing.T) {
 			req, err := ParseSpec(strings.NewReader(c.spec), profile.Default())

@@ -70,13 +70,36 @@ func (l *Link) TransferAt(earliest, size, latency, eff float64, done func(end fl
 
 // ReserveAt is TransferAt exposing the resolved start time as well, so
 // observability layers can record the transfer's actual busy span (queue
-// wait excluded) rather than only its completion.
+// wait excluded) rather than only its completion. It is TransferTime
+// plus Reserve.
 //
 // The results are deliberately unnamed locals: the done-callback closure
 // must not capture a result variable, or every call would heap-allocate
 // it even with done == nil (the Tracer's zero-overhead contract).
 func (l *Link) ReserveAt(earliest, size, latency, eff float64, done func(end float64)) (float64, float64) {
-	dur := l.TransferTime(size, latency, eff)
+	start, end := l.Reserve(earliest, l.TransferTime(size, latency, eff))
+	if done != nil {
+		l.eng.At(end, func() { done(end) })
+	}
+	return start, end
+}
+
+// Reserve reserves one transfer of precomputed duration dur (see
+// TransferTime) that starts at max(earliest, now, drain time), and
+// returns its start and end. A caller reserving a run of same-size
+// transfers computes the duration once for the whole run, and each
+// Reserve then equals the matching ReserveAt bit for bit.
+func (l *Link) Reserve(earliest, dur float64) (float64, float64) {
+	start := l.startAt(earliest)
+	end := start + dur
+	l.busyUntil = end
+	l.busy.Add(start, end)
+	return start, end
+}
+
+// startAt is the start of a transfer enqueued now that may begin no
+// earlier than earliest: max(earliest, now, drain time).
+func (l *Link) startAt(earliest float64) float64 {
 	start := earliest
 	if now := l.eng.Now(); start < now {
 		start = now
@@ -84,13 +107,7 @@ func (l *Link) ReserveAt(earliest, size, latency, eff float64, done func(end flo
 	if l.busyUntil > start {
 		start = l.busyUntil
 	}
-	end := start + dur
-	l.busyUntil = end
-	l.busy.Add(start, end)
-	if done != nil {
-		l.eng.At(end, func() { done(end) })
-	}
-	return start, end
+	return start
 }
 
 // ReserveRun reserves len(ends) back-to-back transfers of duration dur,
@@ -101,13 +118,7 @@ func (l *Link) ReserveAt(earliest, size, latency, eff float64, done func(end flo
 // drain time) and every later start is exactly the previous end, so the
 // busy set merges the run into one span and records it with one Add.
 func (l *Link) ReserveRun(earliest, dur float64, ends []float64) float64 {
-	start := earliest
-	if now := l.eng.Now(); start < now {
-		start = now
-	}
-	if l.busyUntil > start {
-		start = l.busyUntil
-	}
+	start := l.startAt(earliest)
 	end := start
 	for i := range ends {
 		end += dur

@@ -304,3 +304,53 @@ func TestReserveRunMatchesReserveAt(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveMatchesReserveAt pins the precomputed-duration reservation
+// to its definition: a run of Reserve calls sharing one TransferTime
+// equals the same run of ReserveAt calls bit for bit — every start and
+// end, the drain time and the busy set — from random link states, with
+// each earliest behind the clock, behind the drain time or ahead of
+// both.
+func TestReserveMatchesReserveAt(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 500; trial++ {
+		bw := 1 + rng.Float64()*40
+		eRes, eRef := New(), New()
+		res, ref := NewLink(eRes, "reserve", bw), NewLink(eRef, "ref", bw)
+		at := 0.0
+		for k := rng.Intn(4); k > 0; k-- {
+			at += rng.Float64() * 5e5
+			size, eff := float64(1+rng.Intn(4<<20)), 0.1+0.9*rng.Float64()
+			res.ReserveAt(at, size, 0, eff, nil)
+			ref.ReserveAt(at, size, 0, eff, nil)
+		}
+		clock := rng.Float64() * 2 * res.BusyUntil()
+		eRes.RunUntil(clock)
+		eRef.RunUntil(clock)
+		size, latency, eff := float64(1+rng.Intn(4<<20)), rng.Float64()*2e3, 0.1+0.9*rng.Float64()
+		dur := res.TransferTime(size, latency, eff)
+		for k := rng.Intn(40); k > 0; k-- {
+			earliest := rng.Float64() * 2 * math.Max(res.BusyUntil(), clock)
+			if rng.Intn(4) == 0 {
+				earliest = res.BusyUntil() - 1 // queues behind the drain time
+			}
+			s, e := res.Reserve(earliest, dur)
+			ws, we := ref.ReserveAt(earliest, size, latency, eff, nil)
+			if s != ws || e != we {
+				t.Fatalf("trial %d: Reserve [%v, %v), ReserveAt [%v, %v)", trial, s, e, ws, we)
+			}
+		}
+		if res.BusyUntil() != ref.BusyUntil() {
+			t.Fatalf("trial %d: drain time %v, ReserveAt %v", trial, res.BusyUntil(), ref.BusyUntil())
+		}
+		got, want := res.Busy().Intervals(), ref.Busy().Intervals()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d busy spans, ReserveAt %d", trial, len(got), len(want))
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: busy span %d is %v, ReserveAt %v", trial, k, got[k], want[k])
+			}
+		}
+	}
+}

@@ -76,7 +76,9 @@ func (rig *diffRig) register(t *testing.T, size int64) {
 // for untimed operations) plus a label for failure messages.
 func (rig *diffRig) step(rng *rand.Rand, now float64) (float64, string) {
 	r := rig.regions[rng.Intn(len(rig.regions))]
-	switch op := rng.Intn(7); op {
+	switch op := rng.Intn(8); op {
+	case 7:
+		return rig.stream(r, now, rng.Float64()*0.01), fmt.Sprintf("stream r%d", rig.ords[r])
 	case 0:
 		idx := rng.Intn(r.NumChunks())
 		return rig.m.DemandChunk(r, idx, now, 0.5+0.5*rng.Float64(), rng.Intn(2) == 0),
@@ -104,6 +106,18 @@ func (rig *diffRig) step(rng *rand.Rand, now float64) (float64, string) {
 	default:
 		return rig.m.WritebackDirty(r, now), fmt.Sprintf("flush r%d", rig.ords[r])
 	}
+}
+
+// stream is one pass of the oversub cell over r from time t: prefetch
+// the region, demand it in order, then mark it device-written and
+// dirty. Past capacity every step evicts, through all three evicting
+// run loops. It returns the compute cursor.
+func (rig *diffRig) stream(r *Region, t, computePerByte float64) float64 {
+	end := rig.m.PrefetchRegion(r, t)
+	end = rig.m.DemandRange(r, 0, r.NumChunks(), end, computePerByte)
+	rig.m.MarkDeviceWritten(r, end)
+	rig.m.MarkDirty(r, 0, r.Size)
+	return end
 }
 
 // TestDifferentialEviction is the property test of the tentpole: for
@@ -611,6 +625,74 @@ func TestRunPathsMatchReference(t *testing.T) {
 			m.DemandChunk(b, 0, out[5], 1, true) // b: [1,8) then 0
 			recycle(t, rig, 1)
 			return out
+		}},
+		// Oversubscribed streams: each pass runs the three evicting loops
+		// (PrefetchRegion, DemandRange, MarkDeviceWritten) past capacity,
+		// taking victims from the ring head's stretch.
+		{"stream clean then dirty victims", 8 * chunk, []int64{20 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			a := rig.regions[0]
+			// Pass one's victims are clean; MarkDirty leaves pass two's dirty.
+			out := []float64{rig.stream(a, 0, 1e-4)}
+			return append(out, rig.stream(a, out[0], 1e-4), rig.stream(a, 2*out[0], 0))
+		}},
+		{"stream own chunks ahead of the cursor", 8 * chunk, []int64{12 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a := rig.m, rig.regions[0]
+			out := []float64{m.PrefetchRegion(a, 0)} // leaves [4,12) resident
+			m.MarkDirty(a, 6*chunk, 3*chunk)
+			// [0,4) evicts [4,8) ahead of the cursor, [4,8) evicts [8,12),
+			// and [8,12) wraps around to the [0,4) it made resident first.
+			out = append(out, m.DemandRange(a, 0, 12, out[0], 1e-4))
+			m.MarkDirty(a, 0, a.Size)
+			recycle(t, rig, 0)
+			a = rig.regions[0]
+			m.DemandRange(a, 4, 12, out[1], 0)
+			m.MarkDeviceWritten(a, out[1]) // [0,4) takes [4,8), [4,8) takes [8,12), [8,12) takes [0,4)
+			return append(out, m.PrefetchRegion(a, out[1]))
+		}},
+		{"stream victims from another region", 10 * chunk, []int64{14 * chunk, 6 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{m.PrefetchRegion(b, 0)}
+			m.MarkDirty(b, chunk, 3*chunk)                          // b1..b3 dirty
+			out = append(out, m.DemandRange(a, 0, 4, out[0], 1e-4)) // fits
+			// a[4,14) first takes b's six chunks, then a's own head.
+			out = append(out, rig.stream(a, out[1], 1e-4))
+			m.MarkDeviceWritten(b, out[2]) // b takes its victims from a
+			return append(out, rig.stream(b, out[2], 1e-4))
+		}},
+		{"stretch ends where slot order breaks", 9 * chunk, []int64{16 * chunk, 8 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{m.PrefetchRegion(b, 0)}
+			out = append(out, m.DemandChunk(b, 3, out[0], 1, true)) // ring: b0 b1 b2 b4..b7 b3
+			m.MarkDirty(b, 5*chunk, chunk)
+			out = append(out, m.DemandChunk(a, 15, out[1], 1, true))
+			// Stretches of three (b0..b2), four (b4..b7), one (b3), then
+			// a15, then a's own chunks.
+			out = append(out, m.PrefetchRegion(a, out[2]))
+			out = append(out, m.DemandChunk(b, 6, out[3], 1, true), m.DemandChunk(b, 2, out[3], 1, true))
+			m.MarkDeviceWritten(b, out[4]) // b's runs, split by resident b2 and b6, share one stretch of a's
+			// a takes a14, then b in stretches of one (b6), one (b2), two
+			// (b0, b1), three (b3..b5) and one (b7), then wraps into itself.
+			return append(out, m.DemandRange(a, 0, 16, out[4], 1e-4))
+		}},
+		{"short tail victim", 8 * chunk, []int64{14 * chunk, 5*chunk - 12345}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{m.PrefetchRegion(b, 0)}
+			m.MarkDirty(b, 0, b.Size)
+			// a0..a2 fit; a3..a6 take the stretch b0..b3, which stops
+			// before b's short tail; a7 evicts that tail through makeRoom.
+			out = append(out, m.DemandRange(a, 0, 14, out[0], 1e-4))
+			m.MarkDirty(a, 0, a.Size)
+			recycle(t, rig, 1)
+			b = rig.regions[1]
+			m.MarkDeviceWritten(b, out[1]) // b's short tail allocates through makeRoom
+			return append(out, rig.stream(a, out[1], 1e-4))
+		}},
+		{"capacity not a whole number of chunks", 8*chunk + chunk/2, []int64{19 * chunk, 3*chunk - 777}, func(t *testing.T, rig *diffRig) []float64 {
+			m, a, b := rig.m, rig.regions[0], rig.regions[1]
+			out := []float64{rig.stream(b, 0, 1e-4)}
+			out = append(out, rig.stream(a, out[0], 1e-4), rig.stream(a, out[0], 1e-4))
+			m.MarkDeviceWritten(b, out[2])
+			return append(out, rig.stream(a, out[2], 0), rig.stream(b, out[2], 1e-4))
 		}},
 	}
 	for _, tc := range cases {

@@ -1,6 +1,11 @@
 package uvm
 
-import "math"
+import (
+	"math"
+
+	"uvmasim/internal/pcie"
+	"uvmasim/internal/trace"
+)
 
 // The eviction path used to select victims with a full scan over every
 // chunk of every region — O(chunks) per evicted chunk, O(chunks²) for an
@@ -38,6 +43,23 @@ import "math"
 // The arena grows by doubling (newNodeRange), so building a large
 // region's slots copies the existing arena at most once per doubling
 // rather than on every ~1.25× step of append's growth.
+//
+// Victim stretches. Once the device is full, every chunk a stream makes
+// resident evicts the ring head. The head's stretch is the head's region,
+// resolved once by owner, plus the full-size chunks of that region linked
+// after the head in slot order; the run paths and every oversubscribed
+// pass leave the ring in this shape (holdRun links a run in slot order,
+// and a stream evicts in ring order). A run of non-resident full-size
+// chunks that needs room takes exactly one victim per chunk from the
+// stretch: resident ≤ capacity before each chunk, and victim and chunk
+// are both full-size, so one eviction always makes room and never more
+// than room. The victims are the stretch's first chunks in order,
+// whatever the run holds meanwhile, because held chunks join the ring's
+// MRU end behind them. They leave the ring with one cut (segment,
+// evictAt and drop below); only the per-victim float chain stays per
+// chunk: a dirty victim's writeback, and the eviction's trace instant
+// and onEvict call. Short tail chunks and short tail victims go through
+// makeRoom.
 //
 // The reference scan selector is retained in refscan.go; the
 // differential test pins the two implementations to identical victim
@@ -240,13 +262,103 @@ func (m *Manager) cutResident(r *Region) bool {
 			return false
 		}
 	}
-	m.cutChain(a, a+int32(len(nodes))-1)
-	arr := r.arrival[a-r.base:][:len(nodes)]
+	m.cutRun(r, int(a-r.base), len(nodes))
+	return true
+}
+
+// cutRun cuts r's chunks [i, i+n), linked to each other in slot order,
+// out of the ring with one splice and clears their links and arrivals
+// with straight stores. The counters are the caller's.
+func (m *Manager) cutRun(r *Region, i, n int) {
+	a := r.base + int32(i)
+	m.cutChain(a, a+int32(n)-1)
+	nodes := m.nodes[a : a+int32(n)]
+	arr := r.arrival[i : i+n]
 	for k := range nodes {
 		nodes[k] = unlinked
 		arr[k] = math.Inf(1)
 	}
-	return true
+}
+
+// A stretch is the victim side of a segment that needs room: the
+// victims are v's chunks from a on, taken in order, and dirty victims are
+// written back on wb. v == nil marks a segment that fits.
+type stretch struct {
+	v     *Region
+	a     int
+	wb    pcie.Lane
+	tr    *trace.Tracer
+	wrote int // victims written back so far
+}
+
+// segment returns the next segment of the run of non-resident chunks of
+// r that starts at non-resident chunk i below hi: its end j and its
+// stretch. Chunks [i, j) are full-size and non-resident; when the
+// segment needs room, chunk i+k takes the stretch's k-th victim. j == i
+// sends chunk i down the per-chunk path: a short tail chunk, a short tail
+// victim, an empty ring, or any chunk in reference mode. Callers
+// recompute the segment after each one, so a stream that wraps into
+// chunks it has just made resident evicts them in ring order.
+func (m *Manager) segment(r *Region, i, hi int) (int, stretch) {
+	if m.scanEvict {
+		return i, stretch{}
+	}
+	chunk := m.cfg.ChunkBytes
+	hi = min(hi, int(r.Size/chunk))
+	j := i
+	if room := int((m.capacity - m.resident) / chunk); room > 0 {
+		for hi = min(hi, i+room); j < hi && math.IsInf(r.arrival[j], 1); j++ {
+		}
+		return j, stretch{}
+	}
+	s := m.nodes[0].next
+	if s == 0 {
+		return i, stretch{}
+	}
+	v := m.owner(s)
+	a := int(s - v.base)
+	for hi = min(hi, i+int(v.Size/chunk)-a); j < hi && math.IsInf(r.arrival[j], 1); j, s = j+1, s+1 {
+		if j > i && m.nodes[s-1].next != s {
+			break
+		}
+	}
+	if j == i {
+		return i, stretch{}
+	}
+	return j, stretch{v: v, a: a, wb: m.bus.WritebackLane(chunk), tr: m.bus.Tracer()}
+}
+
+// evictAt is makeRoom's per-victim chain for the stretch's k-th victim
+// when room is needed at time t: a dirty victim is written back first.
+// It returns the time the room is ready. The ring, the residency and the
+// eviction counters are drop's, once per segment.
+func (m *Manager) evictAt(st *stretch, k int, t float64) float64 {
+	idx := st.a + k
+	if st.v.dirty[idx] {
+		t = st.wb.At(t)
+		st.v.clearDirtyOnEvict(idx)
+		st.wrote++
+	}
+	if st.tr != nil || m.onEvict != nil {
+		m.evicted(st.v, idx, m.cfg.ChunkBytes, t, st.tr)
+	}
+	return t
+}
+
+// drop releases the stretch's first n victims, the ring's first n nodes,
+// as n makeRoom evictions would: one cut, then the resident and eviction
+// counters move once. Whole bytes add exactly in float64 below 2⁵³, so
+// one update of each counter equals the per-victim additions.
+func (m *Manager) drop(st *stretch, n int) {
+	v := st.v
+	m.cutRun(v, st.a, n)
+	bytes := int64(n) * m.cfg.ChunkBytes
+	v.residentCount -= n
+	v.residentBytes -= bytes
+	m.resident -= bytes
+	m.Stats.EvictedBytes += float64(bytes)
+	m.Stats.Evictions += float64(n)
+	m.Stats.WritebackBytes += float64(int64(st.wrote) * m.cfg.ChunkBytes)
 }
 
 // victim returns the least-recently-used resident chunk, or (nil, -1)

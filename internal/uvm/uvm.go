@@ -35,21 +35,28 @@
 //   - DemandRange moves a run of resident chunks to the MRU end with one
 //     cut and splice per stretch of already-consecutive links (nothing at
 //     all for the run a prefetch just left at the tail); a run of
-//     non-resident full chunks that fits still reserves one migration per
-//     chunk, each after the compute cursor, but joins the ring and moves
-//     the counters once.
-//   - MarkDeviceWritten links each non-resident run with one splice when
-//     the writes fit.
+//     non-resident full chunks reserves one migration per chunk, each
+//     after the compute cursor, but joins the ring and moves the counters
+//     once.
+//   - MarkDeviceWritten links each non-resident run with one splice.
 //   - Unregister and Reset cut a region whose resident chunks are one run
 //     in slot order out of the ring in O(1), then clear its chunk state
 //     with straight stores.
 //
-// Per chunk stay: chunks that need room (the evicting loops of an
-// oversubscribed stream), short tail chunks, the bookkeeping cost of
-// prefetching resident chunks, stamps and per-chunk arrival and cursor
-// arithmetic, DemandChunk's shuffled irregular demand, and every path in
-// reference mode (SetReferenceEviction), which stays the oracle the run
-// paths are tested against, with and without a tracer.
+// Runs that need room work the same way in all three loops: a run of
+// non-resident full chunks on a full device takes one victim per chunk
+// from the ring head's stretch (lru.go), and the victims leave the ring
+// with one cut and the counters once per segment. The link durations are
+// computed once per run as well (pcie.Lane over sim.Link.Reserve).
+//
+// Per chunk stay: the float chain of an evicting run (a dirty victim's
+// writeback reservation, the chunk's migrate or prefetch reservation, its
+// arrival time and the compute cursor) and its trace events and onEvict
+// calls; stamps; short tail chunks and short tail victims, which go
+// through makeRoom; the bookkeeping cost of prefetching resident chunks;
+// DemandChunk's shuffled irregular demand; and every path in reference
+// mode (SetReferenceEviction), which stays the oracle the run paths are
+// tested against, with and without a tracer.
 package uvm
 
 import (
@@ -340,15 +347,23 @@ func (m *Manager) makeRoom(t float64, need int64) float64 {
 		m.release(victim, vIdx, size)
 		m.Stats.EvictedBytes += float64(size)
 		m.Stats.Evictions++
-		if tr := m.bus.Tracer(); tr != nil {
-			tr.Instant(trace.UVMFaults, "evict", ready, trace.ChunkArgs(vIdx, size))
-			tr.Count("uvm.evicted_bytes", float64(size))
-		}
-		if m.onEvict != nil {
-			m.onEvict(victim, vIdx, ready)
+		if tr := m.bus.Tracer(); tr != nil || m.onEvict != nil {
+			m.evicted(victim, vIdx, size, ready, tr)
 		}
 	}
 	return ready
+}
+
+// evicted records the eviction of chunk idx of v (size bytes), complete
+// at ready: the evict instant and its count, and the onEvict observer.
+func (m *Manager) evicted(v *Region, idx int, size int64, ready float64, tr *trace.Tracer) {
+	if tr != nil {
+		tr.Instant(trace.UVMFaults, "evict", ready, trace.ChunkArgs(idx, size))
+		tr.Count("uvm.evicted_bytes", float64(size))
+	}
+	if m.onEvict != nil {
+		m.onEvict(v, idx, ready)
+	}
 }
 
 // DemandChunk makes chunk idx available for a GPU access happening at
@@ -421,28 +436,6 @@ func (m *Manager) awaitResident(r *Region, idx int, t float64, tr *trace.Tracer)
 	return wait
 }
 
-// runEnd returns the end of the run of non-resident chunks that starts at
-// non-resident chunk i: the largest j ≤ hi such that [i, j) are
-// non-resident full-size chunks whose residency fits the device without
-// eviction. j == i sends chunk i down the per-chunk path: a short tail
-// chunk, a chunk that needs room, or any chunk in reference mode.
-func (m *Manager) runEnd(r *Region, i, hi int) int {
-	if m.scanEvict {
-		return i
-	}
-	if full := int(r.Size / m.cfg.ChunkBytes); hi > full {
-		hi = full
-	}
-	if fit := i + int((m.capacity-m.resident)/m.cfg.ChunkBytes); hi > fit {
-		hi = fit
-	}
-	j := i
-	for j < hi && math.IsInf(r.arrival[j], 1) {
-		j++
-	}
-	return j
-}
-
 // DemandRange walks chunks [lo, hi) of r as one coalesced sequential
 // demand stream: per chunk it performs exactly what
 // DemandChunk(r, i, cursor, 1, true) does, then advances the compute
@@ -470,12 +463,22 @@ func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) 
 			}
 			continue
 		}
-		if j := m.runEnd(r, i, hi); j > i {
+		if j, st := m.segment(r, i, hi); j > i {
+			mig := m.bus.MigrateLane(full, 1)
 			for k := i; k < j; k++ {
-				traceFaultBatch(tr, k, full, fullBlocks, cursor)
-				end := m.bus.MigrateOnDemand(cursor+latency, full, 1)
+				ready := cursor
+				if st.v != nil {
+					ready = m.evictAt(&st, k-i, cursor)
+				}
+				if tr != nil {
+					traceFaultBatch(tr, k, full, fullBlocks, ready)
+				}
+				end := mig.At(ready + latency)
 				r.arrival[k] = end
 				cursor = end + float64(full)*computePerByte
+			}
+			if st.v != nil {
+				m.drop(&st, j-i)
 			}
 			// Whole bytes and eighths of fault blocks add exactly in float64
 			// below 2⁵⁰, so one update equals the per-chunk additions.
@@ -521,10 +524,10 @@ func (m *Manager) DemandRange(r *Region, lo, hi int, t, computePerByte float64) 
 //
 // A run of non-resident full chunks that fits the device streams as one
 // chain reservation written straight into the arrivals. Under capacity
-// pressure the driver keeps evicting per chunk as the stream advances,
-// because victim writebacks and evict instants are defined to happen at
-// stream time — an oversubscribed prefetch evicts its own earliest
-// chunks mid-stream.
+// pressure the stream evicts as it advances, one victim per chunk from
+// the ring head's stretch, because victim writebacks and evict instants
+// are defined to happen at stream time — an oversubscribed prefetch
+// evicts its own earliest chunks mid-stream.
 func (m *Manager) PrefetchRegion(r *Region, t float64) float64 {
 	end := t + m.cfg.PrefetchCallNs
 	for i := 0; i < r.NumChunks(); {
@@ -534,18 +537,28 @@ func (m *Manager) PrefetchRegion(r *Region, t float64) float64 {
 			i++
 			continue
 		}
-		if j := m.runEnd(r, i, r.NumChunks()); j > i {
-			end = m.bus.PrefetchRun(end, size, r.arrival[i:j])
-			m.holdRun(r, i, j, int64(j-i)*size)
-			m.Stats.PrefetchBytes += float64(size) * float64(j-i) // exact, as in DemandRange
-			i = j
+		j, st := m.segment(r, i, r.NumChunks())
+		switch {
+		case j == i:
+			end = m.bus.PrefetchChunk(m.makeRoom(end, size), size)
+			m.hold(r, i, end, size)
+			m.Stats.PrefetchBytes += float64(size)
+			m.touch(r, i)
+			i++
 			continue
+		case st.v == nil:
+			end = m.bus.PrefetchRun(end, size, r.arrival[i:j])
+		default:
+			pf := m.bus.PrefetchLane(size)
+			for k := i; k < j; k++ {
+				end = pf.At(m.evictAt(&st, k-i, end))
+				r.arrival[k] = end
+			}
+			m.drop(&st, j-i)
 		}
-		end = m.bus.PrefetchChunk(m.makeRoom(end, size), size)
-		m.hold(r, i, end, size)
-		m.Stats.PrefetchBytes += float64(size)
-		m.touch(r, i)
-		i++
+		m.holdRun(r, i, j, int64(j-i)*size)
+		m.Stats.PrefetchBytes += float64(size) * float64(j-i) // exact, as in DemandRange
+		i = j
 	}
 	return end
 }
@@ -555,50 +568,41 @@ func (m *Manager) PrefetchRegion(r *Region, t float64) float64 {
 // managed page allocates it on the device (first touch), it does not
 // migrate stale host data.
 //
-// The capacity check happens once for the aggregate need: the common
-// case (everything fits) links each run of non-resident chunks with one
-// splice (holdRun) and no room-making call. Only when the aggregate need
-// oversubscribes the device does the driver fall back to
-// allocate-and-evict per chunk — there the interleaving is observable (a
-// written region larger than device memory evicts its own earliest
-// chunks as later ones allocate), so it is preserved exactly. Reference
-// mode takes that per-chunk loop too; while the need fits, its
-// room-making calls return at once.
+// Each run of non-resident full chunks is linked with one splice
+// (holdRun). A run that oversubscribes the device evicts one victim per
+// chunk from the ring head's stretch, writebacks reserved at t, and the
+// interleaving stays observable: a written region larger than device
+// memory evicts its own earliest chunks as later ones allocate. A short
+// tail chunk, and every chunk in reference mode, allocates and evicts on
+// its own.
 func (m *Manager) MarkDeviceWritten(r *Region, t float64) {
-	need := r.Size - r.residentBytes
-	if need == 0 {
+	if r.residentBytes == r.Size {
 		return
 	}
-	if m.scanEvict || m.resident+need > m.capacity {
-		for i := range r.arrival {
-			if r.Resident(i) {
-				continue
-			}
-			size := m.chunkSize(r, i)
-			m.makeRoom(t, size)
-			m.hold(r, i, t, size)
-			m.touch(r, i)
-		}
-		return
-	}
-	n := r.NumChunks()
-	for i := 0; i < n; {
+	for i := 0; i < r.NumChunks(); {
 		if r.Resident(i) {
 			i++
 			continue
 		}
-		j := i + 1
-		for j < n && !r.Resident(j) {
-			j++
-		}
-		bytes := int64(j-i) * m.cfg.ChunkBytes
-		if j == n {
-			bytes += m.chunkSize(r, n-1) - m.cfg.ChunkBytes
+		j, st := m.segment(r, i, r.NumChunks())
+		if j == i {
+			size := m.chunkSize(r, i)
+			m.makeRoom(t, size)
+			m.hold(r, i, t, size)
+			m.touch(r, i)
+			i++
+			continue
 		}
 		for k := i; k < j; k++ {
+			if st.v != nil {
+				m.evictAt(&st, k-i, t)
+			}
 			r.arrival[k] = t
 		}
-		m.holdRun(r, i, j, bytes)
+		if st.v != nil {
+			m.drop(&st, j-i)
+		}
+		m.holdRun(r, i, j, int64(j-i)*m.cfg.ChunkBytes)
 		i = j
 	}
 }

@@ -85,6 +85,7 @@ var benches = []bench{
 		{Name: "BenchmarkColdCellMegaUVM/multicore", Layer: "core"},
 		{Name: "BenchmarkServeColdFig7/multicore", Layer: "serve"},
 	}},
+	{pkg: ".", count: "20x", rows: []row{{Name: "BenchmarkUVMOversubStream", Layer: "uvm"}}},
 	{pkg: ".", count: "200x", rows: []row{
 		{Name: "BenchmarkManagedIteration/uvm", Layer: "uvm"},
 		{Name: "BenchmarkManagedIteration/uvm_prefetch", Layer: "uvm"},
