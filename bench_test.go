@@ -400,8 +400,7 @@ func benchUVMEvictionMega(b *testing.B, reference bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		eng := sim.New()
-		bus := pcie.New(eng, pcie.DefaultConfig())
+		bus := pcie.New(pcie.DefaultConfig())
 		var stats counters.UVMStats
 		m := uvm.NewManager(uvm.DefaultConfig(), bus, capacity, &stats)
 		m.SetReferenceEviction(reference)
@@ -441,7 +440,7 @@ func BenchmarkUVMEvictionMegaScan(b *testing.B) { benchUVMEvictionMega(b, true) 
 func BenchmarkUVMOversubStream(b *testing.B) {
 	cfg := cuda.DefaultSystemConfig()
 	capacity := cfg.ManagedCapacity()
-	bus := pcie.New(sim.New(), cfg.PCIe)
+	bus := pcie.New(cfg.PCIe)
 	var stats counters.UVMStats
 	m := uvm.NewManager(cfg.UVM, bus, capacity, &stats)
 	op := func() {
@@ -522,10 +521,44 @@ func BenchmarkManagedIteration(b *testing.B) {
 	}
 }
 
+// BenchmarkBusStream measures the pcie layer's reservation calendar on
+// one warm bus: each op is one busChunks-chunk PrefetchRun, then
+// busChunks fault migrations through a MigrateLane and as many
+// writebacks through a WritebackLane, each migration a compute gap after
+// the previous one so both links' busy sets record one span per chunk,
+// then Reset. An untimed first op warms the busy sets, so a timed op
+// allocates nothing. reservations/op is its deterministic work count. It
+// is the pcie row of the benchmark ledger (BENCH.json, scripts/ledger).
+func BenchmarkBusStream(b *testing.B) {
+	const busChunks = 16384
+	cfg := cuda.DefaultSystemConfig()
+	chunk := cfg.UVM.ChunkBytes
+	bus := pcie.New(cfg.PCIe)
+	ends := make([]float64, busChunks)
+	op := func() {
+		t := bus.PrefetchRun(0, chunk, ends)
+		migrate, writeback := bus.MigrateLane(chunk, 1), bus.WritebackLane(chunk)
+		for i := 0; i < busChunks; i++ {
+			t = migrate.At(t)
+			writeback.At(t)
+			t += 1e5 // the kernel computes on the chunk before the next fault
+		}
+		bus.Reset()
+	}
+	op()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.ReportMetric(3*busChunks, "reservations/op")
+}
+
 // BenchmarkEngineEvents measures event scheduling and dispatch on a
 // reused engine, with allocation accounting: after warm-up the event
 // heap's backing array is recycled by Reset, so steady state should not
-// allocate.
+// allocate. It is the sim row of the benchmark ledger (BENCH.json,
+// scripts/ledger).
 func BenchmarkEngineEvents(b *testing.B) {
 	eng := sim.New()
 	fn := func() {}

@@ -25,14 +25,6 @@ type Context struct {
 	cfg   SystemConfig
 	setup Setup
 
-	// device is the ordinal of the GPU this context is bound to
-	// (cudaSetDevice). Single-GPU studies leave it 0; the multi-GPU
-	// scheduler binds one context per device so buffers carry their
-	// placement. Binding is identity only — it never changes simulated
-	// timing, so single-device results are unaffected.
-	device int
-
-	eng   *sim.Engine
 	bus   *pcie.Bus
 	model *gpu.Model
 	mgr   *uvm.Manager
@@ -68,13 +60,11 @@ type Context struct {
 // The seed determines every stochastic draw, so a (config, setup, seed)
 // triple is fully reproducible.
 func NewContext(cfg SystemConfig, setup Setup, seed int64) *Context {
-	eng := sim.New()
-	bus := pcie.New(eng, cfg.PCIe)
+	bus := pcie.New(cfg.PCIe)
 	ctrs := &counters.Set{}
 	ctx := &Context{
 		cfg:   cfg,
 		setup: setup,
-		eng:   eng,
 		bus:   bus,
 		model: gpu.NewModel(cfg.GPU),
 		mgr:   uvm.NewManager(cfg.UVM, bus, cfg.ManagedCapacity(), &ctrs.UVM),
@@ -93,25 +83,23 @@ func NewContext(cfg SystemConfig, setup Setup, seed int64) *Context {
 }
 
 // Reset rewinds the context to the state NewContext(cfg, setup, seed)
-// would produce, reusing every arena the previous runs warmed up: the
-// event queue, link interval sets, UVM region/node arenas, host and
-// device allocator storage, and the Buffer pool. A reset context
-// reproduces a fresh context's simulation bit for bit (the RNG is
-// reseeded, so the draw stream is identical), which is what lets the
-// harness hold one context per measurement cell instead of allocating
-// thirty. When the system configuration differs from the context's
-// current one, the arenas are rebuilt from scratch.
+// would produce, reusing every arena the previous runs warmed up: link
+// interval sets, UVM region/node arenas, host and device allocator
+// storage, and the Buffer pool. It detaches the tracer, as a fresh
+// context has none. A reset context reproduces a fresh context's
+// simulation bit for bit (the RNG is reseeded, so the draw stream is
+// identical), which is what lets the harness hold one context per
+// measurement cell instead of allocating thirty. When the system
+// configuration differs from the context's current one, the arenas are
+// rebuilt from scratch.
 func (c *Context) Reset(cfg SystemConfig, setup Setup, seed int64) {
 	if cfg != c.cfg {
 		*c = *NewContext(cfg, setup, seed)
 		return
 	}
 	c.setup = setup
-	c.device = 0 // a reset context matches a fresh one: bound to device 0
-	c.eng.Reset()
-	c.eng.SetTracer(nil)
 	c.bus.Reset()
-	c.model.SetTracer(nil)
+	c.bus.SetTracer(nil)
 	*c.ctrs = counters.Set{}
 	c.mgr.Reset()
 	c.host.Reset()
@@ -151,15 +139,17 @@ func (c *Context) jitter(rel float64) float64 {
 	return 1 + rel*(2*c.rng.Float64()-1)
 }
 
-// SetTracer attaches an observability tracer to the context and to every
-// device model underneath it (engine, PCIe bus, UVM manager, GPU model).
-// Attach it right after NewContext, before the workload runs; a nil
-// tracer (the default) disables recording with no measurable cost. The
-// tracer only observes — attaching one never changes simulated timing.
+// SetTracer attaches an observability tracer to the context and, through
+// the PCIe bus the UVM manager reads it from, to every transfer
+// underneath it; it is the one place a run's tracer is attached. The
+// context itself records the host API, kernel spans and the gpu.*
+// launch counts. Attach it right after NewContext or Reset, before the
+// workload runs; a nil tracer (the default) disables recording with no
+// measurable cost. The tracer only observes — attaching one never
+// changes simulated timing.
 func (c *Context) SetTracer(tr *trace.Tracer) {
 	c.tracer = tr
-	c.eng.SetTracer(tr)
-	c.model.SetTracer(tr)
+	c.bus.SetTracer(tr)
 	tr.Instant(trace.Host, "process_start", c.now, trace.Args{Setup: c.setup.String()})
 	tr.Count("process.overhead_ns", c.overhead)
 }
@@ -169,19 +159,6 @@ func (c *Context) Tracer() *trace.Tracer { return c.tracer }
 
 // Setup returns the context's data-transfer configuration.
 func (c *Context) Setup() Setup { return c.setup }
-
-// Device returns the GPU ordinal the context is bound to (0 unless
-// BindDevice was called, matching cudaSetDevice's default).
-func (c *Context) Device() int { return c.device }
-
-// BindDevice models cudaSetDevice: subsequent allocations are placed on
-// (and tagged with) the given GPU ordinal. Negative ordinals panic.
-func (c *Context) BindDevice(device int) {
-	if device < 0 {
-		panic("cuda: negative device ordinal")
-	}
-	c.device = device
-}
 
 // Config returns the system configuration.
 func (c *Context) Config() SystemConfig { return c.cfg }
@@ -198,7 +175,6 @@ type Buffer struct {
 	Name string
 	Size int64
 
-	device    int // GPU ordinal the buffer was allocated on
 	managed   bool
 	addr      devmem.Addr
 	region    *uvm.Region
@@ -209,9 +185,6 @@ type Buffer struct {
 
 // Managed reports whether the buffer lives in unified memory.
 func (b *Buffer) Managed() bool { return b.managed }
-
-// Device returns the GPU ordinal the buffer was allocated on.
-func (b *Buffer) Device() int { return b.device }
 
 // Alloc allocates a buffer the way the context's setup dictates:
 // cudaMallocManaged under the managed setups, cudaMalloc otherwise.
@@ -232,7 +205,7 @@ func (c *Context) Malloc(name string, size int64) (*Buffer, error) {
 		return nil, err
 	}
 	b := c.newBuffer()
-	b.Name, b.Size, b.addr, b.device = name, size, addr, c.device
+	b.Name, b.Size, b.addr = name, size, addr
 	if err := c.placeHost(b); err != nil {
 		c.dev.Free(addr)
 		c.bufNext-- // b was the last buffer handed out
@@ -251,7 +224,7 @@ func (c *Context) MallocManaged(name string, size int64) (*Buffer, error) {
 		return nil, err
 	}
 	b := c.newBuffer()
-	b.Name, b.Size, b.managed, b.region, b.device = name, size, true, region, c.device
+	b.Name, b.Size, b.managed, b.region = name, size, true, region
 	if err := c.placeHost(b); err != nil {
 		c.mgr.Unregister(region)
 		c.bufNext-- // b was the last buffer handed out

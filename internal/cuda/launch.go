@@ -95,6 +95,11 @@ func (c *Context) Launch(l Launch) error {
 	}
 
 	res := c.model.Launch(l.Spec, c.execConfig(l.SharedPerBlockKB, l.SequentialDemand))
+	if c.tracer.Enabled() {
+		c.tracer.Count("gpu.launches", 1)
+		c.tracer.Count("gpu.traffic_bytes", res.TrafficBytes)
+		c.tracer.Count("gpu.exec_ns", res.ExecTime)
+	}
 	start := c.now
 	end := start + res.ExecTime*c.jitter(0.005)
 

@@ -17,6 +17,12 @@ func runTracedMicro(t *testing.T, setup Setup, seed int64, tr *trace.Tracer) Bre
 	if tr != nil {
 		ctx.SetTracer(tr)
 	}
+	return runMicro(t, ctx)
+}
+
+// runMicro runs the micro workload of runTracedMicro on ctx.
+func runMicro(t *testing.T, ctx *Context) Breakdown {
+	t.Helper()
 	const n = int64(16 << 20) // 16M float32 elements
 	x, err := ctx.Alloc("x", 4*n)
 	if err != nil {
@@ -116,10 +122,14 @@ func TestBreakdownReconcilesWithTrace(t *testing.T) {
 				t.Errorf("kernel: trace %v vs breakdown %v", kernel, traced.Kernel)
 			}
 
-			// Overhead travels through the counter registry.
+			// Overhead travels through the counter registry, and so does
+			// one gpu.launches count per kernel span.
 			if !relClose(m.Counters["process.overhead_ns"], traced.Overhead) {
 				t.Errorf("overhead: trace %v vs breakdown %v",
 					m.Counters["process.overhead_ns"], traced.Overhead)
+			}
+			if got := m.Counters["gpu.launches"]; got != float64(len(kernelSpans)) {
+				t.Errorf("gpu.launches = %v, want one per kernel span (%d)", got, len(kernelSpans))
 			}
 
 			// Sanity: the components the trace reconstructs never exceed
@@ -141,5 +151,34 @@ func TestBreakdownReconcilesWithTrace(t *testing.T) {
 				t.Error("explicit-copy run recorded no H2D spans")
 			}
 		})
+	}
+}
+
+// TestResetDetachesTracer: a reset context has no tracer, like a fresh
+// one, so a reused context's next run records nothing into the previous
+// run's tracer: neither the context's own events and counts nor the
+// transfers and faults recorded through the PCIe bus.
+func TestResetDetachesTracer(t *testing.T) {
+	cfg := DefaultSystemConfig()
+	tr := trace.New()
+	ctx := NewContext(cfg, UVM, 1)
+	ctx.SetTracer(tr)
+	runMicro(t, ctx)
+	events, counts := tr.Len(), tr.Metrics().Counters
+	if ctx.bus.Tracer() != tr {
+		t.Fatal("SetTracer did not attach the tracer to the bus")
+	}
+	ctx.Reset(cfg, UVM, 2)
+	if ctx.Tracer() != nil || ctx.bus.Tracer() != nil {
+		t.Fatal("Reset left a tracer attached")
+	}
+	runMicro(t, ctx)
+	if tr.Len() != events {
+		t.Errorf("the run after Reset recorded %d events into the old tracer", tr.Len()-events)
+	}
+	for name, v := range tr.Metrics().Counters {
+		if v != counts[name] {
+			t.Errorf("the run after Reset moved counter %s: %v -> %v", name, counts[name], v)
+		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"uvmasim/internal/counters"
-	"uvmasim/internal/trace"
 )
 
 // ExecConfig describes the environment of one kernel launch: which of the
@@ -94,8 +93,7 @@ type LaunchResult struct {
 
 // Model evaluates kernel launches against a GPU configuration.
 type Model struct {
-	cfg    Config
-	tracer *trace.Tracer
+	cfg Config
 }
 
 // NewModel returns a Model for the given GPU.
@@ -103,12 +101,6 @@ func NewModel(cfg Config) *Model { return &Model{cfg: cfg} }
 
 // Config returns the GPU configuration.
 func (m *Model) Config() Config { return m.cfg }
-
-// SetTracer attaches an observability tracer. The analytic model has no
-// clock of its own, so it contributes aggregate counters (launches, HBM
-// traffic, occupancy-weighted time) to the registry; the CUDA context
-// records the timed kernel spans.
-func (m *Model) SetTracer(tr *trace.Tracer) { m.tracer = tr }
 
 // occupancy resolves the launch geometry against SM resource limits.
 func (m *Model) occupancy(s KernelSpec, e ExecConfig) Occupancy {
@@ -304,8 +296,11 @@ func trafficFactor(a Access, async bool) float64 {
 }
 
 // Launch evaluates the kernel analytically and returns timing plus
-// counter deltas. It panics on invalid specs (programming error in a
-// workload definition), mirroring a CUDA launch failure.
+// counter deltas. It is a pure function of the spec, the exec config and
+// the GPU configuration: it records nothing, and cuda.Context.Launch
+// counts the launch in the run's trace. It panics on invalid specs
+// (programming error in a workload definition), mirroring a CUDA launch
+// failure.
 func (m *Model) Launch(spec KernelSpec, e ExecConfig) LaunchResult {
 	s := spec.withDefaults()
 	if err := s.Validate(); err != nil {
@@ -427,12 +422,6 @@ func (m *Model) Launch(spec KernelSpec, e ExecConfig) LaunchResult {
 		inst.Mem = staged/16 + residual/4 + float64(s.StoreBytes)/4
 	} else {
 		inst.Mem = algLoads/4 + float64(s.StoreBytes)/4
-	}
-
-	if m.tracer != nil {
-		m.tracer.Count("gpu.launches", 1)
-		m.tracer.Count("gpu.traffic_bytes", traffic)
-		m.tracer.Count("gpu.exec_ns", exec)
 	}
 
 	return LaunchResult{

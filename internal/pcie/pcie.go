@@ -39,7 +39,7 @@ func DefaultConfig() Config {
 }
 
 // BytesPerNs returns the peak per-direction link bandwidth in bytes/ns
-// (numerically equal to GB/s; see sim.GBPerSec).
+// (numerically equal to GB/s: 1e9 bytes / 1e9 ns).
 func (c Config) BytesPerNs() float64 { return c.BandwidthGBs }
 
 // UplinkBytesPerNs returns the capacity of a shared PCIe-switch uplink
@@ -61,49 +61,52 @@ func (c Config) ZeroCopyEfficiency() float64 { return c.FaultEfficiency }
 // (nvbandwidth's SM-copy vs CE-copy gap).
 func (c Config) SMCopyEfficiency() float64 { return c.BulkEfficiency * 0.95 }
 
-// Bus bundles the two DMA directions.
+// Bus bundles the two DMA directions and the tracer that records their
+// transfers.
 type Bus struct {
 	cfg Config
-	eng *sim.Engine
+	tr  *trace.Tracer
 	H2D *sim.Link
 	D2H *sim.Link
 }
 
-// New creates a Bus on the engine.
-func New(eng *sim.Engine, cfg Config) *Bus {
+// New creates an idle Bus with tracing disabled.
+func New(cfg Config) *Bus {
 	if cfg.BandwidthGBs <= 0 {
 		panic("pcie: bandwidth must be positive")
 	}
 	return &Bus{
 		cfg: cfg,
-		eng: eng,
-		H2D: sim.NewLink(eng, "pcie-h2d", sim.GBPerSec(cfg.BandwidthGBs)),
-		D2H: sim.NewLink(eng, "pcie-d2h", sim.GBPerSec(cfg.BandwidthGBs)),
+		H2D: sim.NewLink("pcie-h2d", cfg.BytesPerNs()),
+		D2H: sim.NewLink("pcie-d2h", cfg.BytesPerNs()),
 	}
 }
 
 // Config returns the bus configuration.
 func (b *Bus) Config() Config { return b.cfg }
 
-// Tracer returns the tracer attached to the bus's engine (nil when
-// tracing is disabled). The UVM manager records its fault activity
-// through it.
-func (b *Bus) Tracer() *trace.Tracer { return b.eng.Tracer() }
+// SetTracer attaches an observability tracer to the bus; nil (the
+// default) disables recording. cuda.Context.SetTracer attaches it.
+func (b *Bus) SetTracer(tr *trace.Tracer) { b.tr = tr }
+
+// Tracer returns the attached tracer (nil when tracing is disabled).
+// The UVM manager records its fault activity through it.
+func (b *Bus) Tracer() *trace.Tracer { return b.tr }
 
 // CopyH2DBulk reserves a bulk host->device copy starting no earlier than
 // t. hostEff (0,1] further derates the copy for host-side placement
 // effects (cross-chip buffers, Figure 6). It returns the completion time.
 func (b *Bus) CopyH2DBulk(t float64, bytes int64, hostEff float64) float64 {
-	start, end := b.H2D.ReserveAt(t, float64(bytes), b.cfg.LatencyNs, b.cfg.BulkEfficiency*hostEff, nil)
-	b.Tracer().Span(trace.PCIeH2D, "memcpyH2D", start, end, trace.Args{Bytes: bytes})
+	start, end := b.H2D.ReserveAt(t, float64(bytes), b.cfg.LatencyNs, b.cfg.BulkEfficiency*hostEff)
+	b.tr.Span(trace.PCIeH2D, "memcpyH2D", start, end, trace.Args{Bytes: bytes})
 	return end
 }
 
 // CopyD2HBulk reserves a bulk device->host copy starting no earlier than
 // t and returns the completion time.
 func (b *Bus) CopyD2HBulk(t float64, bytes int64, hostEff float64) float64 {
-	start, end := b.D2H.ReserveAt(t, float64(bytes), b.cfg.LatencyNs, b.cfg.BulkEfficiency*hostEff, nil)
-	b.Tracer().Span(trace.PCIeD2H, "memcpyD2H", start, end, trace.Args{Bytes: bytes})
+	start, end := b.D2H.ReserveAt(t, float64(bytes), b.cfg.LatencyNs, b.cfg.BulkEfficiency*hostEff)
+	b.tr.Span(trace.PCIeD2H, "memcpyD2H", start, end, trace.Args{Bytes: bytes})
 	return end
 }
 
@@ -148,7 +151,7 @@ type Lane struct {
 }
 
 func (b *Bus) lane(l *sim.Link, track trace.Track, name string, bytes int64, eff float64) Lane {
-	return Lane{link: l, tr: b.Tracer(), track: track, name: name, bytes: bytes,
+	return Lane{link: l, tr: b.tr, track: track, name: name, bytes: bytes,
 		dur: l.TransferTime(float64(bytes), 0, eff)}
 }
 
@@ -192,7 +195,7 @@ func (ln *Lane) At(t float64) float64 {
 // bit, spans included: one span per chunk on the prefetch track.
 func (b *Bus) PrefetchRun(t float64, bytes int64, ends []float64) float64 {
 	start := b.H2D.ReserveRun(t, b.H2D.TransferTime(float64(bytes), 0, b.cfg.PrefetchEfficiency), ends)
-	if tr := b.Tracer(); tr != nil {
+	if tr := b.tr; tr != nil {
 		for _, end := range ends {
 			tr.Span(trace.Prefetch, "prefetch", start, end, trace.Args{Bytes: bytes})
 			start = end

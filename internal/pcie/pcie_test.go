@@ -1,10 +1,6 @@
 package pcie
 
-import (
-	"testing"
-
-	"uvmasim/internal/sim"
-)
+import "testing"
 
 func TestEfficiencyOrdering(t *testing.T) {
 	cfg := DefaultConfig()
@@ -15,8 +11,7 @@ func TestEfficiencyOrdering(t *testing.T) {
 }
 
 func TestCopyDirectionsIndependent(t *testing.T) {
-	eng := sim.New()
-	b := New(eng, DefaultConfig())
+	b := New(DefaultConfig())
 	h2d := b.CopyH2DBulk(0, 1<<20, 1)
 	d2h := b.CopyD2HBulk(0, 1<<20, 1)
 	if h2d != d2h {
@@ -30,15 +25,12 @@ func TestCopyDirectionsIndependent(t *testing.T) {
 }
 
 func TestModeSpeeds(t *testing.T) {
-	eng := sim.New()
-	b := New(eng, DefaultConfig())
+	b := New(DefaultConfig())
 	const n = 64 << 20
 	bulk := b.CopyH2DBulk(0, n, 1)
-	eng2 := sim.New()
-	b2 := New(eng2, DefaultConfig())
+	b2 := New(DefaultConfig())
 	pf := b2.PrefetchChunk(0, n)
-	eng3 := sim.New()
-	b3 := New(eng3, DefaultConfig())
+	b3 := New(DefaultConfig())
 	fault := b3.MigrateOnDemand(0, n, 1)
 	if !(bulk < pf && pf < fault) {
 		t.Errorf("transfer times must order bulk < prefetch < fault: %v %v %v", bulk, pf, fault)
@@ -46,8 +38,7 @@ func TestModeSpeeds(t *testing.T) {
 }
 
 func TestBusyAccounting(t *testing.T) {
-	eng := sim.New()
-	b := New(eng, DefaultConfig())
+	b := New(DefaultConfig())
 	b.CopyH2DBulk(0, 1<<20, 1)
 	b.Writeback(0, 1<<20)
 	if b.BusyTotal() <= 0 {
@@ -63,8 +54,7 @@ func TestBusyAccounting(t *testing.T) {
 }
 
 func TestHostEffSlowsCopy(t *testing.T) {
-	e1, e2 := sim.New(), sim.New()
-	b1, b2 := New(e1, DefaultConfig()), New(e2, DefaultConfig())
+	b1, b2 := New(DefaultConfig()), New(DefaultConfig())
 	fast := b1.CopyH2DBulk(0, 1<<24, 1.0)
 	slow := b2.CopyH2DBulk(0, 1<<24, 0.5)
 	if slow <= fast {
@@ -78,5 +68,5 @@ func TestInvalidConfigPanics(t *testing.T) {
 			t.Error("zero bandwidth should panic")
 		}
 	}()
-	New(sim.New(), Config{})
+	New(Config{})
 }

@@ -202,6 +202,14 @@ func TestValidateBoundsDurations(t *testing.T) {
 		{"counts at the ceiling", func(c *cuda.SystemConfig) {
 			c.GPU.SMs, c.GPU.WarpSize, c.Host.Chips = maxCount, maxCount, maxCount
 		}, true},
+		// Per-chunk UVM state is sized by size/ChunkBytes: 64-byte chunks
+		// made a Mega region ask for a 4.3 GB block.
+		{"uvm.ChunkBytes", func(c *cuda.SystemConfig) { c.UVM.ChunkBytes, c.UVM.FaultBlockBytes = 64, 64 }, false},
+		{"uvm.ChunkBytes", func(c *cuda.SystemConfig) { c.UVM.ChunkBytes = minChunkBytes - 1 }, false},
+		{"uvm.FaultBlockBytes", func(c *cuda.SystemConfig) { c.UVM.FaultBlockBytes = minFaultBlockBytes - 1 }, false},
+		{"chunk sizes at the floor", func(c *cuda.SystemConfig) {
+			c.UVM.ChunkBytes, c.UVM.FaultBlockBytes = minChunkBytes, minFaultBlockBytes
+		}, true},
 	}
 	for _, tc := range cases {
 		cfg := cuda.DefaultSystemConfig()

@@ -27,12 +27,21 @@ func (v *violations) addf(format string, args ...any) {
 // to +Inf; then the tables print NaN, or the UVM evictor meets a chunk
 // whose arrival is +Inf. Every bound sits orders of magnitude outside
 // any real machine.
+//
+// The UVM manager sizes each region's per-chunk state by
+// size/uvm.ChunkBytes and counts faults per uvm.FaultBlockBytes, so the
+// two sizes have floors: minChunkBytes caps the 32 GB Mega input at 512
+// Ki chunks, and minFaultBlockBytes is one 4 KiB page. The built-in
+// profiles use 2 MiB chunks and 64 KiB fault blocks.
 const (
 	minRate   = 1e-6
 	minEff    = 1e-6
 	maxNs     = 1e18
 	maxFactor = 1e6
 	maxCount  = 1 << 20
+
+	minChunkBytes      = 64 << 10
+	minFaultBlockBytes = 4 << 10
 )
 
 // pos requires a finite val > 0.
@@ -60,6 +69,13 @@ func (v *violations) upTo(name string, val, max float64) {
 func (v *violations) rate(name string, val float64) {
 	if !(val >= minRate) || math.IsInf(val, 1) {
 		v.addf("%s must be a finite rate of at least %g, got %v", name, minRate, val)
+	}
+}
+
+// atLeast requires a size of at least min bytes.
+func (v *violations) atLeast(name string, val, min int64) {
+	if val < min {
+		v.addf("%s must be at least %d bytes, got %d", name, min, val)
 	}
 }
 
@@ -94,10 +110,11 @@ func (v *violations) frac0lt1(name string, val float64) {
 // Validate rejects nonsensical system configurations: non-positive or
 // infinite quantities; rates, link efficiencies, costs, slowdown factors
 // and per-device counts outside the bounds that keep every derived
-// duration finite; shared-memory carveouts exceeding the unified cache;
-// fractions outside their ranges; a managed capacity smaller than one
-// migration chunk. It reports every violation, not just the first, so a
-// hand-written profile JSON can be fixed in one pass.
+// duration finite; UVM chunk and fault-block sizes below their floors;
+// shared-memory carveouts exceeding the unified cache; fractions outside
+// their ranges; a managed capacity smaller than one migration chunk. It
+// reports every violation, not just the first, so a hand-written
+// profile JSON can be fixed in one pass.
 func Validate(cfg cuda.SystemConfig) error {
 	var v violations
 
@@ -144,8 +161,8 @@ func Validate(cfg cuda.SystemConfig) error {
 	v.upTo("host.CrossJitter", h.CrossJitter, maxFactor)
 
 	u := cfg.UVM
-	v.pos("uvm.ChunkBytes", float64(u.ChunkBytes))
-	v.pos("uvm.FaultBlockBytes", float64(u.FaultBlockBytes))
+	v.atLeast("uvm.ChunkBytes", u.ChunkBytes, minChunkBytes)
+	v.atLeast("uvm.FaultBlockBytes", u.FaultBlockBytes, minFaultBlockBytes)
 	if u.FaultBlockBytes > u.ChunkBytes {
 		v.addf("uvm.FaultBlockBytes (%d) exceeds uvm.ChunkBytes (%d)", u.FaultBlockBytes, u.ChunkBytes)
 	}

@@ -143,7 +143,6 @@ func Place(t *topo.Topology, jobs []Job, policy Policy) []int {
 	placement := make([]int, len(jobs))
 	estFree := make([]float64, n) // estimated drain time per GPU
 	load := make([]float64, n)    // total assigned work per GPU
-	assigned := make([]int, n)
 	for i, j := range jobs {
 		g := 0
 		switch policy {
@@ -164,20 +163,14 @@ func Place(t *topo.Topology, jobs []Job, policy Policy) []int {
 		case BandwidthAware:
 			best := 0.0
 			for c := 0; c < n; c++ {
-				// Flows already mapped onto c's shared stage stretch the
-				// transfer estimate; both current shapes share one fabric,
-				// but count via SharesFabric so future shapes localize.
-				flows := 0
-				for p := 0; p < n; p++ {
-					if t.SharesFabric(c, p) {
-						flows += assigned[p]
-					}
-				}
 				start := estFree[c]
 				if j.Arrival > start {
 					start = j.Arrival
 				}
-				fin := start + j.AllocNs + j.TransferNs*float64(1+flows) + j.KernelNs
+				// Each of the i jobs already placed maps a flow onto the
+				// one shared stage all devices cross, stretching the
+				// transfer estimate.
+				fin := start + j.AllocNs + j.TransferNs*float64(1+i) + j.KernelNs
 				if c == 0 || fin < best {
 					best, g = fin, c
 				}
@@ -190,7 +183,6 @@ func Place(t *topo.Topology, jobs []Job, policy Policy) []int {
 		}
 		estFree[g] = start + j.duration()
 		load[g] += j.duration()
-		assigned[g]++
 	}
 	return placement
 }
@@ -305,7 +297,7 @@ func Run(eng *sim.Engine, t *topo.Topology, jobs []Job, opt Options) (*Stats, er
 		// The flow's solo rate reproduces the measured solo duration;
 		// contention on the shared stage stretches it.
 		rate := js.job.Bytes / js.job.TransferNs
-		t.Transfer(js.gpu, js.job.Bytes, rate, afterTransfer)
+		t.Transfer(js.job.Bytes, rate, afterTransfer)
 	}
 
 	for g := range queues {

@@ -1,7 +1,10 @@
-// Package sim implements the small discrete-event simulation engine that
-// drives the CPU-GPU system model: an event queue ordered by virtual time,
-// FIFO bandwidth links with busy-interval accounting, and helpers for
-// measuring spans of activity.
+// Package sim holds the simulator's time primitives. The single-GPU
+// model is a reservation calendar: FIFO bandwidth Links place each
+// transfer at max(earliest, drain time) along the caller's cursor and
+// keep busy-interval accounting, and no event ever fires. The
+// discrete-event Engine, an event queue ordered by virtual time, drives
+// only what needs callbacks: the fair-shared SharedLink and the
+// multi-GPU schedule built on it (package sched).
 //
 // Virtual time is measured in nanoseconds and represented as float64 so
 // cost models can produce fractional durations without rounding artifacts.
@@ -9,11 +12,7 @@
 // order they were scheduled.
 package sim
 
-import (
-	"fmt"
-
-	"uvmasim/internal/trace"
-)
+import "fmt"
 
 // event is a scheduled callback.
 type event struct {
@@ -82,11 +81,9 @@ func (h *eventHeap) pop() event {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // not usable; create one with New.
 type Engine struct {
-	now      float64
-	seq      uint64
-	pq       eventHeap
-	executed uint64
-	tracer   *trace.Tracer
+	now float64
+	seq uint64
+	pq  eventHeap
 }
 
 // New returns an Engine with the clock at time zero.
@@ -96,26 +93,6 @@ func New() *Engine {
 
 // Now returns the current virtual time in nanoseconds.
 func (e *Engine) Now() float64 { return e.now }
-
-// SetTracer attaches an observability tracer to the engine. Every model
-// holding the engine (links, the PCIe bus, the UVM manager, the CUDA
-// context) reads it through Tracer, so attaching here enables tracing
-// for the whole simulated system. A nil tracer (the default) disables
-// recording; the event loop itself never touches the tracer, so the
-// disabled fast path costs nothing.
-func (e *Engine) SetTracer(tr *trace.Tracer) { e.tracer = tr }
-
-// Tracer returns the attached tracer, or nil when tracing is disabled.
-// All trace.Tracer methods are nil-receiver-safe, so callers may record
-// through the returned pointer unconditionally.
-func (e *Engine) Tracer() *trace.Tracer { return e.tracer }
-
-// Executed reports how many events have fired so far, which tests use to
-// bound simulation work.
-func (e *Engine) Executed() uint64 { return e.executed }
-
-// Pending reports the number of events still queued.
-func (e *Engine) Pending() int { return len(e.pq) }
 
 // At schedules fn to run at absolute virtual time t. Scheduling in the
 // past panics: it indicates a broken cost model rather than a recoverable
@@ -141,7 +118,6 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.pq.pop()
 	e.now = ev.at
-	e.executed++
 	ev.fn()
 	return true
 }
@@ -156,7 +132,6 @@ func (e *Engine) Reset() {
 	e.pq = e.pq[:0]
 	e.now = 0
 	e.seq = 0
-	e.executed = 0
 }
 
 // Run executes events until the queue drains and returns the final clock.
@@ -164,16 +139,4 @@ func (e *Engine) Run() float64 {
 	for e.Step() {
 	}
 	return e.now
-}
-
-// RunUntil executes events with timestamps <= t, then advances the clock
-// to t (if it is ahead of the last event). Events scheduled beyond t stay
-// queued.
-func (e *Engine) RunUntil(t float64) {
-	for len(e.pq) > 0 && e.pq[0].at <= t {
-		e.Step()
-	}
-	if t > e.now {
-		e.now = t
-	}
 }

@@ -46,7 +46,7 @@ type sharedFlow struct {
 }
 
 // NewSharedLink creates a fair-shared bandwidth pool on eng with the
-// given capacity in bytes per nanosecond (use GBPerSec).
+// given capacity in bytes per nanosecond (numerically GB/s).
 func NewSharedLink(eng *Engine, name string, capacityBytesPerNs float64) *SharedLink {
 	if capacityBytesPerNs <= 0 {
 		panic("sim: shared link capacity must be positive")

@@ -52,27 +52,6 @@ func TestEnginePastSchedulingPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	fired := 0
-	e.At(5, func() { fired++ })
-	e.At(15, func() { fired++ })
-	e.RunUntil(10)
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-	if e.Now() != 10 {
-		t.Errorf("clock = %v, want 10", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Errorf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 || e.Now() != 15 {
-		t.Errorf("after Run: fired=%d now=%v", fired, e.Now())
-	}
-}
-
 // Property: events fire in non-decreasing timestamp order no matter the
 // insertion order.
 func TestQuickEventOrder(t *testing.T) {
@@ -152,17 +131,11 @@ func TestIntervalSetOverlap(t *testing.T) {
 }
 
 func TestLinkFIFO(t *testing.T) {
-	e := New()
-	l := NewLink(e, "pcie", GBPerSec(10)) // 10 bytes/ns
-	var ends []float64
-	l.Transfer(1000, 0, 1, func(end float64) { ends = append(ends, end) })
-	l.Transfer(1000, 0, 1, func(end float64) { ends = append(ends, end) })
-	e.Run()
-	if len(ends) != 2 {
-		t.Fatalf("got %d completions", len(ends))
-	}
-	if ends[0] != 100 || ends[1] != 200 {
-		t.Errorf("ends = %v, want [100 200]", ends)
+	l := NewLink("pcie", 10) // 10 bytes/ns
+	s0, e0 := l.ReserveAt(0, 1000, 0, 1)
+	s1, e1 := l.ReserveAt(0, 1000, 0, 1)
+	if s0 != 0 || e0 != 100 || s1 != 100 || e1 != 200 {
+		t.Errorf("spans = [%v %v) [%v %v), want [0 100) [100 200)", s0, e0, s1, e1)
 	}
 	if got := l.Busy().Total(); got != 200 {
 		t.Errorf("busy total = %v, want 200", got)
@@ -170,10 +143,9 @@ func TestLinkFIFO(t *testing.T) {
 }
 
 func TestLinkLatencyAndEfficiency(t *testing.T) {
-	e := New()
-	l := NewLink(e, "pcie", GBPerSec(10))
+	l := NewLink("pcie", 10)
 	// 1000 bytes at 50% efficiency = 200ns service + 40ns latency.
-	end := l.Transfer(1000, 40, 0.5, nil)
+	_, end := l.ReserveAt(0, 1000, 40, 0.5)
 	if end != 240 {
 		t.Errorf("end = %v, want 240", end)
 	}
@@ -183,21 +155,20 @@ func TestLinkLatencyAndEfficiency(t *testing.T) {
 }
 
 func TestLinkQueuesBehindBusy(t *testing.T) {
-	e := New()
-	l := NewLink(e, "x", 1)
-	l.Transfer(100, 0, 1, nil) // busy until 100
-	e.RunUntil(50)
-	end := l.Transfer(10, 0, 1, nil)
-	if end != 110 {
-		t.Errorf("queued transfer end = %v, want 110", end)
+	l := NewLink("x", 1)
+	l.ReserveAt(0, 100, 0, 1) // busy until 100
+	if start, end := l.ReserveAt(50, 10, 0, 1); start != 100 || end != 110 {
+		t.Errorf("queued transfer [%v, %v), want [100, 110)", start, end)
+	}
+	// A transfer whose earliest lies past the drain time starts there.
+	if start, end := l.ReserveAt(200, 10, 0, 1); start != 200 || end != 210 {
+		t.Errorf("late transfer [%v, %v), want [200, 210)", start, end)
 	}
 }
 
 func TestLinkReset(t *testing.T) {
-	e := New()
-	l := NewLink(e, "x", 1)
-	l.Transfer(100, 0, 1, nil)
-	e.Run()
+	l := NewLink("x", 1)
+	l.ReserveAt(0, 100, 0, 1)
 	l.Reset()
 	if l.BusyUntil() != 0 || l.Busy().Total() != 0 {
 		t.Errorf("reset link should be idle")
@@ -205,15 +176,14 @@ func TestLinkReset(t *testing.T) {
 }
 
 func TestLinkInvalidArgs(t *testing.T) {
-	e := New()
 	for _, bad := range []float64{0, -1} {
 		func() {
 			defer func() { recover() }()
-			NewLink(e, "bad", bad)
+			NewLink("bad", bad)
 			t.Errorf("NewLink with bw %v should panic", bad)
 		}()
 	}
-	l := NewLink(e, "ok", 1)
+	l := NewLink("ok", 1)
 	for _, bad := range []float64{0, -0.5, 1.5} {
 		func() {
 			defer func() { recover() }()
@@ -228,16 +198,14 @@ func TestLinkInvalidArgs(t *testing.T) {
 func TestQuickLinkBusyConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
-		e := New()
-		l := NewLink(e, "x", 2)
+		l := NewLink("x", 2)
 		total := 0.0
 		n := 1 + rng.Intn(20)
 		for j := 0; j < n; j++ {
 			size := float64(1 + rng.Intn(1000))
 			total += l.TransferTime(size, 0, 1)
-			l.Transfer(size, 0, 1, nil)
+			l.ReserveAt(0, size, 0, 1)
 		}
-		e.Run()
 		if math.Abs(l.Busy().Total()-total) > 1e-6 {
 			t.Fatalf("busy %v != sum of service %v", l.Busy().Total(), total)
 		}
@@ -251,26 +219,21 @@ func TestQuickLinkBusyConservation(t *testing.T) {
 // definition: ReserveRun(earliest, dur, ends) equals len(ends)
 // successive ReserveAt calls, the first at earliest and each later one at
 // the previous end, bit for bit — first start, every end, drain time and
-// the merged busy set — from random link states: the engine clock ahead
-// of or behind the drain time, and earliest behind the clock, behind the
-// drain time or ahead of both.
+// the merged busy set — from random link states, with earliest behind
+// or ahead of the drain time.
 func TestReserveRunMatchesReserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		bw := 1 + rng.Float64()*40
-		eRun, eRef := New(), New()
-		run, ref := NewLink(eRun, "run", bw), NewLink(eRef, "ref", bw)
+		run, ref := NewLink("run", bw), NewLink("ref", bw)
 		at := 0.0
 		for k := rng.Intn(4); k > 0; k-- {
 			at += rng.Float64() * 5e5
 			size, eff := float64(1+rng.Intn(4<<20)), 0.1+0.9*rng.Float64()
-			run.ReserveAt(at, size, 0, eff, nil)
-			ref.ReserveAt(at, size, 0, eff, nil)
+			run.ReserveAt(at, size, 0, eff)
+			ref.ReserveAt(at, size, 0, eff)
 		}
-		clock := rng.Float64() * 2 * run.BusyUntil()
-		eRun.RunUntil(clock)
-		eRef.RunUntil(clock)
-		earliest := rng.Float64() * 2 * math.Max(run.BusyUntil(), clock)
+		earliest := rng.Float64() * 2 * run.BusyUntil()
 		if rng.Intn(4) == 0 {
 			earliest = run.BusyUntil() - 1 // chain starts behind the drain time
 		}
@@ -281,7 +244,7 @@ func TestReserveRunMatchesReserveAt(t *testing.T) {
 
 		next := earliest
 		for k := range ends {
-			s, e := ref.ReserveAt(next, size, 0, eff, nil)
+			s, e := ref.ReserveAt(next, size, 0, eff)
 			if k == 0 && s != start {
 				t.Fatalf("trial %d: first start %v, ReserveAt %v", trial, start, s)
 			}
@@ -309,33 +272,28 @@ func TestReserveRunMatchesReserveAt(t *testing.T) {
 // to its definition: a run of Reserve calls sharing one TransferTime
 // equals the same run of ReserveAt calls bit for bit — every start and
 // end, the drain time and the busy set — from random link states, with
-// each earliest behind the clock, behind the drain time or ahead of
-// both.
+// each earliest behind or ahead of the drain time.
 func TestReserveMatchesReserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 500; trial++ {
 		bw := 1 + rng.Float64()*40
-		eRes, eRef := New(), New()
-		res, ref := NewLink(eRes, "reserve", bw), NewLink(eRef, "ref", bw)
+		res, ref := NewLink("reserve", bw), NewLink("ref", bw)
 		at := 0.0
 		for k := rng.Intn(4); k > 0; k-- {
 			at += rng.Float64() * 5e5
 			size, eff := float64(1+rng.Intn(4<<20)), 0.1+0.9*rng.Float64()
-			res.ReserveAt(at, size, 0, eff, nil)
-			ref.ReserveAt(at, size, 0, eff, nil)
+			res.ReserveAt(at, size, 0, eff)
+			ref.ReserveAt(at, size, 0, eff)
 		}
-		clock := rng.Float64() * 2 * res.BusyUntil()
-		eRes.RunUntil(clock)
-		eRef.RunUntil(clock)
 		size, latency, eff := float64(1+rng.Intn(4<<20)), rng.Float64()*2e3, 0.1+0.9*rng.Float64()
 		dur := res.TransferTime(size, latency, eff)
 		for k := rng.Intn(40); k > 0; k-- {
-			earliest := rng.Float64() * 2 * math.Max(res.BusyUntil(), clock)
+			earliest := rng.Float64() * 2 * res.BusyUntil()
 			if rng.Intn(4) == 0 {
 				earliest = res.BusyUntil() - 1 // queues behind the drain time
 			}
 			s, e := res.Reserve(earliest, dur)
-			ws, we := ref.ReserveAt(earliest, size, latency, eff, nil)
+			ws, we := ref.ReserveAt(earliest, size, latency, eff)
 			if s != ws || e != we {
 				t.Fatalf("trial %d: Reserve [%v, %v), ReserveAt [%v, %v)", trial, s, e, ws, we)
 			}

@@ -79,12 +79,11 @@ type Topology struct {
 	Kind Kind
 	GPUs int
 
-	// uplink is the shared PCIe-switch uplink (PCIeSwitch only).
-	uplink *sim.SharedLink
-	// hostPool is the host DRAM bandwidth pool (NVLink only): dedicated
-	// device links do not contend with each other, so host chips become
-	// the shared stage.
-	hostPool *sim.SharedLink
+	// shared is the stage every device's transfers cross: the
+	// PCIe-switch uplink, or under NVLink the host DRAM bandwidth pool
+	// (dedicated device links do not contend with each other, so host
+	// chips become the shared stage).
+	shared *sim.SharedLink
 	// deviceLink is each GPU's dedicated link rate in bytes/ns, the cap
 	// any single device's stream cannot exceed.
 	deviceLink float64
@@ -99,42 +98,25 @@ func New(eng *sim.Engine, cfg cuda.SystemConfig, kind Kind, gpus int) (*Topology
 	t := &Topology{Kind: kind, GPUs: gpus, deviceLink: cfg.PCIe.BytesPerNs()}
 	switch kind {
 	case PCIeSwitch:
-		t.uplink = sim.NewSharedLink(eng, "switch-uplink", cfg.PCIe.UplinkBytesPerNs())
+		t.shared = sim.NewSharedLink(eng, "switch-uplink", cfg.PCIe.UplinkBytesPerNs())
 	case NVLink:
-		t.hostPool = sim.NewSharedLink(eng, "host-dram", cfg.Host.AggregateBandwidthBytesPerNs())
+		t.shared = sim.NewSharedLink(eng, "host-dram", cfg.Host.AggregateBandwidthBytesPerNs())
 	default:
 		return nil, fmt.Errorf("topo: unknown kind %q", kind)
 	}
 	return t, nil
 }
 
-// DeviceLinkBytesPerNs returns one GPU's dedicated link rate: the hard
-// cap on any single device's transfer stream.
-func (t *Topology) DeviceLinkBytesPerNs() float64 { return t.deviceLink }
-
-// SharedStage returns the shared link a transfer to the given GPU
-// crosses. Under a switch every device shares the uplink; under NVLink
-// every device's private link draws from the host DRAM pool.
-func (t *Topology) SharedStage(gpu int) *sim.SharedLink {
-	if t.uplink != nil {
-		return t.uplink
-	}
-	return t.hostPool
-}
-
-// SharesFabric reports whether transfers to GPUs a and b contend on the
-// same shared stage. In both current shapes they do (one uplink, one
-// host pool); the method keeps placement policies topology-agnostic.
-func (t *Topology) SharesFabric(a, b int) bool { return true }
-
-// Transfer starts a host->device stream of the given size to the given
-// GPU, capped at rateCap (<=0 means the device link rate) and at the
-// device link rate. done fires with the completion time.
-func (t *Topology) Transfer(gpu int, bytes, rateCap float64, done func(end float64)) {
+// Transfer starts a host->device stream of the given size to one GPU,
+// capped at rateCap (<=0 means the device link rate) and at the device
+// link rate. In both shapes every device's stream crosses the one
+// shared stage, so the stream's GPU does not enter. done fires with the
+// completion time.
+func (t *Topology) Transfer(bytes, rateCap float64, done func(end float64)) {
 	if rateCap <= 0 || rateCap > t.deviceLink {
 		rateCap = t.deviceLink
 	}
-	t.SharedStage(gpu).Start(bytes, rateCap, done)
+	t.shared.Start(bytes, rateCap, done)
 }
 
 // String renders the topology for logs and renders.

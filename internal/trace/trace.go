@@ -1,7 +1,7 @@
 // Package trace is the simulator's observability layer: a
-// zero-overhead-when-disabled event recorder that the device models
-// (pcie, uvm, gpu), the CUDA runtime and the experiment harness thread
-// their activity through. It records typed spans and instant events on a
+// zero-overhead-when-disabled event recorder that the transfer models
+// (pcie, uvm), the CUDA runtime and the experiment harness thread their
+// activity through. It records typed spans and instant events on a
 // small set of named tracks — the same tracks a CUPTI/Nsight timeline of
 // the paper's testbed shows — using virtual-time timestamps, so a trace
 // is a deterministic function of the run's seed.
@@ -103,8 +103,11 @@ type Event struct {
 func (e Event) End() float64 { return e.Start + e.Dur }
 
 // Tracer records events and counters for one simulated run. Create one
-// with New and attach it to a cuda.Context (or sim.Engine) before the
-// run; a nil Tracer disables all recording.
+// with New and attach it once, with cuda.Context.SetTracer, before the
+// run: the context records the host API, kernels and gpu.* launch
+// counts, and hands the tracer to the PCIe bus, through which the UVM
+// manager records transfers and faults. A nil Tracer disables all
+// recording.
 //
 // A Tracer is not safe for concurrent use — like the single-threaded
 // simulation it observes, each traced run owns its Tracer. The parallel

@@ -8,7 +8,6 @@ import (
 
 	"uvmasim/internal/counters"
 	"uvmasim/internal/pcie"
-	"uvmasim/internal/sim"
 	"uvmasim/internal/trace"
 )
 
@@ -40,15 +39,14 @@ type diffRig struct {
 	evicts  []evictRec
 }
 
-// newDiffRig builds a rig; traced attaches a tracer to its engine.
+// newDiffRig builds a rig; traced attaches a tracer to its bus.
 func newDiffRig(capacity int64, reference, traced bool) *diffRig {
-	eng := sim.New()
 	var tr *trace.Tracer
 	if traced {
 		tr = trace.New()
-		eng.SetTracer(tr)
 	}
-	bus := pcie.New(eng, pcie.DefaultConfig())
+	bus := pcie.New(pcie.DefaultConfig())
+	bus.SetTracer(tr)
 	rig := &diffRig{
 		m:    NewManager(DefaultConfig(), bus, capacity, &counters.UVMStats{}),
 		bus:  bus,

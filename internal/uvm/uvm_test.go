@@ -7,12 +7,10 @@ import (
 
 	"uvmasim/internal/counters"
 	"uvmasim/internal/pcie"
-	"uvmasim/internal/sim"
 )
 
 func newTestManager(capacity int64) (*Manager, *pcie.Bus, *counters.UVMStats) {
-	eng := sim.New()
-	bus := pcie.New(eng, pcie.DefaultConfig())
+	bus := pcie.New(pcie.DefaultConfig())
 	stats := &counters.UVMStats{}
 	m := NewManager(DefaultConfig(), bus, capacity, stats)
 	return m, bus, stats
@@ -50,7 +48,7 @@ func TestDemandChunkFaultsAndMigrates(t *testing.T) {
 	ready := m.DemandChunk(r, 0, 1000, 1, false)
 	// Fault batch latency then migration at fault efficiency.
 	expectMin := 1000 + m.cfg.FaultBatchLatencyNs +
-		float64(2<<20)/(sim.GBPerSec(bus.Config().BandwidthGBs)*bus.Config().FaultEfficiency)
+		float64(2<<20)/(bus.Config().BytesPerNs()*bus.Config().FaultEfficiency)
 	if math.Abs(ready-expectMin) > 1 {
 		t.Errorf("ready = %v, want ~%v", ready, expectMin)
 	}

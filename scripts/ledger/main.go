@@ -86,6 +86,8 @@ var benches = []bench{
 		{Name: "BenchmarkServeColdFig7/multicore", Layer: "serve"},
 	}},
 	{pkg: ".", count: "20x", rows: []row{{Name: "BenchmarkUVMOversubStream", Layer: "uvm"}}},
+	{pkg: ".", count: "20000x", rows: []row{{Name: "BenchmarkEngineEvents", Layer: "sim"}}},
+	{pkg: ".", count: "20x", rows: []row{{Name: "BenchmarkBusStream", Layer: "pcie"}}},
 	{pkg: ".", count: "200x", rows: []row{
 		{Name: "BenchmarkManagedIteration/uvm", Layer: "uvm"},
 		{Name: "BenchmarkManagedIteration/uvm_prefetch", Layer: "uvm"},
