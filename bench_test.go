@@ -258,7 +258,7 @@ func BenchmarkOversubscription(b *testing.B) {
 // BenchmarkMultiGPU regenerates the full multi-GPU schedule artifact —
 // the default 1/2/4-GPU sweep over both topologies, serial and
 // pipelined, so 12 DES schedules plus the analytic §6 oracle — with the
-// cell cache off, so every op pays the inner workload measurement and
+// cell cache off, so every op pays the workload measurement once and
 // every schedule replay. It is a row of the benchmark ledger
 // (BENCH.json, scripts/ledger).
 func BenchmarkMultiGPU(b *testing.B) {

@@ -279,10 +279,11 @@ func run(args []string) error {
 			return err
 		}
 	}
-	if slices.Contains(cmds, "all") || r.Store != nil {
-		// The two-tier traffic summary rides along with every
-		// store-backed run, not just `all`: on stderr, so stdout
-		// artifacts stay byte-comparable cold vs warm.
+	if slices.Contains(cmds, "all") || slices.Contains(cmds, "trace") || r.Store != nil {
+		// The two-tier traffic summary rides along with `all`, every
+		// trace run (it carries the trace counter totals) and every
+		// store-backed run: on stderr, so stdout artifacts stay
+		// byte-comparable cold vs warm.
 		doc := core.FigureDoc{Figure: "cache_summary", Data: cacheSummary{
 			r.CacheHits(), r.CacheMisses(), r.StoreHits(), r.StoreMisses(),
 			o.traceTotals, o.reg.Snapshot()}}
@@ -328,7 +329,7 @@ func resolveProfiles(list string) ([]profile.Profile, error) {
 	return ps, nil
 }
 
-// cacheSummary reports both cache tiers after an `all` or any
+// cacheSummary reports both cache tiers after an `all`, a trace or any
 // store-backed run, on stderr, so stdout artifacts stay
 // byte-comparable between cold and warm runs whose cache traffic
 // necessarily differs. Its JSON encoding also carries the full

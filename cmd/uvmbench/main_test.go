@@ -1,12 +1,15 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"uvmasim/internal/store"
 )
 
 // TestDispatchSubcommands smoke-tests every subcommand end to end with a
@@ -173,7 +176,7 @@ func TestCacheDirWarmRerun(t *testing.T) {
 	if cold != warm {
 		t.Error("warm -cache-dir rerun diverges from cold run")
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "v1"))
+	entries, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("v%d", store.SchemaVersion)))
 	if err != nil || len(entries) == 0 {
 		t.Errorf("cache dir not populated (err=%v, entries=%d)", err, len(entries))
 	}

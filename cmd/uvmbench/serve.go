@@ -7,7 +7,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"uvmasim/internal/core"
 	"uvmasim/internal/metrics"
 	"uvmasim/internal/profile"
 	"uvmasim/internal/serve"
@@ -25,7 +24,7 @@ func runServe(addr string, maxInflight, par int, cacheDir, profName string) erro
 		return err
 	}
 	reg := metrics.New()
-	var st core.CellStore
+	var st store.Store
 	if cacheDir != "" {
 		dir, err := store.Open(cacheDir)
 		if err != nil {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
@@ -126,6 +127,28 @@ func TestTraceCountersInSummary(t *testing.T) {
 		"-workload", "vector_seq", "-setup", "uvm_prefetch", "-out", out, "trace")
 	if !strings.Contains(stderr, `"trace_counters"`) {
 		t.Errorf("traced run's summary should carry trace_counters:\n%s", stderr)
+	}
+}
+
+// TestTraceCountersWithoutStore: a trace run prints its counter totals
+// on stderr without -cache-dir too; they are the run's counter
+// registry, not store traffic.
+func TestTraceCountersWithoutStore(t *testing.T) {
+	_, stderr := captureStderr(t, "-i", "1", "-json", "-workload", "gemm", "-size", "small",
+		"-setup", "uvm", "-out", t.TempDir(), "trace")
+	var doc struct {
+		Figure string `json:"figure"`
+		Data   struct {
+			TraceCounters map[string]float64 `json:"trace_counters"`
+		} `json:"data"`
+	}
+	if err := json.Unmarshal([]byte(stderr), &doc); err != nil {
+		t.Fatalf("storeless trace run printed no summary document: %v\n%s", err, stderr)
+	}
+	c := doc.Data.TraceCounters
+	if doc.Figure != "cache_summary" || c["gpu.launches"] != 1 || c["uvm.fault_batches"] != 4 {
+		t.Errorf("summary %q trace_counters = %v, want gpu.launches 1 and uvm.fault_batches 4",
+			doc.Figure, c)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
+	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -183,23 +184,6 @@ func (r *Runner) forEachOrdered(n int, order []int, fn func(i int) error) error 
 	return nil
 }
 
-// cellKey identifies one unique measurement cell across figures. Two
-// cells with equal keys produce bit-identical Results (the simulation is
-// a pure function of the key), which is what makes the cache safe for
-// byte-identical rendering. The system model enters the key as its
-// profile fingerprint — a digest of every SystemConfig field — so cells
-// measured under different hardware profiles can never collide, even
-// when one Runner (or the cross-profile study) runs several machines
-// against the same shared cache.
-type cellKey struct {
-	kind  string // workload name, or a sweep cell id including the swept parameter
-	setup cuda.Setup
-	size  workloads.Size
-	iters int
-	seed  int64
-	fp    string // profile.Fingerprint of the runner's SystemConfig
-}
-
 // cellEntry is a singleflight slot: the first goroutine to claim the key
 // computes, every later one (even concurrent ones) waits and shares the
 // stored result.
@@ -215,7 +199,7 @@ type cellEntry struct {
 // same cache.
 type cellCache struct {
 	mu     sync.Mutex
-	m      map[cellKey]*cellEntry
+	m      map[store.Key]*cellEntry
 	hits   atomic.Uint64
 	misses atomic.Uint64
 	// Store-tier traffic: of the in-memory misses, how many were served
@@ -235,7 +219,7 @@ type cellCache struct {
 }
 
 func newCellCache() *cellCache {
-	return &cellCache{m: make(map[cellKey]*cellEntry), fps: make(map[cuda.SystemConfig]string)}
+	return &cellCache{m: make(map[store.Key]*cellEntry), fps: make(map[cuda.SystemConfig]string)}
 }
 
 // fingerprint returns profile.Fingerprint(cfg), digesting each config
@@ -255,7 +239,7 @@ func (c *cellCache) fingerprint(cfg cuda.SystemConfig) string {
 }
 
 // do returns the cached result for key, computing it at most once.
-func (c *cellCache) do(key cellKey, compute func() (Result, error)) (Result, error) {
+func (c *cellCache) do(key store.Key, compute func() (Result, error)) (Result, error) {
 	c.mu.Lock()
 	e, ok := c.m[key]
 	if !ok {
@@ -274,15 +258,23 @@ func (c *cellCache) do(key cellKey, compute func() (Result, error)) (Result, err
 	return e.res, e.err
 }
 
-// cellKey is the cache key of one cell on this Runner.
-func (r *Runner) cellKey(kind string, setup cuda.Setup, size workloads.Size) cellKey {
-	return cellKey{
-		kind:  kind,
-		setup: setup,
-		size:  size,
-		iters: r.iters(),
-		seed:  r.BaseSeed,
-		fp:    r.cache.fingerprint(r.Config),
+// cellKey is the key of one cell on this Runner, its address in the
+// cell cache and in the persistent store alike. Two cells with equal
+// keys produce bit-identical Results (the simulation is a pure function
+// of the key), which is what makes caching safe for byte-identical
+// rendering. The system model enters the key as its profile
+// fingerprint — a digest of every SystemConfig field — so cells
+// measured under different hardware profiles never collide, even when
+// one Runner (or the cross-profile study) runs several machines against
+// the same shared cache.
+func (r *Runner) cellKey(kind string, setup cuda.Setup, size workloads.Size) store.Key {
+	return store.Key{
+		Kind:      kind,
+		Setup:     setup.String(),
+		Size:      size.String(),
+		Iters:     r.iters(),
+		Seed:      r.BaseSeed,
+		ProfileFP: r.cache.fingerprint(r.Config),
 	}
 }
 
@@ -304,11 +296,15 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 		})
 	}
 	return r.cache.do(key, func() (Result, error) {
-		skey := storeKeyOf(key)
-		if doc, ok := r.Store.Get(skey); ok {
+		// The stored cell omits Setup and Size, which the key that Get
+		// checked already names. Every measured cell has at least one
+		// iteration, so a cell without breakdowns is a damaged entry.
+		var res Result
+		if r.Store.Get(key, &res) && len(res.Breakdowns) > 0 {
+			res.Setup, res.Size = setup, size
 			r.cache.storeHits.Add(1)
 			r.cache.inst.storeHits.Inc()
-			return resultFromDoc(key, doc), nil
+			return res, nil
 		}
 		r.cache.storeMisses.Add(1)
 		r.cache.inst.storeMisses.Inc()
@@ -316,7 +312,7 @@ func (r *Runner) cached(kind string, setup cuda.Setup, size workloads.Size, comp
 		if err == nil {
 			// Best-effort write-back: a failed Put costs a future
 			// recompute, never a wrong result.
-			_ = r.Store.Put(skey, docFromResult(skey, res))
+			_ = r.Store.Put(key, &res)
 		}
 		return res, err
 	})

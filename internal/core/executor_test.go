@@ -7,6 +7,7 @@ import (
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
+	"uvmasim/internal/store"
 	"uvmasim/internal/workloads"
 )
 
@@ -141,7 +142,7 @@ func TestCellKeyFollowsConfig(t *testing.T) {
 		computes++
 		return Result{}, nil
 	}
-	lookup := func(r *Runner) cellKey {
+	lookup := func(r *Runner) store.Key {
 		t.Helper()
 		if _, err := r.cached("k", cuda.UVM, workloads.Tiny, compute); err != nil {
 			t.Fatal(err)
@@ -150,8 +151,8 @@ func TestCellKeyFollowsConfig(t *testing.T) {
 	}
 
 	base := lookup(r)
-	if base.fp != profile.Fingerprint(r.Config) {
-		t.Fatalf("key digest %s, profile.Fingerprint %s", base.fp, profile.Fingerprint(r.Config))
+	if base.ProfileFP != profile.Fingerprint(r.Config) {
+		t.Fatalf("key digest %s, profile.Fingerprint %s", base.ProfileFP, profile.Fingerprint(r.Config))
 	}
 	if again := lookup(r); again != base || computes != 1 {
 		t.Fatalf("repeat lookup: key %+v (was %+v), %d computes, want 1", again, base, computes)
@@ -160,9 +161,9 @@ func TestCellKeyFollowsConfig(t *testing.T) {
 	c := *r
 	c.Config.UVM.FaultBatchLatencyNs *= 2
 	changed := lookup(&c)
-	if changed.fp == base.fp || changed.fp != profile.Fingerprint(c.Config) {
+	if changed.ProfileFP == base.ProfileFP || changed.ProfileFP != profile.Fingerprint(c.Config) {
 		t.Fatalf("changed config: key digest %s, original %s, profile.Fingerprint %s",
-			changed.fp, base.fp, profile.Fingerprint(c.Config))
+			changed.ProfileFP, base.ProfileFP, profile.Fingerprint(c.Config))
 	}
 	if computes != 2 {
 		t.Fatalf("changed config hit the original's cell: %d computes, want 2", computes)
@@ -180,7 +181,7 @@ func TestCellKeyFollowsConfig(t *testing.T) {
 			defer wg.Done()
 			c := *r
 			c.Config.UVM.FaultBatchLatencyNs += float64(g % 3)
-			if got, want := c.cellKey("k", cuda.UVM, workloads.Tiny).fp, profile.Fingerprint(c.Config); got != want {
+			if got, want := c.cellKey("k", cuda.UVM, workloads.Tiny).ProfileFP, profile.Fingerprint(c.Config); got != want {
 				t.Errorf("goroutine %d: key digest %s, profile.Fingerprint %s", g, got, want)
 			}
 		}(g)

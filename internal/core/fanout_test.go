@@ -160,7 +160,7 @@ type dispatchStore struct {
 	both  chan struct{}
 }
 
-func (s *dispatchStore) Get(key store.Key) (store.CellDoc, bool) {
+func (s *dispatchStore) Get(key store.Key, _ any) bool {
 	s.mu.Lock()
 	s.kinds = append(s.kinds, key.Kind)
 	n := len(s.kinds)
@@ -174,10 +174,10 @@ func (s *dispatchStore) Get(key store.Key) (store.CellDoc, bool) {
 	case 2:
 		close(s.both)
 	}
-	return store.CellDoc{}, false
+	return false
 }
 
-func (s *dispatchStore) Put(store.Key, store.CellDoc) error { return nil }
+func (s *dispatchStore) Put(store.Key, any) error { return nil }
 
 // TestOversubDispatchesHighestRatioFirst pins the LPT order of the
 // oversubscription sweep, which the uvm_pressure benchmark's latency

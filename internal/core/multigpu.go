@@ -34,7 +34,7 @@ type MultiGPUStudy struct {
 }
 
 // MultiGPUSchedule is one schedule's realized aggregates at a grid
-// point, decoded from the cell's per-job and per-GPU breakdowns.
+// point.
 type MultiGPUSchedule struct {
 	Makespan             float64 `json:"makespan_ns"`
 	ThroughputJobsPerSec float64 `json:"throughput_jobs_per_sec"`
@@ -61,7 +61,9 @@ type MultiGPUPoint struct {
 // MultiGPU runs the grid study: workload `name` measured once under
 // setup/size, then a batch of `jobs` identical jobs scheduled on every
 // (topology, gpus) combination under `policy`, serial and pipelined.
-// Each (grid point, schedule) pair is one cacheable cell.
+// Only the workload measurement is a cell; each grid point replays the
+// measured stage times as a handful of DES events per job and GPU, so
+// the grid runs serially and is never cached.
 func (r *Runner) MultiGPU(name string, setup cuda.Setup, size workloads.Size, jobs int, gpuCounts []int, topologies []topo.Kind, policy sched.Policy) (*MultiGPUStudy, error) {
 	if jobs < 1 {
 		return nil, fmt.Errorf("core: job count must be positive, got %d", jobs)
@@ -87,63 +89,49 @@ func (r *Runner) MultiGPU(name string, setup cuda.Setup, size workloads.Size, jo
 		Analytic: analytic,
 		Points:   make([]MultiGPUPoint, 0, len(topologies)*len(gpuCounts)),
 	}
-	type cellRef struct {
-		point     int
-		kind      topo.Kind
-		gpus      int
-		pipelined bool
-	}
-	var cells []cellRef
+	// The analytic row holds the measured cell's mean stage times.
+	stages := cuda.Breakdown{Alloc: analytic.Alloc, Memcpy: analytic.Transfer, Kernel: analytic.Kernel}
 	for _, k := range topologies {
 		for _, g := range gpuCounts {
-			p := len(study.Points)
-			study.Points = append(study.Points, MultiGPUPoint{Topology: string(k), GPUs: g})
-			cells = append(cells,
-				cellRef{point: p, kind: k, gpus: g, pipelined: false},
-				cellRef{point: p, kind: k, gpus: g, pipelined: true})
-		}
-	}
-	kindOf := func(c cellRef) string {
-		schedName := "serial"
-		if c.pipelined {
-			schedName = "pipelined"
-		}
-		// %s round-trips every field exactly, so equal kinds mean equal
-		// cells across runs and machines (the profile enters the key via
-		// its fingerprint).
-		return fmt.Sprintf("multigpu:%s:%s:%d:%s:%d:%s", name, c.kind, c.gpus, policy, jobs, schedName)
-	}
-	// Every cell measures the same workload cell, then replays the
-	// schedule as a handful of DES events per job and GPU.
-	order := r.lptOrder(len(cells), func(i int) float64 {
-		return float64(jobs * cells[i].gpus)
-	})
-	err = r.forEachOrdered(len(cells), order, func(i int) error {
-		c := cells[i]
-		res, err := r.cached(kindOf(c), setup, size, func() (Result, error) {
-			return r.multiGPUCell(name, setup, size, jobs, c.kind, c.gpus, policy, c.pipelined)
-		})
-		if err != nil {
-			return err
-		}
-		agg := decodeMultiGPUCell(res, jobs, c.gpus, analytic.Transfer)
-		if c.pipelined {
-			study.Points[c.point].Pipelined = agg
-		} else {
-			study.Points[c.point].Serial = agg
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range study.Points {
-		p := &study.Points[i]
-		if p.Serial.Makespan > 0 {
-			p.Improvement = 1 - p.Pipelined.Makespan/p.Serial.Makespan
+			serial, err := runMultiGPUSchedule(r.Config, stages, size, jobs, k, g, policy, false)
+			if err != nil {
+				return nil, err
+			}
+			pipelined, err := runMultiGPUSchedule(r.Config, stages, size, jobs, k, g, policy, true)
+			if err != nil {
+				return nil, err
+			}
+			p := MultiGPUPoint{Topology: string(k), GPUs: g,
+				Serial: scheduleOf(serial), Pipelined: scheduleOf(pipelined)}
+			if p.Serial.Makespan > 0 {
+				p.Improvement = 1 - p.Pipelined.Makespan/p.Serial.Makespan
+			}
+			study.Points = append(study.Points, p)
 		}
 	}
 	return study, nil
+}
+
+// scheduleOf reads one schedule's aggregates from its realized Stats.
+// Fairness is Jain's index over per-job finish times, which the study
+// has always reported; sched's own index over slowdowns agrees for
+// identical jobs only up to rounding.
+func scheduleOf(st *sched.Stats) MultiGPUSchedule {
+	out := MultiGPUSchedule{
+		Makespan:             st.Makespan,
+		ThroughputJobsPerSec: st.ThroughputJobsPerSec,
+		TransferStretch:      st.TransferStretch,
+	}
+	var sum, sq float64
+	for i := range st.Jobs {
+		f := st.Jobs[i].Finish
+		sum += f
+		sq += f * f
+	}
+	if sq > 0 {
+		out.Fairness = sum * sum / (float64(len(st.Jobs)) * sq)
+	}
+	return out
 }
 
 // multiGPUJobs builds the batch the scheduler runs: `jobs` identical
@@ -173,58 +161,8 @@ func multiGPUJobs(mb cuda.Breakdown, size workloads.Size, link float64, jobs int
 	return out
 }
 
-// multiGPUCell simulates one (topology, gpus, schedule) grid point. The
-// Result encodes the realized schedule as jobs+gpus breakdowns: entries
-// 0..jobs-1 are per-job spans (Alloc/Memcpy/Kernel = realized stage
-// durations, Overhead = queueing wait, Total = finish time) and entries
-// jobs..jobs+gpus-1 are per-GPU busy times (Total = the device's last
-// finish). Everything the study and its document report is derived
-// from these, so a cell stays a pure function of its cache key.
-func (r *Runner) multiGPUCell(name string, setup cuda.Setup, size workloads.Size, jobs int, kind topo.Kind, gpus int, policy sched.Policy, pipelined bool) (Result, error) {
-	// The stage durations come from the ordinary workload measurement
-	// cell.
-	w, err := workloads.ByName(name)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := r.Measure(w, setup, size)
-	if err != nil {
-		return Result{}, err
-	}
-	st, err := runMultiGPUSchedule(r.Config, res.MeanBreakdown(), size, jobs, kind, gpus, policy, pipelined)
-	if err != nil {
-		return Result{}, err
-	}
-	bds := make([]cuda.Breakdown, 0, jobs+gpus)
-	for i := range st.Jobs {
-		js := &st.Jobs[i]
-		bds = append(bds, cuda.Breakdown{
-			Alloc:    js.AllocEnd - js.AllocStart,
-			Memcpy:   js.TransferEnd - js.TransferStart,
-			Kernel:   js.KernelEnd - js.KernelStart,
-			Overhead: js.Wait,
-			Total:    js.Finish,
-		})
-	}
-	for g := range st.GPUs {
-		gs := &st.GPUs[g]
-		bds = append(bds, cuda.Breakdown{
-			Alloc:  gs.AllocBusy,
-			Memcpy: gs.TransferBusy,
-			Kernel: gs.KernelBusy,
-			Total:  gs.LastFinish,
-		})
-	}
-	return Result{
-		Workload:   "multigpu",
-		Setup:      setup,
-		Size:       size,
-		Breakdowns: bds,
-	}, nil
-}
-
 // runMultiGPUSchedule builds the topology and runs one schedule on a
-// fresh engine. Shared by the cell compute and the trace export.
+// fresh engine. Shared by the grid study and the trace export.
 func runMultiGPUSchedule(cfg cuda.SystemConfig, mb cuda.Breakdown, size workloads.Size, jobs int, kind topo.Kind, gpus int, policy sched.Policy, pipelined bool) (*sched.Stats, error) {
 	eng := sim.New()
 	tp, err := topo.New(eng, cfg, kind, gpus)
@@ -237,8 +175,8 @@ func runMultiGPUSchedule(cfg cuda.SystemConfig, mb cuda.Breakdown, size workload
 
 // MultiGPUTrace re-runs one grid point's schedule and returns its
 // realized Stats, for Chrome-trace export (sched.Stats.WriteChromeTrace).
-// The schedule is a cheap deterministic replay of the cell, so tracing
-// never perturbs or bypasses the cell cache.
+// The schedule is a cheap deterministic replay of the measured workload
+// cell, so tracing never perturbs or bypasses the cell cache.
 func (r *Runner) MultiGPUTrace(name string, setup cuda.Setup, size workloads.Size, jobs int, kind topo.Kind, gpus int, policy sched.Policy, pipelined bool) (*sched.Stats, error) {
 	w, err := workloads.ByName(name)
 	if err != nil {
@@ -249,42 +187,6 @@ func (r *Runner) MultiGPUTrace(name string, setup cuda.Setup, size workloads.Siz
 		return nil, err
 	}
 	return runMultiGPUSchedule(r.Config, res.MeanBreakdown(), size, jobs, kind, gpus, policy, pipelined)
-}
-
-// decodeMultiGPUCell reconstructs one schedule's aggregates from the
-// cell encoding. soloTransfer is the uncontended transfer duration (the
-// analytic row's), the stretch baseline. A cell with too few
-// breakdowns decodes to zeros instead of indexing past its end: a
-// truncated -cache-dir document still passes store.CellDoc.Valid,
-// which asks only for a non-empty payload, and reaches this decoder.
-func decodeMultiGPUCell(res Result, jobs, gpus int, soloTransfer float64) MultiGPUSchedule {
-	var out MultiGPUSchedule
-	if len(res.Breakdowns) < jobs+gpus {
-		return out
-	}
-	var finishSum, finishSq, stretchSum float64
-	for _, b := range res.Breakdowns[:jobs] {
-		if b.Total > out.Makespan {
-			out.Makespan = b.Total
-		}
-		finishSum += b.Total
-		finishSq += b.Total * b.Total
-		if soloTransfer > 0 {
-			stretchSum += b.Memcpy / soloTransfer
-		}
-	}
-	if out.Makespan > 0 {
-		out.ThroughputJobsPerSec = float64(jobs) / out.Makespan * 1e9
-	}
-	if finishSq > 0 {
-		out.Fairness = finishSum * finishSum / (float64(jobs) * finishSq)
-	}
-	if soloTransfer > 0 {
-		out.TransferStretch = stretchSum / float64(jobs)
-	} else {
-		out.TransferStretch = 1
-	}
-	return out
 }
 
 // Doc packages the multi-GPU contention grid next to its analytic

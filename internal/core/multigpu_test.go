@@ -6,7 +6,6 @@ import (
 
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/sched"
-	"uvmasim/internal/store"
 	"uvmasim/internal/topo"
 	"uvmasim/internal/workloads"
 )
@@ -166,23 +165,6 @@ func TestMultiGPUValidation(t *testing.T) {
 	}
 	if _, err := r.MultiGPU("no_such_workload", cuda.UVM, workloads.Small, 2, []int{1}, kinds, sched.FirstFit); err == nil {
 		t.Error("unknown workload accepted")
-	}
-}
-
-// TestMultiGPUDecodePlaceholder: a truncated -cache-dir document, with
-// fewer breakdowns than jobs+gpus, still passes CellDoc.Valid, so the
-// cell it replays must decode to zeros, never index out of range.
-func TestMultiGPUDecodePlaceholder(t *testing.T) {
-	key := cellKey{kind: "multigpu:vector_seq:nvlink:2:least-loaded:3:serial",
-		setup: cuda.UVMPrefetchAsync, size: workloads.Super, iters: 1, seed: 1}
-	skey := storeKeyOf(key)
-	doc := store.CellDoc{Schema: store.SchemaVersion, Key: skey, Workload: "multigpu",
-		Breakdowns: make([]store.Breakdown, 2)}
-	if !doc.Valid(skey) {
-		t.Fatal("a truncated cell document should pass Valid")
-	}
-	if agg := decodeMultiGPUCell(resultFromDoc(key, doc), 3, 2, 100); agg != (MultiGPUSchedule{}) {
-		t.Errorf("truncated cell decoded to %+v, want zeros", agg)
 	}
 }
 

@@ -10,31 +10,13 @@ import (
 	"uvmasim/internal/workloads"
 )
 
-// syntheticSetup registers (once per process) a sixth managed setup the
-// paper never named, so the property tests below can prove the harness
-// is setup-count-agnostic rather than hard-wired to len==5.
-func syntheticSetup(t *testing.T) cuda.Setup {
-	t.Helper()
-	s, err := cuda.Register(cuda.Desc{Name: "synthetic_core_test", Managed: true, SMCopy: true})
-	if err != nil {
-		if !strings.Contains(err.Error(), "already registered") {
-			t.Fatal(err)
-		}
-		s, err = cuda.ParseSetup("synthetic_core_test")
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return s
-}
-
 // TestStudiesHandleSixSetups runs a breakdown study, its text table, its
 // JSON document and the cross-profile comparison with a six-setup study
-// list (the paper's five plus a synthetic registration) and checks every
-// consumer follows the study's own list: N columns, standard still the
-// baseline, no panics anywhere.
+// list (the paper's five plus uvm_smcopy) and checks every consumer
+// follows the study's own list: N columns, standard still the baseline,
+// no panics anywhere.
 func TestStudiesHandleSixSetups(t *testing.T) {
-	syn := syntheticSetup(t)
+	syn := cuda.UVMSMCopy
 	r := testRunner(2)
 	r.Setups = append(cuda.PaperSetups(), syn)
 
@@ -51,7 +33,7 @@ func TestStudiesHandleSixSetups(t *testing.T) {
 		}
 	}
 	text := study.Doc("fig7").Text()
-	if !strings.Contains(text, "synthetic_core_test") {
+	if !strings.Contains(text, "uvm_smcopy") {
 		t.Errorf("render misses the sixth setup:\n%s", text)
 	}
 	if imp := study.GeoMeanImprovement(syn); imp == 0 {
@@ -63,7 +45,7 @@ func TestStudiesHandleSixSetups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(blob), "synthetic_core_test") {
+	if !strings.Contains(string(blob), "uvm_smcopy") {
 		t.Errorf("JSON doc misses the sixth setup")
 	}
 
@@ -82,7 +64,7 @@ func TestStudiesHandleSixSetups(t *testing.T) {
 			t.Errorf("best-vs-baseline improvement negative: %v", row.BestImprovement)
 		}
 	}
-	if !strings.Contains(ps.Doc().Text(), "synthetic_core_test") {
+	if !strings.Contains(ps.Doc().Text(), "uvm_smcopy") {
 		t.Errorf("profile render misses the sixth setup")
 	}
 }

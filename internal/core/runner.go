@@ -1,6 +1,6 @@
 // Package core is the paper's experiment harness: it runs the benchmark
 // suite under the registered data-transfer setups (the paper's five by
-// default; see cuda.Register and Runner.Setups), repeats each measurement
+// default; see cuda.Registered and Runner.Setups), repeats each measurement
 // with fresh noise draws (the paper's 30 iterations), aggregates
 // execution-time breakdowns and hardware counters, and produces the data
 // behind every table and figure of the evaluation (Table 3, Figures
@@ -24,6 +24,7 @@ import (
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
 	"uvmasim/internal/stats"
+	"uvmasim/internal/store"
 	"uvmasim/internal/trace"
 	"uvmasim/internal/workloads"
 )
@@ -66,7 +67,7 @@ type Runner struct {
 	// back. Store lookups happen inside the singleflight slot, so
 	// concurrent callers of one cell trigger at most one disk read (or
 	// one simulate+write). Requires Cache.
-	Store CellStore
+	Store store.Store
 
 	// TraceHook, when non-nil, is consulted once per simulated iteration
 	// of every measurement cell; a non-nil return value is attached to
@@ -149,12 +150,17 @@ func (r *Runner) iters() int {
 // Result holds the repeated measurements of one (workload, setup, size)
 // cell. Results returned by Runner methods may be shared with the cell
 // cache and must be treated as read-only.
+//
+// Its JSON encoding is the cell the persistent store keeps. Setup and
+// Size stay out of it: the store key names both, and the cache restores
+// them from the key's own arguments, so a stored cell cannot contradict
+// its address.
 type Result struct {
-	Workload string
-	Setup    cuda.Setup
-	Size     workloads.Size
+	Workload string         `json:"workload"`
+	Setup    cuda.Setup     `json:"-"`
+	Size     workloads.Size `json:"-"`
 
-	Breakdowns []cuda.Breakdown
+	Breakdowns []cuda.Breakdown `json:"breakdowns"`
 	// Counters is the hardware-counter snapshot of the cell's FINAL
 	// iteration (index Iterations-1), not an aggregate across
 	// iterations. Counter values are deterministic given that
@@ -165,7 +171,7 @@ type Result struct {
 	// from whichever block owns the final iteration, so fan-out and
 	// serial runs report identical counters (pinned by
 	// TestFanoutCountersMatchSerial).
-	Counters counters.Set
+	Counters counters.Set `json:"counters"`
 }
 
 // Totals returns the per-iteration wall totals.

@@ -3,6 +3,7 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"uvmasim/internal/cuda"
@@ -13,7 +14,7 @@ import (
 )
 
 // storeRunner returns a low-iteration runner backed by the given store.
-func storeRunner(s CellStore) *Runner {
+func storeRunner(s store.Store) *Runner {
 	r := testRunner(2)
 	r.Store = s
 	return r
@@ -124,5 +125,67 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	}
 	if warm.StoreMisses() != 0 {
 		t.Errorf("healed store still simulated %d cells", warm.StoreMisses())
+	}
+}
+
+// TestStoreReplaysResultExactly: a cell replayed from the store equals
+// the simulated one field for field, including the Setup and Size that
+// the stored cell leaves to its key.
+func TestStoreReplaysResultExactly(t *testing.T) {
+	dir, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workloads.Micro()[0]
+	want, err := storeRunner(dir).Measure(w, cuda.UVMPrefetch, workloads.Large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := storeRunner(dir)
+	got, err := warm.Measure(w, cuda.UVMPrefetch, workloads.Large)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.StoreHits() != 1 {
+		t.Fatalf("warm measure: %d store hits, want 1", warm.StoreHits())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("replayed cell differs:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestStoreEmptyCellRecomputes: an entry whose envelope answers the key
+// but whose cell holds no breakdowns is a miss. The cell simulates, and
+// the write-back repairs the entry.
+func TestStoreEmptyCellRecomputes(t *testing.T) {
+	dir, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workloads.Micro()[0]
+	cold := storeRunner(dir)
+	want, err := cold.Measure(w, cuda.UVM, workloads.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cold.cellKey(w.Name(), cuda.UVM, workloads.Small)
+	if err := dir.Put(key, &Result{Workload: w.Name()}); err != nil {
+		t.Fatal(err)
+	}
+
+	r := storeRunner(dir)
+	got, err := r.Measure(w, cuda.UVM, workloads.Small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.StoreHits() != 0 || r.StoreMisses() != 1 {
+		t.Errorf("empty cell: %d store hits, %d misses, want 0 and 1", r.StoreHits(), r.StoreMisses())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("recomputed cell differs from the original")
+	}
+	var healed Result
+	if !dir.Get(key, &healed) || len(healed.Breakdowns) != len(want.Breakdowns) {
+		t.Errorf("write-back did not repair the entry: %d breakdowns", len(healed.Breakdowns))
 	}
 }

@@ -8,10 +8,10 @@ package counters
 // InstMix counts executed instructions by class. Counts are float64
 // because they come from an analytic model, not discrete retirement.
 type InstMix struct {
-	Mem  float64 // global/shared load & store instructions
-	FP   float64 // floating-point instructions
-	Int  float64 // integer (address arithmetic) instructions
-	Ctrl float64 // control (branch/loop/pipeline-barrier) instructions
+	Mem  float64 `json:"mem"`  // global/shared load & store instructions
+	FP   float64 `json:"fp"`   // floating-point instructions
+	Int  float64 `json:"int"`  // integer (address arithmetic) instructions
+	Ctrl float64 `json:"ctrl"` // control (branch/loop/pipeline-barrier) instructions
 }
 
 // Add accumulates o into m.
@@ -28,10 +28,10 @@ func (m InstMix) Total() float64 { return m.Mem + m.FP + m.Int + m.Ctrl }
 // L1Stats captures unified L1/texture cache activity for global loads and
 // stores, the two counters Figure 10 compares.
 type L1Stats struct {
-	LoadAccesses  float64
-	LoadMisses    float64
-	StoreAccesses float64
-	StoreMisses   float64
+	LoadAccesses  float64 `json:"load_accesses"`
+	LoadMisses    float64 `json:"load_misses"`
+	StoreAccesses float64 `json:"store_accesses"`
+	StoreMisses   float64 `json:"store_misses"`
 }
 
 // Add accumulates o into s.
@@ -60,13 +60,13 @@ func (s L1Stats) StoreMissRate() float64 {
 
 // UVMStats counts unified-memory driver activity.
 type UVMStats struct {
-	PageFaults     float64 // GPU-side page faults raised
-	FaultBatches   float64 // fault groups serviced together
-	MigratedBytes  float64 // host->device on-demand migration volume
-	PrefetchBytes  float64 // host->device prefetched volume
-	WritebackBytes float64 // device->host writeback volume
-	EvictedBytes   float64 // bytes evicted under memory pressure
-	Evictions      float64 // chunks evicted under memory pressure
+	PageFaults     float64 `json:"page_faults"`     // GPU-side page faults raised
+	FaultBatches   float64 `json:"fault_batches"`   // fault groups serviced together
+	MigratedBytes  float64 `json:"migrated_bytes"`  // host->device on-demand migration volume
+	PrefetchBytes  float64 `json:"prefetch_bytes"`  // host->device prefetched volume
+	WritebackBytes float64 `json:"writeback_bytes"` // device->host writeback volume
+	EvictedBytes   float64 `json:"evicted_bytes"`   // bytes evicted under memory pressure
+	Evictions      float64 `json:"evictions"`       // chunks evicted under memory pressure
 }
 
 // Add accumulates o into u.
@@ -81,21 +81,22 @@ func (u *UVMStats) Add(o UVMStats) {
 }
 
 // Set is the full counter group for one run (one process execution in
-// the paper's methodology).
+// the paper's methodology). Its JSON encoding is how the cell store
+// persists a cell's counters, so every field round-trips exactly.
 type Set struct {
-	Inst InstMix
-	L1   L1Stats
-	UVM  UVMStats
+	Inst InstMix  `json:"inst"`
+	L1   L1Stats  `json:"l1"`
+	UVM  UVMStats `json:"uvm"`
 
 	// Explicit-transfer volumes (cudaMemcpy engine).
-	H2DBytes float64
-	D2HBytes float64
+	H2DBytes float64 `json:"h2d_bytes"`
+	D2HBytes float64 `json:"d2h_bytes"`
 
 	// Occupancy bookkeeping: integral of (active warps / max warps) over
 	// kernel execution, and total kernel busy time, so that
 	// Occupancy() = time-weighted average occupancy as CUPTI reports it.
-	occupancyIntegral float64
-	kernelBusy        float64
+	OccupancyIntegral float64 `json:"occupancy_integral"`
+	KernelBusyNs      float64 `json:"kernel_busy_ns"`
 }
 
 // Merge accumulates o into s.
@@ -105,8 +106,8 @@ func (s *Set) Merge(o *Set) {
 	s.UVM.Add(o.UVM)
 	s.H2DBytes += o.H2DBytes
 	s.D2HBytes += o.D2HBytes
-	s.occupancyIntegral += o.occupancyIntegral
-	s.kernelBusy += o.kernelBusy
+	s.OccupancyIntegral += o.OccupancyIntegral
+	s.KernelBusyNs += o.KernelBusyNs
 }
 
 // RecordKernel adds a kernel span with the given time-average occupancy
@@ -115,32 +116,17 @@ func (s *Set) RecordKernel(duration, occupancy float64) {
 	if duration < 0 {
 		panic("counters: negative kernel duration")
 	}
-	s.occupancyIntegral += duration * occupancy
-	s.kernelBusy += duration
+	s.OccupancyIntegral += duration * occupancy
+	s.KernelBusyNs += duration
 }
 
 // Occupancy returns the time-weighted average SM occupancy across all
 // recorded kernels, or 0 if none ran.
 func (s *Set) Occupancy() float64 {
-	if s.kernelBusy == 0 {
+	if s.KernelBusyNs == 0 {
 		return 0
 	}
-	return s.occupancyIntegral / s.kernelBusy
-}
-
-// KernelBusy returns the summed kernel execution time.
-func (s *Set) KernelBusy() float64 { return s.kernelBusy }
-
-// OccupancyState exposes the raw occupancy accumulators so a Set can be
-// persisted and restored exactly (the cell store round-trips them).
-func (s *Set) OccupancyState() (integral, busy float64) {
-	return s.occupancyIntegral, s.kernelBusy
-}
-
-// SetOccupancyState restores accumulators captured by OccupancyState.
-func (s *Set) SetOccupancyState(integral, busy float64) {
-	s.occupancyIntegral = integral
-	s.kernelBusy = busy
+	return s.OccupancyIntegral / s.KernelBusyNs
 }
 
 // Reset zeroes the set for reuse.

@@ -39,8 +39,8 @@ func TestOccupancyWeighting(t *testing.T) {
 	if got := s.Occupancy(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("Occupancy = %v, want %v", got, want)
 	}
-	if s.KernelBusy() != 400 {
-		t.Errorf("KernelBusy = %v, want 400", s.KernelBusy())
+	if s.KernelBusyNs != 400 {
+		t.Errorf("KernelBusyNs = %v, want 400", s.KernelBusyNs)
 	}
 }
 

@@ -274,7 +274,7 @@ func TestCountersPopulated(t *testing.T) {
 	if ctrs.Occupancy() <= 0 || ctrs.Occupancy() > 1 {
 		t.Errorf("occupancy %v out of range", ctrs.Occupancy())
 	}
-	if ctrs.KernelBusy() <= 0 {
+	if ctrs.KernelBusyNs <= 0 {
 		t.Error("kernel busy time should be recorded")
 	}
 }

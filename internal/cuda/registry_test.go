@@ -1,14 +1,43 @@
 package cuda
 
 import (
+	"fmt"
+	"slices"
 	"strings"
-	"sync"
 	"testing"
 )
 
-// TestRegisterValidation pins the descriptor coherence rules: names must
-// be non-empty and list-safe, and the capability bits must describe a
-// mode the simulator can execute.
+// descErr reports the first rule d breaks among the setup table's
+// invariants, given the other setups' descriptors: a name that is empty,
+// not list-safe or already taken, or capability bits that describe a
+// mode the simulator cannot execute.
+func descErr(d Desc, others []Desc) error {
+	switch {
+	case d.Name == "":
+		return fmt.Errorf("setup name must not be empty")
+	case strings.ContainsAny(d.Name, " \t\n,"):
+		return fmt.Errorf("setup name %q must not contain whitespace or commas", d.Name)
+	case d.ZeroCopy && d.SMCopy:
+		return fmt.Errorf("setup %q: zero-copy and SM-copy are mutually exclusive", d.Name)
+	case (d.ZeroCopy || d.SMCopy) && !d.Managed:
+		return fmt.Errorf("setup %q: zero-copy and SM-copy modes require managed memory", d.Name)
+	case d.ZeroCopy && d.Prefetch:
+		return fmt.Errorf("setup %q: zero-copy never migrates, prefetch does not apply", d.Name)
+	case d.Prefetch && !d.Managed:
+		return fmt.Errorf("setup %q: prefetch requires managed memory", d.Name)
+	}
+	for _, o := range others {
+		if o.Name == d.Name {
+			return fmt.Errorf("setup %q already registered", d.Name)
+		}
+	}
+	return nil
+}
+
+// TestRegisterValidation pins the invariants of the fixed setup table:
+// names are non-empty, list-safe and unique, and the capability bits
+// describe a mode the simulator can execute. Each case is a descriptor
+// the rules must reject; then every table entry must pass them.
 func TestRegisterValidation(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -28,10 +57,16 @@ func TestRegisterValidation(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := Register(c.d); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Errorf("Register(%+v) = %v, want error containing %q", c.d, err, c.wantErr)
+			if err := descErr(c.d, setupTable[:]); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("descErr(%+v) = %v, want error containing %q", c.d, err, c.wantErr)
 			}
 		})
+	}
+	for i, d := range setupTable {
+		others := slices.Delete(slices.Clone(setupTable[:]), i, i+1)
+		if err := descErr(d, others); err != nil {
+			t.Errorf("setup table entry %d: %v", i, err)
+		}
 	}
 }
 
@@ -49,8 +84,8 @@ func TestBuiltinRegistry(t *testing.T) {
 			t.Fatalf("PaperSetups()[%d] = %v, want %v", i, paper[i], s)
 		}
 	}
-	if n := len(Registered()); n < 7 {
-		t.Errorf("Registered() has %d setups, want >= 7", n)
+	if n := len(Registered()); n != 7 {
+		t.Errorf("Registered() has %d setups, want 7", n)
 	}
 	if !UVMZeroCopy.Managed() || !UVMZeroCopy.ZeroCopy() || UVMZeroCopy.Prefetch() || UVMZeroCopy.SMCopy() {
 		t.Errorf("uvm_zerocopy capability bits wrong")
@@ -60,6 +95,17 @@ func TestBuiltinRegistry(t *testing.T) {
 	}
 	if d, ok := Standard.Describe(); !ok || !d.Baseline {
 		t.Errorf("standard should be the registered baseline")
+	}
+	// Baseline resolution: standard wins wherever it sits; without it
+	// the study's first setup is the baseline.
+	if i := BaselineIndex([]Setup{UVM, Standard, UVMPrefetch}); i != 1 {
+		t.Errorf("BaselineIndex with standard at 1 = %d", i)
+	}
+	if i := BaselineIndex([]Setup{UVMPrefetch, UVM}); i != 0 {
+		t.Errorf("BaselineIndex without standard = %d", i)
+	}
+	if i := BaselineIndex(nil); i != 0 {
+		t.Errorf("BaselineIndex(nil) = %d", i)
 	}
 }
 
@@ -86,72 +132,4 @@ func TestParseSetupHints(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0] != Standard || got[1] != UVMZeroCopy {
 		t.Errorf("ParseSetupList = %v, %v", got, err)
 	}
-}
-
-// TestRegisterSynthetic registers a new setup at runtime and checks the
-// registry stays append-only and name-addressable, and that baseline
-// resolution follows the registered Baseline bit rather than position.
-func TestRegisterSynthetic(t *testing.T) {
-	before := len(Registered())
-	s, err := Register(Desc{Name: "synthetic_cuda_test", Managed: true, Prefetch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int(s) != before {
-		t.Errorf("synthetic setup ordinal %d, want append at %d", s, before)
-	}
-	if got := len(Registered()); got != before+1 {
-		t.Errorf("Registered() grew to %d, want %d", got, before+1)
-	}
-	if got := len(PaperSetups()); got != 5 {
-		t.Errorf("PaperSetups() = %d entries after extension, want 5", got)
-	}
-	back, err := ParseSetup("synthetic_cuda_test")
-	if err != nil || back != s {
-		t.Errorf("ParseSetup round-trip = %v, %v", back, err)
-	}
-	if s.String() != "synthetic_cuda_test" || !s.Managed() || !s.Prefetch() {
-		t.Errorf("synthetic descriptor not honoured: %v", s)
-	}
-	// Baseline resolution: standard wins wherever it sits; without it
-	// the study's first setup is the baseline.
-	if i := BaselineIndex([]Setup{UVM, Standard, s}); i != 1 {
-		t.Errorf("BaselineIndex with standard at 1 = %d", i)
-	}
-	if i := BaselineIndex([]Setup{s, UVM}); i != 0 {
-		t.Errorf("BaselineIndex without standard = %d", i)
-	}
-	if i := BaselineIndex(nil); i != 0 {
-		t.Errorf("BaselineIndex(nil) = %d", i)
-	}
-}
-
-// TestRegisterConcurrent: Register and capability reads may race; the
-// registry swap must stay atomic (run with -race).
-func TestRegisterConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				for _, s := range Registered() {
-					_ = s.Managed()
-					_ = s.String()
-				}
-			}
-		}
-	}()
-	for i := 0; i < 4; i++ {
-		name := "synthetic_race_" + string(rune('a'+i))
-		if _, err := Register(Desc{Name: name, Managed: true}); err != nil {
-			t.Errorf("Register(%s): %v", name, err)
-		}
-	}
-	close(stop)
-	wg.Wait()
 }

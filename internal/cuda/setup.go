@@ -1,8 +1,8 @@
 // Package cuda is the simulated CUDA runtime the workloads program
-// against. It exposes an open-ended registry of data-transfer setups —
-// seeded with the paper's five configurations (standard, async, uvm,
-// uvm_prefetch, uvm_prefetch_async) plus the zero-copy and SM-copy
-// extension modes — a CUDA-shaped API (Malloc/MallocManaged/Free,
+// against. It exposes a fixed table of data-transfer setups — the
+// paper's five configurations (standard, async, uvm, uvm_prefetch,
+// uvm_prefetch_async) plus the zero-copy and SM-copy extension modes —
+// a CUDA-shaped API (Malloc/MallocManaged/Free,
 // MemcpyH2D/D2H, kernel launch, Synchronize) and the execution-time
 // breakdown the paper's harness measures: data allocation, CPU-GPU data
 // transfer, and GPU kernel time.
@@ -12,22 +12,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"uvmasim/internal/nearest"
 )
 
 // Setup identifies one registered data-transfer configuration: an index
-// into the setup registry. The zero value is the standard setup.
+// into the setup table. The zero value is the standard setup.
 type Setup int
 
-// The built-in setups, registered in this order at package init. The
-// first five are the paper's §3.1.3 configurations; the last two are the
-// extension modes behind the ROADMAP's "new transfer modes" item.
+// The setups, in table order. The first five are the paper's §3.1.3
+// configurations; the last two are the zero-copy and SM-copy extension
+// modes.
 const (
 	// Standard uses explicit cudaMalloc + cudaMemcpy, synchronous tile
-	// staging. It is the registry's baseline: improvement statistics are
+	// staging. It is the table's baseline: improvement statistics are
 	// computed against it whenever a study includes it.
 	Standard Setup = iota
 	// Async keeps explicit transfers but stages tiles with memcpy_async.
@@ -80,73 +78,25 @@ type Desc struct {
 	Paper bool
 }
 
-// registry holds the immutable descriptor snapshot; Register swaps in a
-// copy under regMu. Hot-path capability reads (Managed() in the demand
-// loop) are a single atomic load plus an index.
-var (
-	regMu    sync.Mutex
-	registry atomic.Value // []Desc
-)
-
-func init() {
-	registry.Store([]Desc{
-		{Name: "standard", Baseline: true, Paper: true},
-		{Name: "async", AsyncCopy: true, Paper: true},
-		{Name: "uvm", Managed: true, Paper: true},
-		{Name: "uvm_prefetch", Managed: true, Prefetch: true, Paper: true},
-		{Name: "uvm_prefetch_async", Managed: true, Prefetch: true, AsyncCopy: true, Paper: true},
-		{Name: "uvm_zerocopy", Managed: true, ZeroCopy: true},
-		{Name: "uvm_smcopy", Managed: true, SMCopy: true},
-	})
+// setupTable holds every setup's descriptor, indexed by Setup. Names
+// are unique and list-safe (they appear in CLI lists, store keys and
+// JSON), and the capability bits are coherent: zero-copy and SM-copy are
+// mutually exclusive managed modes, and prefetch needs managed memory
+// that migrates (TestRegisterValidation checks both).
+var setupTable = [...]Desc{
+	Standard:         {Name: "standard", Baseline: true, Paper: true},
+	Async:            {Name: "async", AsyncCopy: true, Paper: true},
+	UVM:              {Name: "uvm", Managed: true, Paper: true},
+	UVMPrefetch:      {Name: "uvm_prefetch", Managed: true, Prefetch: true, Paper: true},
+	UVMPrefetchAsync: {Name: "uvm_prefetch_async", Managed: true, Prefetch: true, AsyncCopy: true, Paper: true},
+	UVMZeroCopy:      {Name: "uvm_zerocopy", Managed: true, ZeroCopy: true},
+	UVMSMCopy:        {Name: "uvm_smcopy", Managed: true, SMCopy: true},
 }
 
-func descs() []Desc { return registry.Load().([]Desc) }
-
-// Register adds a setup descriptor to the registry and returns its
-// Setup. Names must be unique, non-empty and free of whitespace and
-// commas (they appear in CLI lists, store keys and JSON); capability
-// bits must be coherent (zero-copy and SM-copy are managed modes and
-// mutually exclusive, prefetch requires managed memory). Registration
-// is append-only: existing Setup values never change meaning.
-func Register(d Desc) (Setup, error) {
-	if d.Name == "" {
-		return 0, fmt.Errorf("cuda: setup name must not be empty")
-	}
-	if strings.ContainsAny(d.Name, " \t\n,") {
-		return 0, fmt.Errorf("cuda: setup name %q must not contain whitespace or commas", d.Name)
-	}
-	if d.ZeroCopy && d.SMCopy {
-		return 0, fmt.Errorf("cuda: setup %q: zero-copy and SM-copy are mutually exclusive", d.Name)
-	}
-	if (d.ZeroCopy || d.SMCopy) && !d.Managed {
-		return 0, fmt.Errorf("cuda: setup %q: zero-copy and SM-copy modes require managed memory", d.Name)
-	}
-	if d.ZeroCopy && d.Prefetch {
-		return 0, fmt.Errorf("cuda: setup %q: zero-copy never migrates, prefetch does not apply", d.Name)
-	}
-	if d.Prefetch && !d.Managed {
-		return 0, fmt.Errorf("cuda: setup %q: prefetch requires managed memory", d.Name)
-	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	cur := descs()
-	for _, e := range cur {
-		if e.Name == d.Name {
-			return 0, fmt.Errorf("cuda: setup %q already registered", d.Name)
-		}
-	}
-	next := make([]Desc, len(cur)+1)
-	copy(next, cur)
-	next[len(cur)] = d
-	registry.Store(next)
-	return Setup(len(cur)), nil
-}
-
-// Registered returns every registered setup in registration order. The
-// slice is fresh; callers may reorder it.
+// Registered returns every setup in table order. The slice is fresh;
+// callers may reorder it.
 func Registered() []Setup {
-	n := len(descs())
-	out := make([]Setup, n)
+	out := make([]Setup, len(setupTable))
 	for i := range out {
 		out[i] = Setup(i)
 	}
@@ -157,7 +107,7 @@ func Registered() []Setup {
 // (the original five), in the paper's order. The slice is fresh.
 func PaperSetups() []Setup {
 	var out []Setup
-	for i, d := range descs() {
+	for i, d := range setupTable {
 		if d.Paper {
 			out = append(out, Setup(i))
 		}
@@ -165,12 +115,11 @@ func PaperSetups() []Setup {
 	return out
 }
 
-// SetupNames returns every registered setup name in registration order,
-// for inventory listings and nearest-name hints.
+// SetupNames returns every setup name in table order, for inventory
+// listings and nearest-name hints.
 func SetupNames() []string {
-	ds := descs()
-	out := make([]string, len(ds))
-	for i, d := range ds {
+	out := make([]string, len(setupTable))
+	for i, d := range setupTable {
 		out[i] = d.Name
 	}
 	return out
@@ -178,7 +127,7 @@ func SetupNames() []string {
 
 // BaselineIndex returns the position, within the given study list, of
 // the setup improvement statistics should normalize against: the first
-// registered Baseline setup present, or position 0 when none is. An
+// Baseline setup present, or position 0 when none is. An
 // empty list returns 0.
 func BaselineIndex(setups []Setup) int {
 	for i, s := range setups {
@@ -189,14 +138,13 @@ func BaselineIndex(setups []Setup) int {
 	return 0
 }
 
-// Describe returns the setup's registry descriptor; ok is false for a
-// Setup value outside the registry.
+// Describe returns the setup's table descriptor; ok is false for a
+// Setup value outside the table.
 func (s Setup) Describe() (Desc, bool) {
-	ds := descs()
-	if s < 0 || int(s) >= len(ds) {
+	if s < 0 || int(s) >= len(setupTable) {
 		return Desc{}, false
 	}
-	return ds[int(s)], true
+	return setupTable[s], true
 }
 
 // String returns the setup's registered name.
@@ -209,7 +157,7 @@ func (s Setup) String() string {
 
 // MarshalJSON encodes the setup as its registered name, so
 // machine-readable figure output carries "uvm_prefetch" rather than a
-// registry ordinal.
+// table ordinal.
 func (s Setup) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
@@ -231,8 +179,7 @@ func (s *Setup) UnmarshalJSON(data []byte) error {
 // ParseSetup resolves a setup by its registered name, suggesting the
 // nearest registered name on a miss.
 func ParseSetup(name string) (Setup, error) {
-	ds := descs()
-	for i, d := range ds {
+	for i, d := range setupTable {
 		if d.Name == name {
 			return Setup(i), nil
 		}

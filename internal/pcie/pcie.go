@@ -77,8 +77,8 @@ func New(cfg Config) *Bus {
 	}
 	return &Bus{
 		cfg: cfg,
-		H2D: sim.NewLink("pcie-h2d", cfg.BytesPerNs()),
-		D2H: sim.NewLink("pcie-d2h", cfg.BytesPerNs()),
+		H2D: sim.NewLink(cfg.BytesPerNs()),
+		D2H: sim.NewLink(cfg.BytesPerNs()),
 	}
 }
 

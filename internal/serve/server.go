@@ -28,7 +28,7 @@ type Config struct {
 	// Store is the persistent cell store shared by every request's
 	// runner (nil = in-memory cell cache only). StoreDir is its
 	// directory, probed for writability by /healthz ("" = no probe).
-	Store    core.CellStore
+	Store    store.Store
 	StoreDir string
 	// MaxInFlight is the admission budget in worker slots, not
 	// requests: each admitted experiment claims as many slots as its

@@ -7,8 +7,6 @@ package sim
 // recorded in an IntervalSet so the harness can attribute overlapped
 // transfer time.
 type Link struct {
-	Name string
-
 	bytesPerNs float64 // peak bandwidth
 	busyUntil  float64
 	busy       IntervalSet
@@ -16,11 +14,11 @@ type Link struct {
 
 // NewLink creates a link with the given peak bandwidth in bytes per
 // nanosecond, which is numerically its rate in GB/s (1e9 bytes / 1e9 ns).
-func NewLink(name string, bytesPerNs float64) *Link {
+func NewLink(bytesPerNs float64) *Link {
 	if bytesPerNs <= 0 {
 		panic("sim: link bandwidth must be positive")
 	}
-	return &Link{Name: name, bytesPerNs: bytesPerNs}
+	return &Link{bytesPerNs: bytesPerNs}
 }
 
 // TransferTime returns the service time for size bytes at efficiency eff

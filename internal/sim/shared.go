@@ -22,8 +22,6 @@ import "sort"
 // fully deterministic: event times are pure functions of the call
 // sequence, and simultaneous completions fire in flow start order.
 type SharedLink struct {
-	Name string
-
 	eng      *Engine
 	capacity float64 // bytes per ns
 
@@ -47,11 +45,11 @@ type sharedFlow struct {
 
 // NewSharedLink creates a fair-shared bandwidth pool on eng with the
 // given capacity in bytes per nanosecond (numerically GB/s).
-func NewSharedLink(eng *Engine, name string, capacityBytesPerNs float64) *SharedLink {
+func NewSharedLink(eng *Engine, capacityBytesPerNs float64) *SharedLink {
 	if capacityBytesPerNs <= 0 {
 		panic("sim: shared link capacity must be positive")
 	}
-	return &SharedLink{Name: name, eng: eng, capacity: capacityBytesPerNs}
+	return &SharedLink{eng: eng, capacity: capacityBytesPerNs}
 }
 
 // Capacity returns the pool capacity in bytes per nanosecond.

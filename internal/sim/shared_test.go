@@ -11,7 +11,7 @@ import (
 // transfer reproduces its measured solo duration.
 func TestSharedLinkSoloMatchesCap(t *testing.T) {
 	eng := New()
-	l := NewSharedLink(eng, "uplink", 26)
+	l := NewSharedLink(eng, 26)
 	var end float64
 	l.Start(1e9, 13, func(e float64) { end = e })
 	eng.Run()
@@ -29,7 +29,7 @@ func TestSharedLinkSoloMatchesCap(t *testing.T) {
 // finish at 2*size/capacity.
 func TestSharedLinkEqualSharing(t *testing.T) {
 	eng := New()
-	l := NewSharedLink(eng, "uplink", 10)
+	l := NewSharedLink(eng, 10)
 	var e1, e2 float64
 	l.Start(1000, 0, func(e float64) { e1 = e })
 	l.Start(1000, 0, func(e float64) { e2 = e })
@@ -44,7 +44,7 @@ func TestSharedLinkEqualSharing(t *testing.T) {
 // stranding it.
 func TestSharedLinkCappedLeavesSlack(t *testing.T) {
 	eng := New()
-	l := NewSharedLink(eng, "uplink", 8)
+	l := NewSharedLink(eng, 8)
 	var slow, fast float64
 	l.Start(200, 2, func(e float64) { slow = e }) // capped at 2 B/ns
 	l.Start(600, 0, func(e float64) { fast = e }) // link limited -> gets 6 B/ns
@@ -65,7 +65,7 @@ func randomScenario(t *testing.T, seed int64, n int) ([]float64, float64) {
 	rng := rand.New(rand.NewSource(seed))
 	eng := New()
 	const capacity = 26.0
-	l := NewSharedLink(eng, "uplink", capacity)
+	l := NewSharedLink(eng, capacity)
 	ends := make([]float64, n)
 	var total float64
 	at := 0.0
@@ -97,7 +97,7 @@ func TestSharedLinkProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		eng := New()
 		const capacity = 26.0
-		l := NewSharedLink(eng, "uplink", capacity)
+		l := NewSharedLink(eng, capacity)
 		n := 3 + rng.Intn(30)
 		done := 0
 		var total float64
@@ -149,7 +149,7 @@ func TestSharedLinkDeterminism(t *testing.T) {
 // scheduler builds).
 func TestSharedLinkChainedStarts(t *testing.T) {
 	eng := New()
-	l := NewSharedLink(eng, "uplink", 10)
+	l := NewSharedLink(eng, 10)
 	var ends []float64
 	var chain func(e float64)
 	left := 3
@@ -181,7 +181,7 @@ func TestSharedLinkChainedStarts(t *testing.T) {
 // indefinitely.
 func TestSharedLinkSubUlpResidue(t *testing.T) {
 	eng := New()
-	l := NewSharedLink(eng, "uplink", 26)
+	l := NewSharedLink(eng, 26)
 	const epoch = 1e15 // ulp ~0.125 ns, far above 1 byte / 26 B/ns
 	var end float64
 	eng.At(epoch, func() {
@@ -205,7 +205,7 @@ func TestSharedLinkLateEpochProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		eng := New()
 		const capacity = 26.0
-		l := NewSharedLink(eng, "uplink", capacity)
+		l := NewSharedLink(eng, capacity)
 		n := 3 + rng.Intn(20)
 		done := 0
 		var total float64
@@ -233,7 +233,7 @@ func TestSharedLinkLateEpochProperties(t *testing.T) {
 // immediately at the current time.
 func TestSharedLinkZeroBytes(t *testing.T) {
 	eng := New()
-	l := NewSharedLink(eng, "uplink", 10)
+	l := NewSharedLink(eng, 10)
 	fired := false
 	eng.At(5, func() {
 		l.Start(0, 10, func(e float64) {

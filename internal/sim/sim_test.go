@@ -131,7 +131,7 @@ func TestIntervalSetOverlap(t *testing.T) {
 }
 
 func TestLinkFIFO(t *testing.T) {
-	l := NewLink("pcie", 10) // 10 bytes/ns
+	l := NewLink(10) // 10 bytes/ns
 	s0, e0 := l.ReserveAt(0, 1000, 0, 1)
 	s1, e1 := l.ReserveAt(0, 1000, 0, 1)
 	if s0 != 0 || e0 != 100 || s1 != 100 || e1 != 200 {
@@ -143,7 +143,7 @@ func TestLinkFIFO(t *testing.T) {
 }
 
 func TestLinkLatencyAndEfficiency(t *testing.T) {
-	l := NewLink("pcie", 10)
+	l := NewLink(10)
 	// 1000 bytes at 50% efficiency = 200ns service + 40ns latency.
 	_, end := l.ReserveAt(0, 1000, 40, 0.5)
 	if end != 240 {
@@ -155,7 +155,7 @@ func TestLinkLatencyAndEfficiency(t *testing.T) {
 }
 
 func TestLinkQueuesBehindBusy(t *testing.T) {
-	l := NewLink("x", 1)
+	l := NewLink(1)
 	l.ReserveAt(0, 100, 0, 1) // busy until 100
 	if start, end := l.ReserveAt(50, 10, 0, 1); start != 100 || end != 110 {
 		t.Errorf("queued transfer [%v, %v), want [100, 110)", start, end)
@@ -167,7 +167,7 @@ func TestLinkQueuesBehindBusy(t *testing.T) {
 }
 
 func TestLinkReset(t *testing.T) {
-	l := NewLink("x", 1)
+	l := NewLink(1)
 	l.ReserveAt(0, 100, 0, 1)
 	l.Reset()
 	if l.BusyUntil() != 0 || l.Busy().Total() != 0 {
@@ -179,11 +179,11 @@ func TestLinkInvalidArgs(t *testing.T) {
 	for _, bad := range []float64{0, -1} {
 		func() {
 			defer func() { recover() }()
-			NewLink("bad", bad)
+			NewLink(bad)
 			t.Errorf("NewLink with bw %v should panic", bad)
 		}()
 	}
-	l := NewLink("ok", 1)
+	l := NewLink(1)
 	for _, bad := range []float64{0, -0.5, 1.5} {
 		func() {
 			defer func() { recover() }()
@@ -198,7 +198,7 @@ func TestLinkInvalidArgs(t *testing.T) {
 func TestQuickLinkBusyConservation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 50; i++ {
-		l := NewLink("x", 2)
+		l := NewLink(2)
 		total := 0.0
 		n := 1 + rng.Intn(20)
 		for j := 0; j < n; j++ {
@@ -225,7 +225,7 @@ func TestReserveRunMatchesReserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 500; trial++ {
 		bw := 1 + rng.Float64()*40
-		run, ref := NewLink("run", bw), NewLink("ref", bw)
+		run, ref := NewLink(bw), NewLink(bw)
 		at := 0.0
 		for k := rng.Intn(4); k > 0; k-- {
 			at += rng.Float64() * 5e5
@@ -277,7 +277,7 @@ func TestReserveMatchesReserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 500; trial++ {
 		bw := 1 + rng.Float64()*40
-		res, ref := NewLink("reserve", bw), NewLink("ref", bw)
+		res, ref := NewLink(bw), NewLink(bw)
 		at := 0.0
 		for k := rng.Intn(4); k > 0; k-- {
 			at += rng.Float64() * 5e5

@@ -21,17 +21,19 @@
 //     store directory and renamed into place, so a crashed or
 //     concurrent writer can leave stale temp files but never a
 //     half-written entry under a valid address.
-//   - The address is versioned. SchemaVersion participates in the key
-//     fingerprint and is embedded in every document, so a format change
-//     silently invalidates old entries instead of misreading them.
-//   - Exact round trip. All cell payloads are float64s marshalled in
+//   - The address is versioned. SchemaVersion names the store's
+//     subdirectory, participates in the key fingerprint and is embedded
+//     in every entry, so a format change leaves old entries unread
+//     instead of misreading them.
+//   - Exact round trip. encoding/json writes every float64 of a cell in
 //     Go's shortest exact form, so load(save(result)) is bit-identical
 //     and rendered figures are byte-identical whether a cell was
 //     simulated or replayed from disk.
 //
-// The package deliberately knows nothing about the simulator: keys and
-// documents carry plain strings and numbers, and internal/core owns the
-// conversion to and from its Result type.
+// The package knows nothing about the simulator. An entry is an
+// envelope, {"schema":2,"key":{...},"cell":...}: the store checks the
+// schema and the key, and the cell is the caller's own value in its own
+// JSON encoding, which the store neither inspects nor validates.
 package store
 
 import (
@@ -44,14 +46,17 @@ import (
 	"uvmasim/internal/metrics"
 )
 
-// SchemaVersion is the on-disk format version. Bump it when Key or
-// CellDoc change shape; old entries then miss (their fingerprints and
-// embedded schema no longer match) instead of being misinterpreted.
-const SchemaVersion = 1
+// SchemaVersion is the on-disk format version. Bump it when Key, the
+// envelope or a caller's cell encoding change shape; Open then uses a
+// fresh v<SchemaVersion> directory and old entries are never read.
+// Version 1 stored a field-by-field mirror of the cell; version 2 stores
+// the cell's own encoding.
+const SchemaVersion = 2
 
-// Key addresses one measurement cell. It mirrors internal/core's cell
-// cache key field for field, with enums flattened to their canonical
-// names so the key is self-describing in artifacts and on disk.
+// Key addresses one measurement cell, in memory and on disk: internal/core
+// keys its in-process cell cache by it too. Enums are carried as their
+// canonical names, so the key is self-describing in artifacts and on
+// disk.
 type Key struct {
 	// Kind is the workload name, or a study-specific cell id such as
 	// "sweep:fig11-blocks:4096" or "oversub:1.2:2".
@@ -87,70 +92,24 @@ func (k Key) Hash() uint64 {
 // used as the on-disk file name.
 func (k Key) Fingerprint() string { return fmt.Sprintf("%016x", k.Hash()) }
 
-// Breakdown mirrors cuda.Breakdown with stable snake_case keys and
-// explicit ns units (the same convention as the -json figure documents).
-type Breakdown struct {
-	AllocNs    float64 `json:"alloc_ns"`
-	MemcpyNs   float64 `json:"memcpy_ns"`
-	KernelNs   float64 `json:"kernel_ns"`
-	OverheadNs float64 `json:"overhead_ns"`
-	TotalNs    float64 `json:"total_ns"`
+// entry is one stored cell: the key it answers for (embedded so a
+// misfiled or tampered entry is detectable) and the caller's cell value,
+// encoded by encoding/json as the caller's own type.
+type entry struct {
+	Schema int `json:"schema"`
+	Key    Key `json:"key"`
+	Cell   any `json:"cell"`
 }
 
-// Counters mirrors counters.Set, including the occupancy accumulators
-// that back Set.Occupancy(), so a replayed cell reports the same §6
-// occupancy as a simulated one.
-type Counters struct {
-	MemInst  float64 `json:"mem_inst"`
-	FPInst   float64 `json:"fp_inst"`
-	IntInst  float64 `json:"int_inst"`
-	CtrlInst float64 `json:"ctrl_inst"`
-
-	L1LoadAccesses  float64 `json:"l1_load_accesses"`
-	L1LoadMisses    float64 `json:"l1_load_misses"`
-	L1StoreAccesses float64 `json:"l1_store_accesses"`
-	L1StoreMisses   float64 `json:"l1_store_misses"`
-
-	PageFaults     float64 `json:"page_faults"`
-	FaultBatches   float64 `json:"fault_batches"`
-	MigratedBytes  float64 `json:"migrated_bytes"`
-	PrefetchBytes  float64 `json:"prefetch_bytes"`
-	WritebackBytes float64 `json:"writeback_bytes"`
-	EvictedBytes   float64 `json:"evicted_bytes"`
-	Evictions      float64 `json:"evictions"`
-
-	H2DBytes float64 `json:"h2d_bytes"`
-	D2HBytes float64 `json:"d2h_bytes"`
-
-	OccupancyIntegral float64 `json:"occupancy_integral"`
-	KernelBusyNs      float64 `json:"kernel_busy_ns"`
-}
-
-// CellDoc is one stored cell: the key it answers for (embedded so a
-// misfiled or tampered entry is detectable), the workload name of the
-// measured Result, and the full measurement payload.
-type CellDoc struct {
-	Schema     int         `json:"schema"`
-	Key        Key         `json:"key"`
-	Workload   string      `json:"workload"`
-	Breakdowns []Breakdown `json:"breakdowns"`
-	Counters   Counters    `json:"counters"`
-}
-
-// Valid reports whether the document is a plausible answer for key:
-// right schema, right embedded key, and a non-empty payload. Anything
-// else is treated as corruption by Get implementations.
-func (d CellDoc) Valid(key Key) bool {
-	return d.Schema == SchemaVersion && d.Key == key && len(d.Breakdowns) > 0
-}
-
-// Store is one tier of cell persistence. Get returns (doc, true) only
-// for an entry that passed Valid for the key; implementations must
-// degrade every failure mode to (zero, false). Both methods must be
-// safe for concurrent use — cells fan out across the parallel executor.
+// Store is one tier of cell persistence. Get decodes the cell stored
+// for key into cell, a non-nil pointer, and reports whether the entry
+// answers key; implementations must degrade every failure mode to
+// false, after which cell's contents are unspecified. Both methods must
+// be safe for concurrent use — cells fan out across the parallel
+// executor.
 type Store interface {
-	Get(key Key) (CellDoc, bool)
-	Put(key Key, doc CellDoc) error
+	Get(key Key, cell any) bool
+	Put(key Key, cell any) error
 }
 
 // Dir is the on-disk store: one JSON file per cell, named by the cell's
@@ -199,31 +158,32 @@ func (d *Dir) Path(key Key) string {
 	return filepath.Join(d.root, key.Fingerprint()+".json")
 }
 
-// Get loads the cell stored for key. Every failure mode — missing file,
-// unreadable file, truncated or garbage JSON, schema drift, an entry
-// whose embedded key disagrees with its address — returns ok=false so
-// the caller recomputes; the store never serves a wrong result.
-func (d *Dir) Get(key Key) (CellDoc, bool) {
+// Get decodes the cell stored for key into cell, a non-nil pointer.
+// Every failure mode — missing file, unreadable file, truncated or
+// garbage JSON, schema drift, an entry whose embedded key disagrees
+// with its address, a null cell or one that does not decode into
+// cell's type — returns false so the caller recomputes; the store never
+// serves a wrong result. The cell decodes in the same pass as the
+// envelope, so after a false return cell may hold partial data.
+func (d *Dir) Get(key Key, cell any) bool {
 	b, err := os.ReadFile(d.Path(key))
 	if err != nil {
-		return CellDoc{}, false
+		return false
 	}
-	var doc CellDoc
-	if err := json.Unmarshal(b, &doc); err != nil {
-		return CellDoc{}, false
+	e := entry{Cell: cell}
+	if err := json.Unmarshal(b, &e); err != nil {
+		return false
 	}
-	if !doc.Valid(key) {
-		return CellDoc{}, false
-	}
-	return doc, true
+	// A null cell clears the envelope's field instead of decoding.
+	return e.Schema == SchemaVersion && e.Key == key && e.Cell != nil
 }
 
-// Put atomically writes the cell for key: marshal to a temp file in the
-// store directory, fsync-free rename into place. Concurrent writers of
-// the same key race benignly — both write identical bytes (cells are
-// pure functions of their key) and rename is atomic.
-func (d *Dir) Put(key Key, doc CellDoc) error {
-	b, err := json.Marshal(doc)
+// Put atomically writes cell as the entry for key: marshal to a temp
+// file in the store directory, fsync-free rename into place. Concurrent
+// writers of the same key race benignly — both write identical bytes
+// (cells are pure functions of their key) and rename is atomic.
+func (d *Dir) Put(key Key, cell any) error {
+	b, err := json.Marshal(entry{Schema: SchemaVersion, Key: key, Cell: cell})
 	if err != nil {
 		return fmt.Errorf("store: marshal %s: %w", key.Fingerprint(), err)
 	}

@@ -2,8 +2,10 @@ package store
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -19,22 +21,27 @@ func testKey(kind string) Key {
 	}
 }
 
-func testDoc(key Key) CellDoc {
-	return CellDoc{
-		Schema:   SchemaVersion,
-		Key:      key,
-		Workload: key.Kind,
-		Breakdowns: []Breakdown{
-			{AllocNs: 1.25e6, MemcpyNs: 3.0000000000000004e7, KernelNs: 2.5e7, OverheadNs: 2.1e8, TotalNs: 2.662500000000001e8},
-			{AllocNs: 1.3e6, MemcpyNs: 2.9e7, KernelNs: 2.5e7, OverheadNs: 2.1e8, TotalNs: 2.653e8},
-		},
-		Counters: Counters{
-			MemInst:           1 << 20,
-			FPInst:            3.1415926535897931,
-			PageFaults:        42,
-			OccupancyIntegral: 0.875 * 2.5e7,
-			KernelBusyNs:      2.5e7,
-		},
+// testCell stands in for a caller's cell: the store persists any value
+// encoding/json round-trips, and never looks inside it.
+type testCell struct {
+	Name   string    `json:"name"`
+	Values []float64 `json:"values"`
+}
+
+func newTestCell(key Key) testCell {
+	return testCell{
+		Name: key.Kind,
+		// Awkward floats: exact round trip is what makes warm renders
+		// byte-identical.
+		Values: []float64{1.25e6, 3.0000000000000004e7, 2.662500000000001e8, 3.1415926535897931, 0.875 * 2.5e7},
+	}
+}
+
+// writeEntry stores raw bytes at key's address, bypassing Put.
+func writeEntry(t *testing.T, d *Dir, key Key, b []byte) {
+	t.Helper()
+	if err := os.WriteFile(d.Path(key), b, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -44,23 +51,19 @@ func TestDirRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey("gemm")
-	if _, ok := d.Get(key); ok {
+	var got testCell
+	if d.Get(key, &got) {
 		t.Fatal("empty store should miss")
 	}
-	want := testDoc(key)
+	want := newTestCell(key)
 	if err := d.Put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := d.Get(key)
-	if !ok {
+	if !d.Get(key, &got) {
 		t.Fatal("stored cell should hit")
 	}
-	// Exact float round trip is what makes warm renders byte-identical;
-	// compare the full documents including awkward values.
-	gb, _ := json.Marshal(got)
-	wb, _ := json.Marshal(want)
-	if string(gb) != string(wb) {
-		t.Errorf("round trip not exact:\n got %s\nwant %s", gb, wb)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("round trip not exact:\n got %+v\nwant %+v", got, want)
 	}
 	if d.Len() != 1 {
 		t.Errorf("store should hold 1 entry, got %d", d.Len())
@@ -98,38 +101,40 @@ func TestFingerprintSeparatesKeys(t *testing.T) {
 // entry.
 func TestDirCorruptionTolerance(t *testing.T) {
 	key := testKey("gemm")
-	doc := testDoc(key)
+	cell := newTestCell(key)
+	envelope := func(schema int, k Key, c any) []byte {
+		b, err := json.Marshal(entry{Schema: schema, Key: k, Cell: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
 
 	corruptions := map[string]func(t *testing.T, d *Dir){
 		"truncated": func(t *testing.T, d *Dir) {
 			b, _ := os.ReadFile(d.Path(key))
-			os.WriteFile(d.Path(key), b[:len(b)/2], 0o644)
+			writeEntry(t, d, key, b[:len(b)/2])
 		},
 		"garbage": func(t *testing.T, d *Dir) {
-			os.WriteFile(d.Path(key), []byte("not json at all"), 0o644)
+			writeEntry(t, d, key, []byte("not json at all"))
 		},
 		"empty": func(t *testing.T, d *Dir) {
-			os.WriteFile(d.Path(key), nil, 0o644)
+			writeEntry(t, d, key, nil)
 		},
 		"schema-drift": func(t *testing.T, d *Dir) {
-			bad := doc
-			bad.Schema = SchemaVersion + 1
-			b, _ := json.Marshal(bad)
-			os.WriteFile(d.Path(key), b, 0o644)
+			writeEntry(t, d, key, envelope(SchemaVersion+1, key, cell))
 		},
 		"misfiled-key": func(t *testing.T, d *Dir) {
-			// A valid doc for a different cell stored under this address
-			// (e.g. a copied or renamed file) must not be served.
+			// A valid entry for a different cell stored under this
+			// address (e.g. a copied or renamed file) must not be served.
 			other := testKey("lud")
-			bad := testDoc(other)
-			b, _ := json.Marshal(bad)
-			os.WriteFile(d.Path(key), b, 0o644)
+			writeEntry(t, d, key, envelope(SchemaVersion, other, newTestCell(other)))
 		},
 		"empty-payload": func(t *testing.T, d *Dir) {
-			bad := doc
-			bad.Breakdowns = nil
-			b, _ := json.Marshal(bad)
-			os.WriteFile(d.Path(key), b, 0o644)
+			writeEntry(t, d, key, envelope(SchemaVersion, key, nil))
+		},
+		"mistyped-cell": func(t *testing.T, d *Dir) {
+			writeEntry(t, d, key, envelope(SchemaVersion, key, map[string]string{"values": "x"}))
 		},
 	}
 	for name, corrupt := range corruptions {
@@ -138,18 +143,19 @@ func TestDirCorruptionTolerance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Put(key, doc); err != nil {
+			if err := d.Put(key, cell); err != nil {
 				t.Fatal(err)
 			}
 			corrupt(t, d)
-			if _, ok := d.Get(key); ok {
+			var got testCell
+			if d.Get(key, &got) {
 				t.Fatal("corrupted entry must read as a miss, not a result")
 			}
 			// The store self-heals: recomputing and re-putting repairs it.
-			if err := d.Put(key, doc); err != nil {
+			if err := d.Put(key, cell); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := d.Get(key); !ok {
+			if !d.Get(key, &got) || !reflect.DeepEqual(got, cell) {
 				t.Fatal("re-put after corruption should hit again")
 			}
 		})
@@ -165,10 +171,10 @@ func TestDirAtomicWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := testKey("gemm")
-	if err := d.Put(key, testDoc(key)); err != nil {
+	if err := d.Put(key, newTestCell(key)); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "v1"))
+	entries, err := os.ReadDir(filepath.Join(dir, fmt.Sprintf("v%d", SchemaVersion)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,4 +200,31 @@ func TestOpenRejectsUnusableDir(t *testing.T) {
 	if _, err := Open(f); err == nil {
 		t.Error("Open should fail when the path is a file")
 	}
+}
+
+// FuzzStoreGet writes arbitrary bytes at a key's address. Get must never
+// panic, and it may answer only for an entry of this schema whose
+// embedded key is that address. The committed seeds are a valid entry,
+// each corruption class above, an entry without a cell and a schema-1
+// entry.
+func FuzzStoreGet(f *testing.F) {
+	d, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := testKey("gemm")
+	f.Fuzz(func(t *testing.T, b []byte) {
+		writeEntry(t, d, key, b)
+		var cell testCell
+		if !d.Get(key, &cell) {
+			return
+		}
+		var e struct {
+			Schema int `json:"schema"`
+			Key    Key `json:"key"`
+		}
+		if err := json.Unmarshal(b, &e); err != nil || e.Schema != SchemaVersion || e.Key != key {
+			t.Fatalf("Get answered for %q: schema %d, key %+v, err %v", b, e.Schema, e.Key, err)
+		}
+	})
 }

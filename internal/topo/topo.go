@@ -98,9 +98,9 @@ func New(eng *sim.Engine, cfg cuda.SystemConfig, kind Kind, gpus int) (*Topology
 	t := &Topology{Kind: kind, GPUs: gpus, deviceLink: cfg.PCIe.BytesPerNs()}
 	switch kind {
 	case PCIeSwitch:
-		t.shared = sim.NewSharedLink(eng, "switch-uplink", cfg.PCIe.UplinkBytesPerNs())
+		t.shared = sim.NewSharedLink(eng, cfg.PCIe.UplinkBytesPerNs())
 	case NVLink:
-		t.shared = sim.NewSharedLink(eng, "host-dram", cfg.Host.AggregateBandwidthBytesPerNs())
+		t.shared = sim.NewSharedLink(eng, cfg.Host.AggregateBandwidthBytesPerNs())
 	default:
 		return nil, fmt.Errorf("topo: unknown kind %q", kind)
 	}
