@@ -434,8 +434,8 @@ func BenchmarkUVMEvictionMegaScan(b *testing.B) { benchUVMEvictionMega(b, true) 
 // a region twice the default profile's managed capacity — so every
 // chunk the stream makes resident evicts one: the evicting run paths
 // behind the oversub sweep, isolated from kernels and figure rendering.
-// An untimed first pass warms the arenas and busy sets, so a timed op
-// allocates nothing. evictions/op is its deterministic work count. It is
+// An untimed first pass warms the arenas, so a timed op allocates
+// nothing. evictions/op is its deterministic work count. It is
 // a row of the benchmark ledger (BENCH.json, scripts/ledger).
 func BenchmarkUVMOversubStream(b *testing.B) {
 	cfg := cuda.DefaultSystemConfig()
@@ -525,9 +525,9 @@ func BenchmarkManagedIteration(b *testing.B) {
 // one warm bus: each op is one busChunks-chunk PrefetchRun, then
 // busChunks fault migrations through a MigrateLane and as many
 // writebacks through a WritebackLane, each migration a compute gap after
-// the previous one so both links' busy sets record one span per chunk,
-// then Reset. An untimed first op warms the busy sets, so a timed op
-// allocates nothing. reservations/op is its deterministic work count. It
+// the previous one so both links' busy meters close one span per chunk,
+// then Reset. A timed op allocates nothing. reservations/op is its
+// deterministic work count. It
 // is the pcie row of the benchmark ledger (BENCH.json, scripts/ledger).
 func BenchmarkBusStream(b *testing.B) {
 	const busChunks = 16384

@@ -13,7 +13,7 @@ import (
 
 // Alloc-ceiling regression tests for the GC-free hot loop: once a cell's
 // context has warmed up its arenas (node arena, region free list, Buffer
-// pool, host/device allocator storage, dirty queues, demand scratch), a
+// pool, host/device allocator storage, dirty bitmaps, demand scratch), a
 // simulated iteration must not allocate at all. The assertions encode
 // that as iteration-count independence — the per-call allocation count
 // of measureCell is the same fixed constant (the Breakdowns slice and

@@ -10,7 +10,6 @@ import (
 	"uvmasim/internal/hostmem"
 	"uvmasim/internal/pcie"
 	"uvmasim/internal/seedrng"
-	"uvmasim/internal/sim"
 	"uvmasim/internal/trace"
 	"uvmasim/internal/uvm"
 )
@@ -38,12 +37,12 @@ type Context struct {
 	// default.
 	SharedPerBlockKB float64
 
-	now         float64
-	allocBusy   float64
-	overhead    float64
-	kernelSpans []sim.Interval
-	live        int
-	tracer      *trace.Tracer
+	now        float64
+	allocBusy  float64
+	kernelBusy float64 // kernel time not overlapped by transfers, summed per launch
+	overhead   float64
+	live       int
+	tracer     *trace.Tracer
 
 	// Buffer watermark pool: Alloc hands out bufs[bufNext] when one is
 	// left from an earlier life of this context, growing the pool
@@ -83,15 +82,14 @@ func NewContext(cfg SystemConfig, setup Setup, seed int64) *Context {
 }
 
 // Reset rewinds the context to the state NewContext(cfg, setup, seed)
-// would produce, reusing every arena the previous runs warmed up: link
-// interval sets, UVM region/node arenas, host and device allocator
-// storage, and the Buffer pool. It detaches the tracer, as a fresh
-// context has none. A reset context reproduces a fresh context's
-// simulation bit for bit (the RNG is reseeded, so the draw stream is
-// identical), which is what lets the harness hold one context per
-// measurement cell instead of allocating thirty. When the system
-// configuration differs from the context's current one, the arenas are
-// rebuilt from scratch.
+// would produce, reusing every arena the previous runs warmed up: UVM
+// region/node arenas, host and device allocator storage, and the Buffer
+// pool. It detaches the tracer, as a fresh context has none. A reset
+// context reproduces a fresh context's simulation bit for bit (the RNG
+// is reseeded, so the draw stream is identical), which is what lets the
+// harness hold one context per measurement cell instead of allocating
+// thirty. When the system configuration differs from the context's
+// current one, the arenas are rebuilt from scratch.
 func (c *Context) Reset(cfg SystemConfig, setup Setup, seed int64) {
 	if cfg != c.cfg {
 		*c = *NewContext(cfg, setup, seed)
@@ -108,7 +106,7 @@ func (c *Context) Reset(cfg SystemConfig, setup Setup, seed int64) {
 	c.SharedPerBlockKB = 0
 	c.now = 0
 	c.allocBusy = 0
-	c.kernelSpans = c.kernelSpans[:0]
+	c.kernelBusy = 0
 	c.live = 0
 	c.tracer = nil
 	c.bufNext = 0

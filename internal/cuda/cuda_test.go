@@ -5,9 +5,22 @@ import (
 	"testing"
 
 	"uvmasim/internal/gpu"
+	"uvmasim/internal/trace"
 )
 
 // streamSpec is a vector_seq-like kernel over n float32 elements.
+// kernelSpans returns the kernel spans a tracer recorded, in launch
+// order.
+func kernelSpans(tr *trace.Tracer) []trace.Event {
+	var spans []trace.Event
+	for _, e := range tr.Events() {
+		if e.Track == trace.Kernel && !e.Instant {
+			spans = append(spans, e)
+		}
+	}
+	return spans
+}
+
 func streamSpec(n int64) gpu.KernelSpec {
 	return gpu.KernelSpec{
 		Name:            "stream",
@@ -176,18 +189,20 @@ func TestPrefetchUselessForMultiLaunchIrregular(t *testing.T) {
 
 func TestSecondKernelOnResidentDataIsCheap(t *testing.T) {
 	ctx := NewContext(DefaultSystemConfig(), UVM, 5)
+	tr := trace.New()
+	ctx.SetTracer(tr)
 	buf, _ := ctx.Alloc("v", 4*largeN)
 	spec := streamSpec(largeN)
-	if err := ctx.Launch(Launch{Spec: spec, Reads: []*Buffer{buf}, Writes: []*Buffer{buf}}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if err := ctx.Launch(Launch{Spec: spec, Reads: []*Buffer{buf}, Writes: []*Buffer{buf}}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	spans := ctx.KernelSpans()
-	first := spans[0].Len()
-	if err := ctx.Launch(Launch{Spec: spec, Reads: []*Buffer{buf}, Writes: []*Buffer{buf}}); err != nil {
-		t.Fatal(err)
+	spans := kernelSpans(tr)
+	if len(spans) != 2 {
+		t.Fatalf("%d kernel spans, want 2", len(spans))
 	}
-	spans = ctx.KernelSpans()
-	second := spans[1].Len()
+	first, second := spans[0].Dur, spans[1].Dur
 	if second >= first/2 {
 		t.Errorf("second kernel on resident data (%v) should be far cheaper than first (%v)", second, first)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uvmasim/internal/gpu"
+	"uvmasim/internal/trace"
 )
 
 // Property: for every setup and a randomized single-kernel flow, the
@@ -155,10 +156,12 @@ func TestTransferCounterAttribution(t *testing.T) {
 	}
 }
 
-// KernelSpans must be non-overlapping and ordered (synchronous launch
+// Kernel spans must be non-overlapping and ordered (synchronous launch
 // semantics).
 func TestKernelSpansOrdered(t *testing.T) {
 	ctx := NewContext(DefaultSystemConfig(), Async, 11)
+	tr := trace.New()
+	ctx.SetTracer(tr)
 	buf, _ := ctx.Alloc("b", 64<<20)
 	if err := ctx.Upload(buf); err != nil {
 		t.Fatal(err)
@@ -168,13 +171,13 @@ func TestKernelSpansOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spans := ctx.KernelSpans()
+	spans := kernelSpans(tr)
 	if len(spans) != 5 {
 		t.Fatalf("spans = %d", len(spans))
 	}
 	for i := 1; i < len(spans); i++ {
-		if spans[i].Start < spans[i-1].End {
-			t.Errorf("kernel spans overlap: %v then %v", spans[i-1], spans[i])
+		if spans[i].Start < spans[i-1].End() {
+			t.Errorf("kernel spans overlap: %+v then %+v", spans[i-1], spans[i])
 		}
 	}
 }

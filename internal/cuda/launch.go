@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"uvmasim/internal/gpu"
-	"uvmasim/internal/sim"
 	"uvmasim/internal/trace"
 )
 
@@ -103,6 +102,12 @@ func (c *Context) Launch(l Launch) error {
 	start := c.now
 	end := start + res.ExecTime*c.jitter(0.005)
 
+	// The bus sums the transfer time that overlaps the kernel span, which
+	// Breakdown moves from Kernel to Memcpy. Each reservation from here on
+	// asks for a time between the cursor before and after its call, and
+	// the window closes at the kernel's last cursor: the contract that
+	// keeps the sum exact (sim.Link.OpenWindow).
+	c.bus.OpenWindow(start)
 	switch {
 	case c.setup.ZeroCopy():
 		// In-place access over the link: the analytic model already
@@ -125,14 +130,17 @@ func (c *Context) Launch(l Launch) error {
 	case c.setup.Managed():
 		end = c.paceManaged(l, res, start)
 	}
+	if k := (end - start) - c.bus.CloseWindow(end); k > 0 {
+		c.kernelBusy += k
+	}
 
 	// Written managed buffers become fully resident and dirty. Both calls
 	// are batched per region: MarkDeviceWritten does one capacity check
 	// for the region's whole non-resident remainder (falling back to
-	// per-chunk eviction only under pressure), and MarkDirty splices the
-	// full chunk range into the dirty index with one pass. Zero-copy
-	// writes go straight to host memory, so they mark nothing: there is
-	// no residency and no dirty state to write back.
+	// per-chunk eviction only under pressure), and MarkDirty sets the
+	// range's dirty bits 64 chunks at a time. Zero-copy writes go
+	// straight to host memory, so they mark nothing: there is no
+	// residency and no dirty state to write back.
 	if !c.setup.ZeroCopy() {
 		for _, b := range l.Writes {
 			if b.managed {
@@ -143,7 +151,6 @@ func (c *Context) Launch(l Launch) error {
 	}
 
 	dur := end - start
-	c.kernelSpans = append(c.kernelSpans, sim.Interval{Start: start, End: end})
 	if c.tracer.Enabled() {
 		var readBytes int64
 		for _, b := range l.Reads {
@@ -309,16 +316,9 @@ type Breakdown struct {
 // Breakdown reports the run's decomposition. Transfer activity that
 // overlapped a kernel span is attributed to Memcpy and removed from the
 // Kernel component, matching how the paper's CUPTI-based tooling
-// attributes concurrent UVM migration.
+// attributes concurrent UVM migration; Launch sums that kernel time as
+// each kernel ends.
 func (c *Context) Breakdown() Breakdown {
-	memTotal := c.bus.BusyTotal()
-	kernel := 0.0
-	for _, span := range c.kernelSpans {
-		k := span.Len() - c.bus.BusyWithin(span.Start, span.End)
-		if k > 0 {
-			kernel += k
-		}
-	}
 	wall := c.now
 	if t := c.bus.H2D.BusyUntil(); t > wall {
 		wall = t
@@ -328,15 +328,9 @@ func (c *Context) Breakdown() Breakdown {
 	}
 	return Breakdown{
 		Alloc:    c.allocBusy,
-		Memcpy:   memTotal,
-		Kernel:   kernel,
+		Memcpy:   c.bus.BusyTotal(),
+		Kernel:   c.kernelBusy,
 		Overhead: c.overhead,
 		Total:    wall + c.overhead,
 	}
-}
-
-// KernelSpans exposes the recorded kernel intervals (tests and the
-// multi-job pipeline analysis use them).
-func (c *Context) KernelSpans() []sim.Interval {
-	return append([]sim.Interval(nil), c.kernelSpans...)
 }

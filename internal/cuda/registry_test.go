@@ -133,3 +133,35 @@ func TestParseSetupHints(t *testing.T) {
 		t.Errorf("ParseSetupList = %v, %v", got, err)
 	}
 }
+
+// FuzzParseSetupList fuzzes the setup-list boundary (the -setups flag and
+// the serve spec's "setups" field). ParseSetupList never panics; it
+// either fails with a nil list, or returns a non-empty list of distinct
+// setups whose names, joined with ",", parse back to the same list. Its
+// seed corpus lives in testdata/fuzz/FuzzParseSetupList.
+func FuzzParseSetupList(f *testing.F) {
+	f.Add("uvm, uvm_prefetch,standard")
+	f.Fuzz(func(t *testing.T, list string) {
+		setups, err := ParseSetupList(list)
+		if err != nil {
+			if setups != nil {
+				t.Fatalf("error %v with a non-nil list %v", err, setups)
+			}
+			return
+		}
+		if len(setups) == 0 {
+			t.Fatal("success with an empty list")
+		}
+		names := make([]string, len(setups))
+		for i, s := range setups {
+			if slices.Contains(setups[:i], s) {
+				t.Fatalf("%v lists %v twice", setups, s)
+			}
+			names[i] = s.String()
+		}
+		again, err := ParseSetupList(strings.Join(names, ","))
+		if err != nil || !slices.Equal(again, setups) {
+			t.Fatalf("canonical %q parses to %v, %v; want %v", strings.Join(names, ","), again, err, setups)
+		}
+	})
+}

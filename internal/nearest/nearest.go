@@ -47,6 +47,9 @@ func min3(a, b, c int) int {
 func Best(name string, candidates []string, maxDist int) string {
 	best, bestDist := "", maxDist+1
 	for _, c := range candidates {
+		if len(name)-len(c) > maxDist {
+			continue // the distance is at least the length difference
+		}
 		d := Distance(name, c)
 		if name != "" && len(name) < len(c) && c[:len(name)] == name && d > maxDist {
 			d = maxDist

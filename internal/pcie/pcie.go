@@ -206,13 +206,20 @@ func (b *Bus) PrefetchRun(t float64, bytes int64, ends []float64) float64 {
 
 // BusyTotal returns the combined busy time of both directions.
 func (b *Bus) BusyTotal() float64 {
-	return b.H2D.Busy().Total() + b.D2H.Busy().Total()
+	return b.H2D.BusyTotal() + b.D2H.BusyTotal()
 }
 
-// BusyWithin returns the combined busy time of both directions that
-// falls inside [a, b2).
-func (b *Bus) BusyWithin(a, b2 float64) float64 {
-	return b.H2D.Busy().Overlap(a, b2) + b.D2H.Busy().Overlap(a, b2)
+// OpenWindow starts summing both directions' busy time from t on, under
+// sim.Link.OpenWindow's contract.
+func (b *Bus) OpenWindow(t float64) {
+	b.H2D.OpenWindow(t)
+	b.D2H.OpenWindow(t)
+}
+
+// CloseWindow ends the window OpenWindow opened at t and returns the
+// combined busy time of both directions inside it.
+func (b *Bus) CloseWindow(t float64) float64 {
+	return b.H2D.CloseWindow(t) + b.D2H.CloseWindow(t)
 }
 
 // Reset clears both links' queues and accounting.

@@ -37,15 +37,19 @@ func TestModeSpeeds(t *testing.T) {
 	}
 }
 
+// TestBusyAccounting pins the bus's busy meters: the total is both
+// directions' summed busy time, a window sums the busy time of both
+// directions inside it, and Reset clears both.
 func TestBusyAccounting(t *testing.T) {
 	b := New(DefaultConfig())
-	b.CopyH2DBulk(0, 1<<20, 1)
-	b.Writeback(0, 1<<20)
-	if b.BusyTotal() <= 0 {
-		t.Error("busy total should be positive")
+	b.OpenWindow(0)
+	h2d := b.CopyH2DBulk(0, 1<<20, 1)
+	d2h := b.Writeback(0, 1<<20)
+	if got := b.BusyTotal(); got != h2d+d2h {
+		t.Errorf("busy total %v, want %v", got, h2d+d2h)
 	}
-	if got := b.BusyWithin(0, 1); got <= 0 {
-		t.Error("busy-within should see the active transfers")
+	if got := b.CloseWindow(1); got != 2 {
+		t.Errorf("window [0, 1) sees %v ns busy, want 1 per direction", got)
 	}
 	b.Reset()
 	if b.BusyTotal() != 0 {

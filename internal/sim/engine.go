@@ -1,10 +1,10 @@
 // Package sim holds the simulator's time primitives. The single-GPU
 // model is a reservation calendar: FIFO bandwidth Links place each
 // transfer at max(earliest, drain time) along the caller's cursor and
-// keep busy-interval accounting, and no event ever fires. The
-// discrete-event Engine, an event queue ordered by virtual time, drives
-// only what needs callbacks: the fair-shared SharedLink and the
-// multi-GPU schedule built on it (package sched).
+// stream their busy time through a constant-size meter, and no event
+// ever fires. The discrete-event Engine, an event queue ordered by
+// virtual time, drives only what needs callbacks: the fair-shared
+// SharedLink and the multi-GPU schedule built on it (package sched).
 //
 // Virtual time is measured in nanoseconds and represented as float64 so
 // cost models can produce fractional durations without rounding artifacts.

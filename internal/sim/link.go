@@ -3,13 +3,15 @@ package sim
 // Link models a bandwidth-limited FIFO pipe: a PCIe direction, an HBM
 // channel group, or a DMA engine. Transfers queue behind each other; each
 // occupies the link for latency + size/bandwidth, starting at the later
-// of the caller's earliest time and the link's drain time. Busy time is
-// recorded in an IntervalSet so the harness can attribute overlapped
-// transfer time.
+// of the caller's earliest time and the link's drain time. A busy meter
+// (busy.go) streams the link's busy time: its total, and the share that
+// falls inside a window the caller opens and closes around a kernel, so
+// the harness can attribute overlapped transfer time without storing
+// one span per transfer.
 type Link struct {
 	bytesPerNs float64 // peak bandwidth
 	busyUntil  float64
-	busy       IntervalSet
+	busy       busyMeter
 }
 
 // NewLink creates a link with the given peak bandwidth in bytes per
@@ -48,7 +50,7 @@ func (l *Link) Reserve(earliest, dur float64) (float64, float64) {
 	start := l.startAt(earliest)
 	end := start + dur
 	l.busyUntil = end
-	l.busy.Add(start, end)
+	l.busy.add(start, end)
 	return start, end
 }
 
@@ -67,7 +69,7 @@ func (l *Link) startAt(earliest float64) float64 {
 // len(ends) successive ReserveAt calls, each starting no earlier than
 // the previous end, bit for bit: the first start is max(earliest, drain
 // time) and every later start is exactly the previous end, so the busy
-// set merges the run into one span and records it with one Add.
+// meter merges the run into one span and records it with one add.
 func (l *Link) ReserveRun(earliest, dur float64, ends []float64) float64 {
 	start := l.startAt(earliest)
 	end := start
@@ -77,7 +79,7 @@ func (l *Link) ReserveRun(earliest, dur float64, ends []float64) float64 {
 	}
 	if len(ends) > 0 {
 		l.busyUntil = end
-		l.busy.Add(start, end)
+		l.busy.add(start, end)
 	}
 	return start
 }
@@ -85,11 +87,22 @@ func (l *Link) ReserveRun(earliest, dur float64, ends []float64) float64 {
 // BusyUntil reports the time at which the link drains.
 func (l *Link) BusyUntil() float64 { return l.busyUntil }
 
-// Busy returns the link's busy-interval accounting set.
-func (l *Link) Busy() *IntervalSet { return &l.busy }
+// BusyTotal returns the link's summed busy time.
+func (l *Link) BusyTotal() float64 { return l.busy.total() }
+
+// OpenWindow starts summing the link's busy time from a on, and
+// CloseWindow ends the window at b and returns the busy time inside
+// [a, b). The sum is exact under busyMeter's contract, which the link
+// asserts with panics. A caller keeps it when each reservation's earliest
+// time is at most the caller's cursor once the reserving call returns,
+// and the window opens at the cursor and closes at a later cursor.
+func (l *Link) OpenWindow(a float64) { l.busy.openWindow(a) }
+
+// CloseWindow ends the window OpenWindow opened at b; see OpenWindow.
+func (l *Link) CloseWindow(b float64) float64 { return l.busy.closeWindow(b) }
 
 // Reset clears busy accounting and queue state for a fresh run.
 func (l *Link) Reset() {
 	l.busyUntil = 0
-	l.busy.Reset()
+	l.busy = busyMeter{}
 }

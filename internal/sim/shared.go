@@ -29,7 +29,7 @@ type SharedLink struct {
 	lastUpdate float64       // time the remaining-byte ledger was advanced to
 	gen        uint64        // invalidates completion events made stale by a later join
 	busyStart  float64       // start of the current busy span (valid while flows exist)
-	busy       IntervalSet
+	busy       busyMeter
 	delivered  float64 // total bytes completed so far
 	peak       int     // high-water mark of concurrent flows
 }
@@ -64,9 +64,9 @@ func (l *SharedLink) PeakFlows() int { return l.peak }
 // Delivered reports the total bytes completed so far.
 func (l *SharedLink) Delivered() float64 { return l.delivered }
 
-// Busy returns the link's busy-interval accounting (spans during which
-// at least one flow was in flight).
-func (l *SharedLink) Busy() *IntervalSet { return &l.busy }
+// BusyTotal returns the link's summed busy time: the spans during which
+// at least one flow was in flight.
+func (l *SharedLink) BusyTotal() float64 { return l.busy.total() }
 
 // Rate returns the aggregate granted rate of all active flows.
 func (l *SharedLink) Rate() float64 {
@@ -201,7 +201,7 @@ func (l *SharedLink) complete(gen uint64) {
 	}
 	l.gen++
 	if len(l.flows) == 0 {
-		l.busy.Add(l.busyStart, now)
+		l.busy.add(l.busyStart, now)
 	} else {
 		l.reshare()
 		l.scheduleNext(now)
@@ -219,7 +219,7 @@ func (l *SharedLink) Reset() {
 	l.flows = l.flows[:0]
 	l.lastUpdate = 0
 	l.gen++
-	l.busy.Reset()
+	l.busy = busyMeter{}
 	l.delivered = 0
 	l.peak = 0
 }

@@ -126,7 +126,7 @@ func TestSharedLinkProperties(t *testing.T) {
 		}
 		// The link cannot have moved bytes faster than capacity allows:
 		// busy time >= total/capacity.
-		if busy := l.Busy().Total(); busy < total/capacity-1e-6 {
+		if busy := l.BusyTotal(); busy < total/capacity-1e-6 {
 			t.Fatalf("seed %d: busy %v ns below the capacity bound %v", seed, busy, total/capacity)
 		}
 	}

@@ -70,43 +70,47 @@ func TestQuickEventOrder(t *testing.T) {
 	}
 }
 
+// TestIntervalSetMergeAndTotal pins the merge rule the oracle list and
+// the busy meter share: adjacent and overlapping spans merge, zero-length
+// ones are ignored.
 func TestIntervalSetMergeAndTotal(t *testing.T) {
 	var s IntervalSet
-	s.Add(0, 10)
-	s.Add(10, 20) // adjacent: merges
-	s.Add(30, 40)
-	s.Add(35, 50) // overlapping: merges
+	var m busyMeter
+	for _, sp := range []Interval{
+		{0, 10}, {10, 20}, // adjacent: merges
+		{30, 40}, {35, 50}, // overlapping: merges
+		{60, 60}, // zero length: ignored
+	} {
+		s.Add(sp.Start, sp.End)
+		m.add(sp.Start, sp.End)
+	}
 	if s.Count() != 2 {
-		t.Fatalf("count = %d, want 2: %v", s.Count(), s.Intervals())
+		t.Fatalf("count = %d, want 2: %v", s.Count(), s.ivs)
 	}
 	if got := s.Total(); got != 40 {
 		t.Errorf("total = %v, want 40", got)
 	}
-	s.Add(60, 60) // zero length ignored
-	if s.Count() != 2 {
-		t.Errorf("zero-length interval should be ignored")
+	if got := m.total(); got != 40 || m.closed != 20 || m.s != 30 || m.e != 50 {
+		t.Errorf("meter total %v, closed %v, open [%v, %v); want 40, 20, [30, 50)", got, m.closed, m.s, m.e)
 	}
 }
 
 // TestIntervalSetOutOfOrderPanics pins the FIFO ordering contract: adds
-// whose start precedes the previous interval's start indicate a broken
-// cost model and must panic instead of silently widening the previous
-// interval.
+// whose start precedes the previous span's start indicate a broken cost
+// model and must panic, in the meter as in the oracle, instead of
+// silently widening the previous span.
 func TestIntervalSetOutOfOrderPanics(t *testing.T) {
 	var s IntervalSet
+	var m busyMeter
 	s.Add(10, 20)
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("out-of-order Add should panic")
-			}
-		}()
-		s.Add(5, 8)
-	}()
+	m.add(10, 20)
+	mustPanic(t, "out-of-order Add", func() { s.Add(5, 8) })
+	mustPanic(t, "out-of-order meter add", func() { m.add(5, 8) })
 	// Overlapping-but-ordered adds still merge without panicking.
 	s.Add(15, 30)
-	if s.Count() != 1 || s.Total() != 20 {
-		t.Errorf("merge after ordered overlap: count=%d total=%v", s.Count(), s.Total())
+	m.add(15, 30)
+	if s.Count() != 1 || s.Total() != 20 || m.total() != 20 {
+		t.Errorf("merge after ordered overlap: count=%d total=%v meter=%v", s.Count(), s.Total(), m.total())
 	}
 }
 
@@ -137,7 +141,7 @@ func TestLinkFIFO(t *testing.T) {
 	if s0 != 0 || e0 != 100 || s1 != 100 || e1 != 200 {
 		t.Errorf("spans = [%v %v) [%v %v), want [0 100) [100 200)", s0, e0, s1, e1)
 	}
-	if got := l.Busy().Total(); got != 200 {
+	if got := l.BusyTotal(); got != 200 {
 		t.Errorf("busy total = %v, want 200", got)
 	}
 }
@@ -170,7 +174,7 @@ func TestLinkReset(t *testing.T) {
 	l := NewLink(1)
 	l.ReserveAt(0, 100, 0, 1)
 	l.Reset()
-	if l.BusyUntil() != 0 || l.Busy().Total() != 0 {
+	if l.BusyUntil() != 0 || l.BusyTotal() != 0 {
 		t.Errorf("reset link should be idle")
 	}
 }
@@ -206,8 +210,8 @@ func TestQuickLinkBusyConservation(t *testing.T) {
 			total += l.TransferTime(size, 0, 1)
 			l.ReserveAt(0, size, 0, 1)
 		}
-		if math.Abs(l.Busy().Total()-total) > 1e-6 {
-			t.Fatalf("busy %v != sum of service %v", l.Busy().Total(), total)
+		if math.Abs(l.BusyTotal()-total) > 1e-6 {
+			t.Fatalf("busy %v != sum of service %v", l.BusyTotal(), total)
 		}
 		if math.Abs(l.BusyUntil()-total) > 1e-6 {
 			t.Fatalf("drain time %v != %v (back-to-back FIFO)", l.BusyUntil(), total)
@@ -219,7 +223,7 @@ func TestQuickLinkBusyConservation(t *testing.T) {
 // definition: ReserveRun(earliest, dur, ends) equals len(ends)
 // successive ReserveAt calls, the first at earliest and each later one at
 // the previous end, bit for bit — first start, every end, drain time and
-// the merged busy set — from random link states, with earliest behind
+// the busy meter's state — from random link states, with earliest behind
 // or ahead of the drain time.
 func TestReserveRunMatchesReserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -256,14 +260,8 @@ func TestReserveRunMatchesReserveAt(t *testing.T) {
 		if run.BusyUntil() != ref.BusyUntil() {
 			t.Fatalf("trial %d: drain time %v, ReserveAt %v", trial, run.BusyUntil(), ref.BusyUntil())
 		}
-		got, want := run.Busy().Intervals(), ref.Busy().Intervals()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d busy spans, ReserveAt %d", trial, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: busy span %d is %v, ReserveAt %v", trial, k, got[k], want[k])
-			}
+		if run.busy != ref.busy {
+			t.Fatalf("trial %d: busy meter %+v, ReserveAt %+v", trial, run.busy, ref.busy)
 		}
 	}
 }
@@ -271,8 +269,8 @@ func TestReserveRunMatchesReserveAt(t *testing.T) {
 // TestReserveMatchesReserveAt pins the precomputed-duration reservation
 // to its definition: a run of Reserve calls sharing one TransferTime
 // equals the same run of ReserveAt calls bit for bit — every start and
-// end, the drain time and the busy set — from random link states, with
-// each earliest behind or ahead of the drain time.
+// end, the drain time and the busy meter's state — from random link
+// states, with each earliest behind or ahead of the drain time.
 func TestReserveMatchesReserveAt(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 500; trial++ {
@@ -301,14 +299,8 @@ func TestReserveMatchesReserveAt(t *testing.T) {
 		if res.BusyUntil() != ref.BusyUntil() {
 			t.Fatalf("trial %d: drain time %v, ReserveAt %v", trial, res.BusyUntil(), ref.BusyUntil())
 		}
-		got, want := res.Busy().Intervals(), ref.Busy().Intervals()
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d busy spans, ReserveAt %d", trial, len(got), len(want))
-		}
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("trial %d: busy span %d is %v, ReserveAt %v", trial, k, got[k], want[k])
-			}
+		if res.busy != ref.busy {
+			t.Fatalf("trial %d: busy meter %+v, ReserveAt %+v", trial, res.busy, ref.busy)
 		}
 	}
 }

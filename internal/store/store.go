@@ -39,9 +39,9 @@ package store
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"uvmasim/internal/metrics"
 )
@@ -71,26 +71,43 @@ type Key struct {
 	ProfileFP string `json:"profile_fp"`
 }
 
-// canonical returns the string the fingerprint hashes. '|' cannot occur
-// in any field: kinds are workload names or ':'-joined ids, setups and
-// sizes are lowercase identifiers, and the profile fingerprint is hex.
-func (k Key) canonical() string {
-	return fmt.Sprintf("cellstore/v%d|%s|%s|%s|%d|%d|%s",
-		SchemaVersion, k.Kind, k.Setup, k.Size, k.Iters, k.Seed, k.ProfileFP)
+// appendCanonical appends the bytes the fingerprint hashes to b. '|'
+// cannot occur in any field: kinds are workload names or ':'-joined ids,
+// setups and sizes are lowercase identifiers, and the profile fingerprint
+// is hex.
+func (k Key) appendCanonical(b []byte) []byte {
+	b = append(b, "cellstore/v"...)
+	b = strconv.AppendInt(b, SchemaVersion, 10)
+	for _, f := range [...]string{k.Kind, k.Setup, k.Size} {
+		b = append(append(b, '|'), f...)
+	}
+	b = strconv.AppendInt(append(b, '|'), int64(k.Iters), 10)
+	b = strconv.AppendInt(append(b, '|'), k.Seed, 10)
+	return append(append(b, '|'), k.ProfileFP...)
 }
 
-// Hash returns the FNV-1a digest of the canonical key, the basis of
-// Fingerprint; it depends only on the key's fields, so it is stable
+// Hash returns the 64-bit FNV-1a digest of the canonical key, the basis
+// of Fingerprint; it depends only on the key's fields, so it is stable
 // across processes and machines.
 func (k Key) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k.canonical()))
-	return h.Sum64()
+	var buf [128]byte
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, c := range k.appendCanonical(buf[:0]) {
+		h = (h ^ uint64(c)) * 1099511628211 // FNV-1a prime
+	}
+	return h
 }
 
 // Fingerprint returns the 16-hex-digit content address of the cell,
 // used as the on-disk file name.
-func (k Key) Fingerprint() string { return fmt.Sprintf("%016x", k.Hash()) }
+func (k Key) Fingerprint() string {
+	var b [16]byte
+	h := k.Hash()
+	for i := range b {
+		b[i] = "0123456789abcdef"[h>>(60-4*i)&0xf]
+	}
+	return string(b[:])
+}
 
 // entry is one stored cell: the key it answers for (embedded so a
 // misfiled or tampered entry is detectable) and the caller's cell value,
@@ -154,8 +171,12 @@ func Open(dir string) (*Dir, error) {
 // Path returns the entry file a key addresses (exposed for tests and
 // tooling; the layout is part of the store's public contract only
 // within one SchemaVersion).
-func (d *Dir) Path(key Key) string {
-	return filepath.Join(d.root, key.Fingerprint()+".json")
+func (d *Dir) Path(key Key) string { return d.path(key.Fingerprint()) }
+
+// path returns the entry file of fingerprint fp. The root is already
+// clean and fp holds no separator, so this is filepath.Join's result.
+func (d *Dir) path(fp string) string {
+	return d.root + string(filepath.Separator) + fp + ".json"
 }
 
 // Get decodes the cell stored for key into cell, a non-nil pointer.
@@ -183,11 +204,12 @@ func (d *Dir) Get(key Key, cell any) bool {
 // writers of the same key race benignly — both write identical bytes
 // (cells are pure functions of their key) and rename is atomic.
 func (d *Dir) Put(key Key, cell any) error {
+	fp := key.Fingerprint()
 	b, err := json.Marshal(entry{Schema: SchemaVersion, Key: key, Cell: cell})
 	if err != nil {
-		return fmt.Errorf("store: marshal %s: %w", key.Fingerprint(), err)
+		return fmt.Errorf("store: marshal %s: %w", fp, err)
 	}
-	tmp, err := os.CreateTemp(d.root, ".tmp-"+key.Fingerprint()+"-*")
+	tmp, err := os.CreateTemp(d.root, ".tmp-"+fp+"-*")
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
@@ -200,7 +222,7 @@ func (d *Dir) Put(key Key, cell any) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), d.Path(key)); err != nil {
+	if err := os.Rename(tmp.Name(), d.path(fp)); err != nil {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}

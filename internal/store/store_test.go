@@ -96,6 +96,34 @@ func TestFingerprintSeparatesKeys(t *testing.T) {
 	}
 }
 
+// TestFingerprintPinned pins one key's address, so a change to the
+// canonical bytes or the hash cannot orphan the stores already written.
+func TestFingerprintPinned(t *testing.T) {
+	k := Key{Kind: "gemm", Setup: "uvm_prefetch", Size: "large", Iters: 30, Seed: 123456789, ProfileFP: "1889ec37a00fd81c"}
+	if got, want := k.Fingerprint(), "be73b45a671c7ef9"; got != want {
+		t.Errorf("fingerprint %s, want %s", got, want)
+	}
+	if got, want := k.Hash(), uint64(0xbe73b45a671c7ef9); got != want {
+		t.Errorf("hash %#x, want %#x", got, want)
+	}
+}
+
+// TestPathAllocs bounds the allocations of building an entry's address:
+// the fingerprint string and the path string.
+func TestPathAllocs(t *testing.T) {
+	d, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey("gemm")
+	if n := testing.AllocsPerRun(100, func() { d.Path(key) }); n > 2 {
+		t.Errorf("Dir.Path allocates %v times, want at most 2", n)
+	}
+	if want := filepath.Join(d.root, key.Fingerprint()+".json"); d.Path(key) != want {
+		t.Errorf("Dir.Path %q, want %q", d.Path(key), want)
+	}
+}
+
 // TestDirCorruptionTolerance pins the store's prime directive: every
 // defect class degrades to a miss, and a subsequent Put repairs the
 // entry.

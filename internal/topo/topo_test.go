@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,4 +111,36 @@ func TestNewValidation(t *testing.T) {
 	if tp.String() != "pcie-switch x4" {
 		t.Fatalf("String = %q", tp.String())
 	}
+}
+
+// FuzzParseKindList fuzzes the topology-list boundary (the -topology flag
+// and the serve spec's topologies). ParseKindList never panics; it either
+// fails with a nil list, or returns a non-empty list of distinct kinds
+// whose names, joined with ",", parse back to the same list. Its seed
+// corpus lives in testdata/fuzz/FuzzParseKindList.
+func FuzzParseKindList(f *testing.F) {
+	f.Add("nvlink, pcie-switch")
+	f.Fuzz(func(t *testing.T, list string) {
+		kinds, err := ParseKindList(list)
+		if err != nil {
+			if kinds != nil {
+				t.Fatalf("error %v with a non-nil list %v", err, kinds)
+			}
+			return
+		}
+		if len(kinds) == 0 {
+			t.Fatal("success with an empty list")
+		}
+		names := make([]string, len(kinds))
+		for i, k := range kinds {
+			if slices.Contains(kinds[:i], k) {
+				t.Fatalf("%v lists %v twice", kinds, k)
+			}
+			names[i] = string(k)
+		}
+		again, err := ParseKindList(strings.Join(names, ","))
+		if err != nil || !slices.Equal(again, kinds) {
+			t.Fatalf("canonical %q parses to %v, %v; want %v", strings.Join(names, ","), again, err, kinds)
+		}
+	})
 }

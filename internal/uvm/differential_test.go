@@ -234,27 +234,34 @@ func resetRig(t *testing.T, rig *diffRig, sizes []int64) {
 	}
 }
 
+// dirtyBit reports chunk i's bit in r's dirty bitmap.
+func dirtyBit(r *Region, i int) bool { return r.dirty[i>>6]>>(i&63)&1 != 0 }
+
 // checkClean asserts the recycling invariant that takeRegion relies on,
 // after an Unregister or Reset: every free region is clean over its
 // whole node capacity — each owned slot unlinked, each arrival +Inf,
-// nothing resident, dirty or queued — and owner maps every slot of every
+// nothing resident, no dirty bit set — and owner maps every slot of every
 // region ever created back to that region.
 func checkClean(t *testing.T, m *Manager) {
 	t.Helper()
 	for _, r := range m.free {
-		if r.residentCount != 0 || r.residentBytes != 0 || r.dirtyCount != 0 || len(r.dirtyQ) != 0 {
-			t.Fatalf("free region at slot %d not clean: resident %d (%d B), dirty %d, queue %d",
-				r.base, r.residentCount, r.residentBytes, r.dirtyCount, len(r.dirtyQ))
+		if r.residentCount != 0 || r.residentBytes != 0 || r.dirtyCount != 0 {
+			t.Fatalf("free region at slot %d not clean: resident %d (%d B), dirty %d",
+				r.base, r.residentCount, r.residentBytes, r.dirtyCount)
 		}
 		c := int(r.nodeCap)
-		arrival, dirty, queued := r.arrival[:c], r.dirty[:c], r.queued[:c]
+		arrival := r.arrival[:c]
 		for i := 0; i < c; i++ {
 			if n := m.nodes[r.base+int32(i)]; n != unlinked {
 				t.Fatalf("free region at slot %d: chunk %d still linked %+v", r.base, i, n)
 			}
-			if !math.IsInf(arrival[i], 1) || dirty[i] || queued[i] {
-				t.Fatalf("free region at slot %d: chunk %d arrival %v dirty %v queued %v",
-					r.base, i, arrival[i], dirty[i], queued[i])
+			if !math.IsInf(arrival[i], 1) {
+				t.Fatalf("free region at slot %d: chunk %d arrival %v", r.base, i, arrival[i])
+			}
+		}
+		for wi, w := range r.dirty[:dirtyWords(c)] {
+			if w != 0 {
+				t.Fatalf("free region at slot %d: dirty word %d is %#x", r.base, wi, w)
 			}
 		}
 	}
@@ -315,7 +322,7 @@ func compareRigsState(t *testing.T, fast, ref *diffRig) {
 			if fr.arrival[c] != rr.arrival[c] && !(math.IsInf(fr.arrival[c], 1) && math.IsInf(rr.arrival[c], 1)) {
 				t.Fatalf("region %d chunk %d arrival differs: %v vs %v", i, c, fr.arrival[c], rr.arrival[c])
 			}
-			if fr.dirty[c] != rr.dirty[c] {
+			if dirtyBit(fr, c) != dirtyBit(rr, c) {
 				t.Fatalf("region %d chunk %d dirty differs", i, c)
 			}
 			if fr.lastUse[c] != rr.lastUse[c] {

@@ -1,56 +1,38 @@
 package uvm
 
-import "sort"
+import "math/bits"
 
-// Dirty bookkeeping: r.dirty remains the per-chunk truth, and the region
-// additionally keeps an ascending queue of dirty chunk indices so the
-// writeback paths iterate only dirty chunks instead of scanning the whole
-// region. Eviction clears a chunk's dirty bit in O(1) and leaves its
-// queue entry behind as a stale tombstone (r.queued tracks queue
-// membership, so an index appears at most once); the writeback iteration
-// drops tombstones as it passes them. Queue length is therefore bounded
-// by the chunk count.
+// Dirty bookkeeping: r.dirty holds one bit per chunk, chunk i in bit i%64
+// of word i/64, and r.dirtyCount counts the set bits. Marking a range
+// sets up to 64 chunks per word, eviction clears one bit, and the
+// writeback paths walk the set bits in ascending chunk order, skipping a
+// clean word with one test.
 
-// markDirtyRange marks chunks [first, last] dirty and splices the range
-// into the dirty queue. Because chunk indices in a contiguous range
-// occupy one contiguous span of the ascending queue, the splice is a
-// single copy regardless of how many of them were already queued.
+// markDirtyRange marks chunks [first, last] dirty.
 func (r *Region) markDirtyRange(first, last int) {
-	for i := first; i <= last; i++ {
-		if !r.dirty[i] {
-			r.dirty[i] = true
-			r.dirtyCount++
+	for wi := first >> 6; wi <= last>>6; wi++ {
+		mask := ^uint64(0)
+		if wi == first>>6 {
+			mask <<= first & 63
 		}
-	}
-	lo := sort.Search(len(r.dirtyQ), func(k int) bool { return r.dirtyQ[k] >= int32(first) })
-	hi := sort.Search(len(r.dirtyQ), func(k int) bool { return r.dirtyQ[k] > int32(last) })
-	want := last - first + 1
-	if hi-lo == want {
-		return // the whole range is already queued
-	}
-	grow := want - (hi - lo)
-	n := len(r.dirtyQ)
-	if n+grow > cap(r.dirtyQ) {
-		// Queue length is bounded by the chunk count, so after warm-up the
-		// retained capacity makes this branch (the only allocation) dead.
-		tmp := make([]int32, n, n+grow+n)
-		copy(tmp, r.dirtyQ)
-		r.dirtyQ = tmp
-	}
-	r.dirtyQ = r.dirtyQ[:n+grow]
-	copy(r.dirtyQ[lo+want:], r.dirtyQ[hi:n])
-	for i := 0; i < want; i++ {
-		idx := int32(first + i)
-		r.dirtyQ[lo+i] = idx
-		r.queued[idx] = true
+		if wi == last>>6 {
+			mask &= ^uint64(0) >> (63 - last&63)
+		}
+		r.dirtyCount += bits.OnesCount64(mask &^ r.dirty[wi])
+		r.dirty[wi] |= mask
 	}
 }
 
-// clearDirtyOnEvict drops chunk idx's dirty bit without touching the
-// queue (the entry becomes a tombstone).
-func (r *Region) clearDirtyOnEvict(idx int) {
-	if r.dirty[idx] {
-		r.dirty[idx] = false
-		r.dirtyCount--
+// cleanChunk clears chunk idx's dirty bit and reports whether it was set.
+func (r *Region) cleanChunk(idx int) bool {
+	w, bit := &r.dirty[idx>>6], uint64(1)<<(idx&63)
+	if *w&bit == 0 {
+		return false
 	}
+	*w &^= bit
+	r.dirtyCount--
+	return true
 }
+
+// dirtyWords is the number of bitmap words that cover n chunks.
+func dirtyWords(n int) int { return (n + 63) >> 6 }

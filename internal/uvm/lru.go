@@ -334,9 +334,8 @@ func (m *Manager) segment(r *Region, i, hi int) (int, stretch) {
 // eviction counters are drop's, once per segment.
 func (m *Manager) evictAt(st *stretch, k int, t float64) float64 {
 	idx := st.a + k
-	if st.v.dirty[idx] {
+	if st.v.cleanChunk(idx) {
 		t = st.wb.At(t)
-		st.v.clearDirtyOnEvict(idx)
 		st.wrote++
 	}
 	if st.tr != nil || m.onEvict != nil {

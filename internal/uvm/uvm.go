@@ -12,13 +12,13 @@
 //
 // Eviction bookkeeping is constant-time: a global LRU ring plus
 // per-region resident counters (see lru.go) replace the full residency
-// scan the evictor used to pay per victim, and an ascending dirty-index
-// queue (dirty.go) lets the writeback paths visit only dirty chunks. The
-// ring lives in one flat arena of 8-byte int32 link pairs owned by the
-// Manager, one per chunk, grown by doubling. Nodes carry no owner: each
-// region owns a contiguous slot range, so the victim's region is a
-// binary search over region bases and Unregister walks the region's own
-// slots; there is no per-region resident list. Regions are recycled
+// scan the evictor used to pay per victim, and a dirty bitmap (dirty.go)
+// marks 64 chunks per word and lets the writeback paths skip clean words
+// whole. The ring lives in one flat arena of 8-byte int32 link pairs
+// owned by the Manager, one per chunk, grown by doubling. Nodes carry no
+// owner: each region owns a contiguous slot range, so the victim's region
+// is a binary search over region bases and Unregister walks the region's
+// own slots; there is no per-region resident list. Regions are recycled
 // through a free list across Register/Unregister cycles, so a warmed-up
 // manager simulates without allocating or writing heap pointers. The
 // pre-optimization scan evictor is retained as a reference
@@ -62,6 +62,7 @@ package uvm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"uvmasim/internal/counters"
 	"uvmasim/internal/pcie"
@@ -103,7 +104,7 @@ type Region struct {
 
 	arrival []float64 // per-chunk availability time; +Inf = not resident
 	lastUse []int64   // LRU stamps
-	dirty   []bool    // chunk written by the device since last writeback
+	dirty   []uint64  // one bit per chunk written by the device since its last writeback
 
 	// Indexed bookkeeping (see lru.go and dirty.go). base and nodeCap
 	// are fixed at creation: the region permanently owns arena slots
@@ -112,9 +113,7 @@ type Region struct {
 	nodeCap       int32 // owned arena slots (maximum chunk count)
 	residentCount int
 	residentBytes int64
-	dirtyCount    int
-	dirtyQ        []int32 // ascending dirty chunk indices (may hold tombstones)
-	queued        []bool  // queue membership, one per chunk
+	dirtyCount    int // set bits of dirty
 }
 
 // NumChunks returns the number of migration granules in the region.
@@ -211,9 +210,9 @@ func (m *Manager) Register(size int64) (*Region, error) {
 // region when one is large enough (best-fit keeps the choice — and
 // therefore the steady-state allocation count — independent of the
 // free-list order), otherwise a newly grown one. Free regions hold the
-// clean-state invariant (nothing resident, nothing dirty or queued,
-// every owned node unlinked) over their whole node capacity, so slicing
-// the per-chunk arrays to n is all the reinitialization reuse needs.
+// clean-state invariant (nothing resident, nothing dirty, every owned
+// node unlinked) over their whole node capacity, so slicing the
+// per-chunk arrays to n is all the reinitialization reuse needs.
 func (m *Manager) takeRegion(n int) *Region {
 	best := -1
 	for i, fr := range m.free {
@@ -229,8 +228,7 @@ func (m *Manager) takeRegion(n int) *Region {
 		m.free = append(m.free[:best], m.free[best+1:]...)
 		r.arrival = r.arrival[:n]
 		r.lastUse = r.lastUse[:n]
-		r.dirty = r.dirty[:n]
-		r.queued = r.queued[:n]
+		r.dirty = r.dirty[:dirtyWords(n)]
 		return r
 	}
 	r := &Region{
@@ -238,8 +236,7 @@ func (m *Manager) takeRegion(n int) *Region {
 		nodeCap: int32(n),
 		arrival: make([]float64, n),
 		lastUse: make([]int64, n),
-		dirty:   make([]bool, n),
-		queued:  make([]bool, n),
+		dirty:   make([]uint64, dirtyWords(n)),
 	}
 	for i := range r.arrival {
 		r.arrival[i] = math.Inf(1)
@@ -250,7 +247,7 @@ func (m *Manager) takeRegion(n int) *Region {
 
 // Unregister drops the region, releasing its device residency, and
 // recycles the object onto the free list. It walks the region's slots
-// only up to its last resident chunk, and its dirty queue.
+// only up to its last resident chunk, and its dirty bitmap.
 func (m *Manager) Unregister(r *Region) error {
 	if reg, ok := m.regions[r.id]; !ok || reg != r {
 		return fmt.Errorf("uvm: unregister of unknown region %d", r.id)
@@ -283,15 +280,10 @@ func (m *Manager) releaseAll(r *Region) {
 	r.residentCount = 0
 }
 
-// recycle scrubs r back to the clean state (dirty bits and queue
-// membership cleared via the queue, so the cost is proportional to the
-// queue length) and parks it on the free list.
+// recycle scrubs r back to the clean state (the dirty bitmap cleared,
+// one store per 64 chunks) and parks it on the free list.
 func (m *Manager) recycle(r *Region) {
-	for _, qi := range r.dirtyQ {
-		r.dirty[qi] = false
-		r.queued[qi] = false
-	}
-	r.dirtyQ = r.dirtyQ[:0]
+	clear(r.dirty)
 	r.dirtyCount = 0
 	m.free = append(m.free, r)
 }
@@ -338,11 +330,9 @@ func (m *Manager) makeRoom(t float64, need int64) float64 {
 			panic(fmt.Sprintf("uvm: cannot evict to fit %d bytes in capacity %d", need, m.capacity))
 		}
 		size := m.chunkSize(victim, vIdx)
-		if victim.dirty[vIdx] {
-			end := m.bus.Writeback(ready, size)
+		if victim.cleanChunk(vIdx) {
+			ready = m.bus.Writeback(ready, size)
 			m.Stats.WritebackBytes += float64(size)
-			ready = end
-			victim.clearDirtyOnEvict(vIdx)
 		}
 		m.release(victim, vIdx, size)
 		m.Stats.EvictedBytes += float64(size)
@@ -637,37 +627,24 @@ func (m *Manager) WritebackDirty(r *Region, t float64) float64 {
 // sampled verification) — with UVM, untouched dirty pages never cross
 // the bus, one of the paper's measured transfer savings.
 //
-// Iteration walks the region's dirty-index queue in ascending chunk
-// order — only dirty chunks, not the whole region — dropping tombstones
-// of chunks whose dirty state was cleared by eviction along the way.
+// Iteration walks the set bits of the region's dirty bitmap in ascending
+// chunk order, a clean word at a time, and stops once every dirty chunk
+// has been written back.
 func (m *Manager) WritebackPartial(r *Region, t float64, maxBytes int64) float64 {
 	end := t
-	if r.dirtyCount == 0 {
-		return end
-	}
 	var moved int64
-	q := r.dirtyQ
-	k := 0
-	for ; k < len(q); k++ {
-		i := int(q[k])
-		if !r.dirty[i] {
-			r.queued[i] = false
-			continue
+	for wi := 0; r.dirtyCount > 0 && wi < len(r.dirty); wi++ {
+		for w := r.dirty[wi]; w != 0; w &= w - 1 {
+			if moved >= maxBytes {
+				return end
+			}
+			i := wi<<6 | bits.TrailingZeros64(w)
+			size := m.chunkSize(r, i)
+			end = m.bus.Writeback(end, size)
+			m.Stats.WritebackBytes += float64(size)
+			r.cleanChunk(i)
+			moved += size
 		}
-		if moved >= maxBytes {
-			break
-		}
-		size := m.chunkSize(r, i)
-		end = m.bus.Writeback(end, size)
-		m.Stats.WritebackBytes += float64(size)
-		r.dirty[i] = false
-		r.dirtyCount--
-		r.queued[i] = false
-		moved += size
-	}
-	if k > 0 {
-		n := copy(q, q[k:])
-		r.dirtyQ = q[:n]
 	}
 	return end
 }

@@ -120,9 +120,9 @@ func TestRedundantPrefetchCostsBookkeepingOnly(t *testing.T) {
 	m, bus, _ := newTestManager(1 << 30)
 	r, _ := m.Register(32 << 20)
 	end1 := m.PrefetchRegion(r, 0)
-	busy1 := bus.H2D.Busy().Total()
+	busy1 := bus.H2D.BusyTotal()
 	end2 := m.PrefetchRegion(r, end1)
-	busy2 := bus.H2D.Busy().Total() - busy1
+	busy2 := bus.H2D.BusyTotal() - busy1
 	if busy2 != 0 {
 		t.Errorf("redundant prefetch should move no data, saw %v ns of link busy", busy2)
 	}
@@ -247,7 +247,7 @@ func TestQuickResidencyInvariants(t *testing.T) {
 						chunks++
 						bytes += m.chunkSize(reg, i)
 					}
-					if reg.dirty[i] {
+					if dirtyBit(reg, i) {
 						dirty++
 					}
 				}
@@ -255,21 +255,14 @@ func TestQuickResidencyInvariants(t *testing.T) {
 					t.Fatalf("region %d index drift: chunks %d/%d bytes %d/%d dirty %d/%d",
 						ri, chunks, reg.ResidentChunks(), bytes, reg.ResidentBytes(), dirty, reg.DirtyChunks())
 				}
-				// Every queued index is in range and flagged; every dirty
-				// chunk is somewhere in the queue.
-				queued := make(map[int32]bool, len(reg.dirtyQ))
-				for _, idx := range reg.dirtyQ {
-					if !reg.queued[idx] {
-						t.Fatalf("region %d: queue entry %d not flagged as queued", ri, idx)
-					}
-					if queued[idx] {
-						t.Fatalf("region %d: duplicate queue entry %d", ri, idx)
-					}
-					queued[idx] = true
+				// The bitmap covers exactly the region's chunks: no bit is
+				// set past the last one.
+				if len(reg.dirty) != dirtyWords(reg.NumChunks()) {
+					t.Fatalf("region %d: %d bitmap words for %d chunks", ri, len(reg.dirty), reg.NumChunks())
 				}
-				for i := 0; i < reg.NumChunks(); i++ {
-					if reg.dirty[i] && !queued[int32(i)] {
-						t.Fatalf("region %d: dirty chunk %d missing from queue", ri, i)
+				for i := reg.NumChunks(); i < 64*len(reg.dirty); i++ {
+					if dirtyBit(reg, i) {
+						t.Fatalf("region %d: dirty bit %d set past the last chunk %d", ri, i, reg.NumChunks()-1)
 					}
 				}
 			}
