@@ -112,10 +112,8 @@ func (r *Runner) MultiGPU(name string, setup cuda.Setup, size workloads.Size, jo
 	return study, nil
 }
 
-// scheduleOf reads one schedule's aggregates from its realized Stats.
-// Fairness is Jain's index over per-job finish times, which the study
-// has always reported; sched's own index over slowdowns agrees for
-// identical jobs only up to rounding.
+// scheduleOf reads one schedule's aggregates from its realized Stats
+// and computes the study's fairness from the per-job finish times.
 func scheduleOf(st *sched.Stats) MultiGPUSchedule {
 	out := MultiGPUSchedule{
 		Makespan:             st.Makespan,

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"uvmasim/internal/cuda"
-	"uvmasim/internal/stats"
 	"uvmasim/internal/workloads"
 )
 
@@ -103,51 +102,4 @@ func (r *Runner) MultiJob(name string, setup cuda.Setup, size workloads.Size, jo
 	out.PipelinedTotal = mb.Alloc + float64(jobs)*steady
 	out.Improvement = 1 - out.PipelinedTotal/out.SerialTotal
 	return out, nil
-}
-
-// PipelineStats aggregates the §6.1 quantities over a set of workloads:
-// the share of time spent on data transfer and allocation, and the mean
-// occupancy, before (standard) and after (uvm_prefetch_async).
-type PipelineStats struct {
-	Setup         cuda.Setup
-	TransferShare float64
-	AllocShare    float64
-	KernelShare   float64
-	Occupancy     float64
-}
-
-// PipelineShares measures the given workloads under one setup at a size
-// and averages the component shares of the region of interest.
-func (r *Runner) PipelineShares(ws []workloads.Workload, setup cuda.Setup, size workloads.Size) (PipelineStats, error) {
-	results := make([]Result, len(ws))
-	err := r.forEach(len(ws), func(i int) error {
-		res, err := r.Measure(ws[i], setup, size)
-		if err != nil {
-			return err
-		}
-		results[i] = res
-		return nil
-	})
-	if err != nil {
-		return PipelineStats{}, err
-	}
-	var tr, al, ke, occ []float64
-	for _, res := range results {
-		mb := res.MeanBreakdown()
-		roi := mb.Alloc + mb.Memcpy + mb.Kernel
-		if roi <= 0 {
-			continue
-		}
-		tr = append(tr, mb.Memcpy/roi)
-		al = append(al, mb.Alloc/roi)
-		ke = append(ke, mb.Kernel/roi)
-		occ = append(occ, res.Counters.Occupancy())
-	}
-	return PipelineStats{
-		Setup:         setup,
-		TransferShare: stats.Mean(tr),
-		AllocShare:    stats.Mean(al),
-		KernelShare:   stats.Mean(ke),
-		Occupancy:     stats.Mean(occ),
-	}, nil
 }

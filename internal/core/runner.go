@@ -23,7 +23,6 @@ import (
 	"uvmasim/internal/counters"
 	"uvmasim/internal/cuda"
 	"uvmasim/internal/profile"
-	"uvmasim/internal/stats"
 	"uvmasim/internal/store"
 	"uvmasim/internal/trace"
 	"uvmasim/internal/workloads"
@@ -204,9 +203,6 @@ func (r Result) MeanBreakdown() cuda.Breakdown {
 	m.Total /= n
 	return m
 }
-
-// Summary summarizes the wall totals.
-func (r Result) Summary() stats.Summary { return stats.Summarize(r.Totals()) }
 
 // seedFor derives a deterministic seed per cell and iteration. Every
 // stochastic draw of a cell must trace back to this seed (see the

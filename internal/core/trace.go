@@ -78,9 +78,3 @@ func (r *Runner) TraceSetups(name string, size workloads.Size, setups []cuda.Set
 	}
 	return out, nil
 }
-
-// TraceAllSetups is TraceSetups over the runner's study list (the
-// paper's five setups unless Runner.Setups narrows or extends it).
-func (r *Runner) TraceAllSetups(name string, size workloads.Size) ([]*TraceResult, error) {
-	return r.TraceSetups(name, size, r.setups())
-}

@@ -80,7 +80,7 @@ func TestTraceSetupsDeterministicAcrossParallelism(t *testing.T) {
 	for i, par := range []int{1, 8} {
 		r := testRunner(1)
 		r.Parallelism = par
-		results, err := r.TraceAllSetups("vector_seq", workloads.Small)
+		results, err := r.TraceSetups("vector_seq", workloads.Small, r.setups())
 		if err != nil {
 			t.Fatal(err)
 		}

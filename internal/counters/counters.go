@@ -69,17 +69,6 @@ type UVMStats struct {
 	Evictions      float64 `json:"evictions"`       // chunks evicted under memory pressure
 }
 
-// Add accumulates o into u.
-func (u *UVMStats) Add(o UVMStats) {
-	u.PageFaults += o.PageFaults
-	u.FaultBatches += o.FaultBatches
-	u.MigratedBytes += o.MigratedBytes
-	u.PrefetchBytes += o.PrefetchBytes
-	u.WritebackBytes += o.WritebackBytes
-	u.EvictedBytes += o.EvictedBytes
-	u.Evictions += o.Evictions
-}
-
 // Set is the full counter group for one run (one process execution in
 // the paper's methodology). Its JSON encoding is how the cell store
 // persists a cell's counters, so every field round-trips exactly.
@@ -97,17 +86,6 @@ type Set struct {
 	// Occupancy() = time-weighted average occupancy as CUPTI reports it.
 	OccupancyIntegral float64 `json:"occupancy_integral"`
 	KernelBusyNs      float64 `json:"kernel_busy_ns"`
-}
-
-// Merge accumulates o into s.
-func (s *Set) Merge(o *Set) {
-	s.Inst.Add(o.Inst)
-	s.L1.Add(o.L1)
-	s.UVM.Add(o.UVM)
-	s.H2DBytes += o.H2DBytes
-	s.D2HBytes += o.D2HBytes
-	s.OccupancyIntegral += o.OccupancyIntegral
-	s.KernelBusyNs += o.KernelBusyNs
 }
 
 // RecordKernel adds a kernel span with the given time-average occupancy
@@ -128,6 +106,3 @@ func (s *Set) Occupancy() float64 {
 	}
 	return s.OccupancyIntegral / s.KernelBusyNs
 }
-
-// Reset zeroes the set for reuse.
-func (s *Set) Reset() { *s = Set{} }

@@ -60,34 +60,3 @@ func TestRecordKernelNegativePanics(t *testing.T) {
 	var s Set
 	s.RecordKernel(-1, 0.5)
 }
-
-func TestMergeAndReset(t *testing.T) {
-	var a, b Set
-	a.RecordKernel(10, 1.0)
-	a.H2DBytes = 5
-	a.UVM.PageFaults = 3
-	b.RecordKernel(10, 0.0)
-	b.D2HBytes = 7
-	b.L1.LoadAccesses = 2
-	a.Merge(&b)
-	if a.Occupancy() != 0.5 {
-		t.Errorf("merged occupancy = %v, want 0.5", a.Occupancy())
-	}
-	if a.H2DBytes != 5 || a.D2HBytes != 7 || a.UVM.PageFaults != 3 || a.L1.LoadAccesses != 2 {
-		t.Errorf("merge lost fields: %+v", a)
-	}
-	a.Reset()
-	if a.Occupancy() != 0 || a.H2DBytes != 0 || a.Inst.Total() != 0 {
-		t.Errorf("reset incomplete: %+v", a)
-	}
-}
-
-func TestUVMStatsAdd(t *testing.T) {
-	var u UVMStats
-	u.Add(UVMStats{PageFaults: 1, FaultBatches: 2, MigratedBytes: 3, PrefetchBytes: 4, WritebackBytes: 5, EvictedBytes: 6})
-	u.Add(UVMStats{PageFaults: 1})
-	if u.PageFaults != 2 || u.FaultBatches != 2 || u.MigratedBytes != 3 ||
-		u.PrefetchBytes != 4 || u.WritebackBytes != 5 || u.EvictedBytes != 6 {
-		t.Errorf("unexpected UVM stats %+v", u)
-	}
-}

@@ -155,9 +155,6 @@ func (c *Context) SetTracer(tr *trace.Tracer) {
 // Tracer returns the attached tracer (nil when tracing is disabled).
 func (c *Context) Tracer() *trace.Tracer { return c.tracer }
 
-// Setup returns the context's data-transfer configuration.
-func (c *Context) Setup() Setup { return c.setup }
-
 // Config returns the system configuration.
 func (c *Context) Config() SystemConfig { return c.cfg }
 
@@ -329,21 +326,6 @@ func (c *Context) Upload(b *Buffer) error {
 		return nil
 	}
 	return c.MemcpyH2D(b)
-}
-
-// Download brings results back to the host: an explicit D2H copy for
-// standard/async, a dirty-page writeback (the CPU touching managed
-// results) for UVM.
-func (c *Context) Download(b *Buffer) error {
-	if !b.managed {
-		return c.MemcpyD2H(b)
-	}
-	if b.freed {
-		return fmt.Errorf("cuda: download of freed buffer %q", b.Name)
-	}
-	end := c.mgr.WritebackDirty(b.region, c.now)
-	c.now = end
-	return nil
 }
 
 // HostCompute advances the CPU cursor by d nanoseconds of host-side work

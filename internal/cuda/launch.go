@@ -117,7 +117,7 @@ func (c *Context) Launch(l Launch) error {
 		// traffic is accounted as transfer counters without reserving
 		// the DMA links (SM-issued remote accesses bypass the copy
 		// engines, so the whole cost lands in kernel time).
-		storeBytes := float64(res.Spec.StoreBytes)
+		storeBytes := float64(l.Spec.StoreBytes)
 		c.ctrs.H2DBytes += res.TrafficBytes - storeBytes
 		c.ctrs.D2HBytes += storeBytes
 	case c.setup.SMCopy():

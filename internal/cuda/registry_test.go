@@ -132,6 +132,13 @@ func TestParseSetupHints(t *testing.T) {
 	if err != nil || len(got) != 2 || got[0] != Standard || got[1] != UVMZeroCopy {
 		t.Errorf("ParseSetupList = %v, %v", got, err)
 	}
+	// A 64 KB name is a row here rather than a FuzzParseSetupList seed:
+	// as a seed it stalls the fuzzing engine's minimizer.
+	t.Run("long_name", func(t *testing.T) {
+		if got, err := ParseSetupList("uvm_" + strings.Repeat("x", 1<<16-len("uvm_"))); err == nil || got != nil {
+			t.Errorf("64 KB name: ParseSetupList = %v, %v; want an error and a nil list", got, err)
+		}
+	})
 }
 
 // FuzzParseSetupList fuzzes the setup-list boundary (the -setups flag and

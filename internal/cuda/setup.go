@@ -162,20 +162,6 @@ func (s Setup) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON decodes a registered name back into a Setup.
-func (s *Setup) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	parsed, err := ParseSetup(name)
-	if err != nil {
-		return err
-	}
-	*s = parsed
-	return nil
-}
-
 // ParseSetup resolves a setup by its registered name, suggesting the
 // nearest registered name on a miss.
 func ParseSetup(name string) (Setup, error) {

@@ -29,7 +29,6 @@ type Allocator struct {
 	free     []block // sorted by addr, coalesced
 	live     map[Addr]int64
 	inUse    int64
-	peak     int64
 }
 
 // NewAllocator creates an allocator over capacity bytes of HBM.
@@ -47,21 +46,17 @@ func NewAllocator(capacity int64) *Allocator {
 // Capacity returns the total HBM capacity in bytes.
 func (a *Allocator) Capacity() int64 { return a.capacity }
 
-// Reset releases every allocation and the peak watermark, returning the
-// allocator to its post-NewAllocator state while keeping the free-list
-// and live-map storage warm for reuse.
+// Reset releases every allocation, returning the allocator to its
+// post-NewAllocator state while keeping the free-list and live-map
+// storage warm for reuse.
 func (a *Allocator) Reset() {
 	a.free = append(a.free[:0], block{addr: 0, size: a.capacity})
 	clear(a.live)
 	a.inUse = 0
-	a.peak = 0
 }
 
 // InUse returns the bytes currently allocated.
 func (a *Allocator) InUse() int64 { return a.inUse }
-
-// Peak returns the high-water mark of allocated bytes.
-func (a *Allocator) Peak() int64 { return a.peak }
 
 // FreeBytes returns the bytes available (possibly fragmented).
 func (a *Allocator) FreeBytes() int64 { return a.capacity - a.inUse }
@@ -108,9 +103,6 @@ func (a *Allocator) Alloc(size int64) (Addr, error) {
 		}
 		a.live[addr] = need
 		a.inUse += need
-		if a.inUse > a.peak {
-			a.peak = a.inUse
-		}
 		return addr, nil
 	}
 	return 0, fmt.Errorf("devmem: out of memory: need %d contiguous, largest free %d", need, a.LargestFree())

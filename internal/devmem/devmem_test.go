@@ -100,17 +100,6 @@ func TestFragmentation(t *testing.T) {
 	}
 }
 
-func TestPeakTracking(t *testing.T) {
-	a := NewAllocator(1 << 20)
-	x, _ := a.Alloc(4096)
-	y, _ := a.Alloc(4096)
-	a.Free(x)
-	a.Free(y)
-	if a.Peak() != 8192 {
-		t.Errorf("peak = %d, want 8192", a.Peak())
-	}
-}
-
 // Property test: random alloc/free sequences preserve the invariant
 // inUse + sum(free blocks) == capacity, free blocks are sorted, disjoint
 // and non-adjacent.

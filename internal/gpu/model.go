@@ -1,7 +1,6 @@
 package gpu
 
 import (
-	"fmt"
 	"math"
 
 	"uvmasim/internal/counters"
@@ -65,11 +64,10 @@ type Occupancy struct {
 }
 
 // LaunchResult is the analytic outcome of one kernel launch with all data
-// resident in device memory.
+// resident in device memory. It holds outputs only: the caller keeps the
+// spec and exec config it passed to Launch.
 type LaunchResult struct {
-	Spec KernelSpec
-	Exec ExecConfig
-	Occ  Occupancy
+	Occ Occupancy
 
 	// ExecTime is the in-SM wall time in ns.
 	ExecTime float64
@@ -425,8 +423,6 @@ func (m *Model) Launch(spec KernelSpec, e ExecConfig) LaunchResult {
 	}
 
 	return LaunchResult{
-		Spec:         s,
-		Exec:         e,
 		Occ:          occ,
 		ExecTime:     exec,
 		FetchTime:    fetch,
@@ -438,11 +434,4 @@ func (m *Model) Launch(spec KernelSpec, e ExecConfig) LaunchResult {
 		Inst:         inst,
 		L1:           l1,
 	}
-}
-
-// String summarizes a result for debugging output.
-func (r LaunchResult) String() string {
-	return fmt.Sprintf("%s: exec=%.0fns fetch=%.0f stage=%.0f compute=%.0f store=%.0f occ=%.2f hide=%.2f",
-		r.Spec.Name, r.ExecTime, r.FetchTime, r.StageTime, r.ComputeTime, r.StoreTime,
-		r.Occ.Fraction, r.HideFactor)
 }

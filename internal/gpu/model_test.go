@@ -350,7 +350,7 @@ func TestComponentSanity(t *testing.T) {
 		for _, e := range []ExecConfig{{}, {Async: true}, {Managed: true}, {Async: true, Managed: true, DriverPrefetch: true}} {
 			r := m.Launch(spec, e)
 			if r.ExecTime <= 0 || r.FetchTime < 0 || r.ComputeTime < 0 || r.StoreTime < 0 {
-				t.Errorf("%s %+v: negative component: %s", spec.Name, e, r)
+				t.Errorf("%s %+v: negative component: %+v", spec.Name, e, r)
 			}
 			if e.Async && r.ExecTime < math.Max(r.FetchTime, r.ComputeTime)-1e-9 {
 				t.Errorf("%s: async exec %v below max component", spec.Name, r.ExecTime)

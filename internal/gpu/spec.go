@@ -119,23 +119,6 @@ func (a Access) asyncBypassStoreBenefit() float64 {
 	}
 }
 
-// prefetchAccuracy is the fraction of driver/explicit prefetches that
-// deliver useful pages for this pattern; the complement is wasted PCIe
-// and cache pollution (the reason lud does not benefit from UVM
-// prefetch, §4.1.2).
-func (a Access) prefetchAccuracy() float64 {
-	switch a {
-	case Sequential:
-		return 0.98
-	case Strided:
-		return 0.90
-	case Irregular:
-		return 0.55
-	default: // Random
-		return 0.35
-	}
-}
-
 // KernelSpec describes one kernel launch's work analytically. Workloads
 // construct specs from their real algorithm structure (loop bounds, tile
 // shapes), so the spec is derived, not assumed.

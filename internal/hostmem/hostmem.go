@@ -142,9 +142,6 @@ func (m *Memory) Reset() {
 	m.preferred = 0
 }
 
-// Config returns the memory system's configuration.
-func (m *Memory) Config() Config { return m.cfg }
-
 // TotalCapacity returns the aggregate capacity across chips.
 func (m *Memory) TotalCapacity() int64 {
 	return int64(m.cfg.Chips) * m.cfg.ChipCapacity

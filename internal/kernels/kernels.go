@@ -140,15 +140,3 @@ func MatVec(name string, m, n int64) gpu.KernelSpec {
 		WorkingSetKB:    32,
 	}
 }
-
-// Scale multiplies the spec's total work by f (used when one logical
-// pass is split across several launches).
-func Scale(s gpu.KernelSpec, f float64) gpu.KernelSpec {
-	s.LoadBytes = int64(float64(s.LoadBytes) * f)
-	s.LoadAccessBytes = int64(float64(s.LoadAccessBytes) * f)
-	s.StoreBytes = int64(float64(s.StoreBytes) * f)
-	s.Flops *= f
-	s.IntOps *= f
-	s.CtrlOps *= f
-	return s
-}

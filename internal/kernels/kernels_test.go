@@ -87,17 +87,6 @@ func TestMatVecSpec(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	s := Stream("s", 1000, 1, 1, 2, 2, gpu.Sequential)
-	h := Scale(s, 0.5)
-	if h.LoadBytes != s.LoadBytes/2 || h.Flops != s.Flops/2 || h.CtrlOps != s.CtrlOps/2 {
-		t.Errorf("Scale(0.5) wrong: %+v", h)
-	}
-	if h.Blocks != s.Blocks || h.Access != s.Access {
-		t.Errorf("Scale must not touch geometry or pattern")
-	}
-}
-
 // Property: every builder output passes spec validation for arbitrary
 // positive inputs.
 func TestQuickBuildersValidate(t *testing.T) {

@@ -98,12 +98,6 @@ func Lookup(name string) (Profile, error) {
 		name, nearest.Hint(name, Names(), 3))
 }
 
-// NewContext creates a simulated process on this profile's machine —
-// the profile-aware form of cuda.NewContext.
-func (p Profile) NewContext(setup cuda.Setup, seed int64) *cuda.Context {
-	return cuda.NewContext(p.Config, setup, seed)
-}
-
 // a10040gPCIe4 is the paper's testbed: an A100-SXM4-40GB on a 16-chip
 // EPYC host over PCIe 4.0 x16. It must stay bit-identical to
 // cuda.DefaultSystemConfig() — the committed goldens depend on it.

@@ -405,7 +405,7 @@ func TestBuiltinsRunTiny(t *testing.T) {
 	}
 	for _, p := range Builtins() {
 		for _, setup := range cuda.Registered() {
-			ctx := p.NewContext(setup, 1)
+			ctx := cuda.NewContext(p.Config, setup, 1)
 			if err := w.Run(ctx, workloads.Tiny); err != nil {
 				t.Errorf("%s/%s: %v", p.Name, setup, err)
 				continue
@@ -449,7 +449,7 @@ func FuzzProfileLoad(f *testing.F) {
 			t.Fatalf("Load accepted a profile that Validate rejects: %v", err)
 		}
 		for _, setup := range cuda.Registered() {
-			ctx := p.NewContext(setup, 1)
+			ctx := cuda.NewContext(p.Config, setup, 1)
 			if err := w.Run(ctx, workloads.Tiny); err != nil {
 				continue
 			}

@@ -99,36 +99,19 @@ type JobStat struct {
 	AllocStart, AllocEnd       float64
 	TransferStart, TransferEnd float64
 	KernelStart, KernelEnd     float64
-	// Wait is the idle time inside the job's span: everything between
-	// arrival and finish not spent in a stage.
-	Wait float64
 	// Finish is the job's completion time (== KernelEnd).
 	Finish float64
-}
-
-// GPUStat aggregates one device's busy time.
-type GPUStat struct {
-	Jobs         int
-	AllocBusy    float64 // host-thread alloc/free work for this device's jobs
-	TransferBusy float64
-	KernelBusy   float64
-	// LastFinish is the completion time of the device's final job.
-	LastFinish float64
 }
 
 // Stats is the outcome of one scheduler run.
 type Stats struct {
 	Jobs []JobStat // in Job submission order
-	GPUs []GPUStat
+	GPUs int       // devices in the topology, idle ones included
 
 	// Makespan is the last finish minus the first arrival.
 	Makespan float64
 	// ThroughputJobsPerSec is jobs completed per simulated second.
 	ThroughputJobsPerSec float64
-	// Fairness is Jain's index over per-job slowdowns
-	// ((finish-arrival)/solo duration); 1.0 means every job was slowed
-	// equally.
-	Fairness float64
 	// TransferStretch is the mean realized/solo transfer-time ratio
 	// over jobs with a transfer stage: 1.0 means no fabric contention.
 	TransferStretch float64
@@ -215,7 +198,7 @@ func Run(eng *sim.Engine, t *topo.Topology, jobs []Job, opt Options) (*Stats, er
 	}
 	placement := Place(t, jobs, opt.Policy)
 
-	st := &Stats{Jobs: make([]JobStat, len(jobs)), GPUs: make([]GPUStat, t.GPUs)}
+	st := &Stats{Jobs: make([]JobStat, len(jobs)), GPUs: t.GPUs}
 	queues := make([][]*jobState, t.GPUs)
 	for i, j := range jobs {
 		g := placement[i]
@@ -309,11 +292,11 @@ func Run(eng *sim.Engine, t *topo.Topology, jobs []Job, opt Options) (*Stats, er
 	}
 	eng.Run()
 
-	return st, finalize(st, jobs, queues)
+	return st, finalize(st, jobs)
 }
 
 // finalize derives the aggregate statistics from the per-job spans.
-func finalize(st *Stats, jobs []Job, queues [][]*jobState) error {
+func finalize(st *Stats, jobs []Job) error {
 	firstArrival := jobs[0].Arrival
 	last := 0.0
 	for _, j := range jobs {
@@ -321,7 +304,6 @@ func finalize(st *Stats, jobs []Job, queues [][]*jobState) error {
 			firstArrival = j.Arrival
 		}
 	}
-	var slowSum, slowSq float64
 	var stretchSum float64
 	stretchN := 0
 	for i := range st.Jobs {
@@ -329,19 +311,8 @@ func finalize(st *Stats, jobs []Job, queues [][]*jobState) error {
 		if js.Finish <= 0 && js.Job.duration() > 0 {
 			return fmt.Errorf("sched: job %d never finished", js.Job.ID)
 		}
-		span := js.Finish - js.Job.Arrival
-		stages := (js.AllocEnd - js.AllocStart) + (js.TransferEnd - js.TransferStart) + (js.KernelEnd - js.KernelStart)
-		js.Wait = span - stages
-		if js.Wait < 0 {
-			js.Wait = 0
-		}
 		if js.Finish > last {
 			last = js.Finish
-		}
-		if d := js.Job.duration(); d > 0 {
-			s := span / d
-			slowSum += s
-			slowSq += s * s
 		}
 		if js.Job.TransferNs > 0 {
 			stretchSum += (js.TransferEnd - js.TransferStart) / js.Job.TransferNs
@@ -352,25 +323,10 @@ func finalize(st *Stats, jobs []Job, queues [][]*jobState) error {
 	if st.Makespan > 0 {
 		st.ThroughputJobsPerSec = float64(len(st.Jobs)) / st.Makespan * 1e9
 	}
-	if n := float64(len(st.Jobs)); slowSq > 0 {
-		st.Fairness = slowSum * slowSum / (n * slowSq)
-	}
 	if stretchN > 0 {
 		st.TransferStretch = stretchSum / float64(stretchN)
 	} else {
 		st.TransferStretch = 1
-	}
-	for g, q := range queues {
-		gs := &st.GPUs[g]
-		gs.Jobs = len(q)
-		for _, js := range q {
-			gs.AllocBusy += js.stat.AllocEnd - js.stat.AllocStart
-			gs.TransferBusy += js.stat.TransferEnd - js.stat.TransferStart
-			gs.KernelBusy += js.stat.KernelEnd - js.stat.KernelStart
-			if js.stat.Finish > gs.LastFinish {
-				gs.LastFinish = js.stat.Finish
-			}
-		}
 	}
 	return nil
 }

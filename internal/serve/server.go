@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net"
@@ -286,23 +285,21 @@ func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 
 	rr := req.Runner(s.runnerFor(req.Profile))
 
-	// A json.Encoder with the CLI's indent writes the same bytes
-	// core.RenderJSON would (MarshalIndent plus a trailing newline per
-	// document). Nothing reaches the ResponseWriter until every figure
-	// succeeded, so errors still get a clean error document.
+	// Nothing reaches the ResponseWriter until every figure succeeded,
+	// so errors still get a clean error document.
 	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
 	for _, fig := range req.expanded() {
 		doc, err := Figure(rr, fig, req.FigureOptions)
 		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		if err := enc.Encode(doc); err != nil {
+		js, err := core.RenderJSON(doc)
+		if err != nil {
 			httpError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
+		buf.WriteString(js)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(buf.Bytes())

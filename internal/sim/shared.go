@@ -31,7 +31,6 @@ type SharedLink struct {
 	busyStart  float64       // start of the current busy span (valid while flows exist)
 	busy       busyMeter
 	delivered  float64 // total bytes completed so far
-	peak       int     // high-water mark of concurrent flows
 }
 
 // sharedFlow is one in-flight transfer on a SharedLink.
@@ -52,14 +51,8 @@ func NewSharedLink(eng *Engine, capacityBytesPerNs float64) *SharedLink {
 	return &SharedLink{eng: eng, capacity: capacityBytesPerNs}
 }
 
-// Capacity returns the pool capacity in bytes per nanosecond.
-func (l *SharedLink) Capacity() float64 { return l.capacity }
-
 // Active reports the number of in-flight flows.
 func (l *SharedLink) Active() int { return len(l.flows) }
-
-// PeakFlows reports the high-water mark of concurrent flows.
-func (l *SharedLink) PeakFlows() int { return l.peak }
 
 // Delivered reports the total bytes completed so far.
 func (l *SharedLink) Delivered() float64 { return l.delivered }
@@ -101,9 +94,6 @@ func (l *SharedLink) Start(bytes, rateCap float64, done func(end float64)) {
 	l.gen++ // the new flow makes any scheduled completion stale
 	f := &sharedFlow{started: bytes, remaining: bytes, cap: rateCap, done: done}
 	l.flows = append(l.flows, f)
-	if len(l.flows) > l.peak {
-		l.peak = len(l.flows)
-	}
 	l.reshare()
 	l.scheduleNext(now)
 }
@@ -211,15 +201,4 @@ func (l *SharedLink) complete(gen uint64) {
 			f.done(now)
 		}
 	}
-}
-
-// Reset clears all flow state and accounting for a fresh run on the
-// same engine.
-func (l *SharedLink) Reset() {
-	l.flows = l.flows[:0]
-	l.lastUpdate = 0
-	l.gen++
-	l.busy = busyMeter{}
-	l.delivered = 0
-	l.peak = 0
 }

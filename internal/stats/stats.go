@@ -1,6 +1,6 @@
 // Package stats provides the small set of descriptive statistics the
 // experiment harness needs: means, standard deviations, geometric means,
-// percentiles, confidence intervals and histograms.
+// percentiles, confidence intervals and their summary.
 //
 // All functions operate on float64 slices and never mutate their inputs
 // unless documented otherwise. Empty inputs yield NaN (for point
@@ -141,21 +141,6 @@ func CI95(xs []float64) float64 {
 	return 1.96 * Std(xs) / math.Sqrt(float64(len(xs)))
 }
 
-// Normalize returns xs scaled so that base maps to 1.0. It is used to
-// produce the "normalized to standard" axes of Figures 7, 8 and 11-13.
-// A zero base yields a slice of NaN.
-func Normalize(xs []float64, base float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		if base == 0 {
-			out[i] = math.NaN()
-		} else {
-			out[i] = x / base
-		}
-	}
-	return out
-}
-
 // Summary bundles the descriptive statistics of one measurement series.
 type Summary struct {
 	N      int
@@ -178,29 +163,4 @@ func Summarize(xs []float64) Summary {
 		Median: Median(xs),
 		CI95:   CI95(xs),
 	}
-}
-
-// Histogram counts xs into nbins equal-width bins spanning [min, max].
-// Values exactly equal to max land in the last bin. It returns the bin
-// counts and the bin width. Empty input or nbins < 1 returns nil.
-func Histogram(xs []float64, nbins int) (counts []int, width float64) {
-	if len(xs) == 0 || nbins < 1 {
-		return nil, 0
-	}
-	lo, hi := Min(xs), Max(xs)
-	if hi == lo {
-		counts = make([]int, nbins)
-		counts[0] = len(xs)
-		return counts, 0
-	}
-	width = (hi - lo) / float64(nbins)
-	counts = make([]int, nbins)
-	for _, x := range xs {
-		i := int((x - lo) / width)
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts, width
 }

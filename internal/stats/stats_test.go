@@ -119,44 +119,11 @@ func TestCI95(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	got := Normalize([]float64{2, 4, 6}, 2)
-	want := []float64{1, 2, 3}
-	for i := range want {
-		if !almostEqual(got[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	for _, v := range Normalize([]float64{1}, 0) {
-		if !math.IsNaN(v) {
-			t.Errorf("Normalize with zero base should be NaN, got %v", v)
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	s := Summarize(xs)
 	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
 		t.Errorf("unexpected summary %+v", s)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	counts, width := Histogram([]float64{0, 1, 2, 3}, 2)
-	if len(counts) != 2 || counts[0] != 2 || counts[1] != 2 {
-		t.Errorf("Histogram counts = %v", counts)
-	}
-	if !almostEqual(width, 1.5, 1e-12) {
-		t.Errorf("Histogram width = %v, want 1.5", width)
-	}
-	// Constant series: everything in bin 0.
-	counts, width = Histogram([]float64{7, 7, 7}, 4)
-	if counts[0] != 3 || width != 0 {
-		t.Errorf("constant Histogram = %v width %v", counts, width)
-	}
-	if c, _ := Histogram(nil, 3); c != nil {
-		t.Errorf("Histogram(nil) should be nil")
 	}
 }
 
@@ -193,42 +160,6 @@ func TestQuickAMGM(t *testing.T) {
 		gm, am := GeoMean(xs), Mean(xs)
 		if gm > am*(1+1e-9) {
 			t.Fatalf("AM-GM violated: gm=%v am=%v xs=%v", gm, am, xs)
-		}
-	}
-}
-
-// Property: normalizing by the mean gives a series with mean 1.
-func TestQuickNormalizeMean(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 100; i++ {
-		n := 2 + rng.Intn(30)
-		xs := make([]float64, n)
-		for j := range xs {
-			xs[j] = rng.Float64()*100 + 1
-		}
-		norm := Normalize(xs, Mean(xs))
-		if !almostEqual(Mean(norm), 1, 1e-9) {
-			t.Fatalf("normalized mean = %v", Mean(norm))
-		}
-	}
-}
-
-// Property: histogram bin counts sum to len(xs).
-func TestQuickHistogramTotal(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 100; i++ {
-		n := 1 + rng.Intn(100)
-		xs := make([]float64, n)
-		for j := range xs {
-			xs[j] = rng.NormFloat64() * 10
-		}
-		counts, _ := Histogram(xs, 1+rng.Intn(16))
-		total := 0
-		for _, c := range counts {
-			total += c
-		}
-		if total != n {
-			t.Fatalf("histogram total %d != %d", total, n)
 		}
 	}
 }

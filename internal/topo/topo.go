@@ -118,8 +118,3 @@ func (t *Topology) Transfer(bytes, rateCap float64, done func(end float64)) {
 	}
 	t.shared.Start(bytes, rateCap, done)
 }
-
-// String renders the topology for logs and renders.
-func (t *Topology) String() string {
-	return fmt.Sprintf("%s x%d", t.Kind, t.GPUs)
-}

@@ -102,7 +102,7 @@ func (rig *diffRig) step(rng *rand.Rand, now float64) (float64, string) {
 		max := int64(1+rng.Intn(8)) << 20
 		return rig.m.WritebackPartial(r, now, max), fmt.Sprintf("writeback r%d max %d", rig.ords[r], max)
 	default:
-		return rig.m.WritebackDirty(r, now), fmt.Sprintf("flush r%d", rig.ords[r])
+		return rig.m.WritebackPartial(r, now, r.Size), fmt.Sprintf("flush r%d", rig.ords[r])
 	}
 }
 
@@ -586,7 +586,7 @@ func TestRunPathsMatchReference(t *testing.T) {
 			m.DemandChunk(b, 3, 0, 1, false)
 			m.MarkDeviceWritten(b, 9e6) // runs [0,3) and [4,8), the latter ending at the short tail
 			m.MarkDirty(b, 0, b.Size)
-			return append(out, m.WritebackDirty(b, 1e7))
+			return append(out, m.WritebackPartial(b, 1e7, b.Size))
 		}},
 		{"interleaved regions", 64 * chunk, []int64{16 * chunk, 12 * chunk}, func(t *testing.T, rig *diffRig) []float64 {
 			m, a, b := rig.m, rig.regions[0], rig.regions[1]

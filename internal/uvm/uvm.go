@@ -183,9 +183,6 @@ func NewManager(cfg Config, bus *pcie.Bus, capacity int64, stats *counters.UVMSt
 	return m
 }
 
-// Config returns the manager configuration.
-func (m *Manager) Config() Config { return m.cfg }
-
 // ResidentBytes returns managed bytes currently device-resident.
 func (m *Manager) ResidentBytes() int64 { return m.resident }
 
@@ -611,14 +608,6 @@ func (m *Manager) MarkDirty(r *Region, off, n int64) {
 		return
 	}
 	r.markDirtyRange(int(first), int(last))
-}
-
-// WritebackDirty migrates the region's dirty chunks back to the host
-// (the CPU touching results after cudaDeviceSynchronize), starting at t.
-// It returns the completion time. Chunks stay device-resident (UVM keeps
-// read duplicates).
-func (m *Manager) WritebackDirty(r *Region, t float64) float64 {
-	return m.WritebackPartial(r, t, r.Size)
 }
 
 // WritebackPartial migrates up to maxBytes of the region's dirty chunks

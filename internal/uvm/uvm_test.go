@@ -137,7 +137,7 @@ func TestWritebackDirty(t *testing.T) {
 	r, _ := m.Register(8 << 20)
 	m.PrefetchRegion(r, 0)
 	m.MarkDirty(r, 0, 3<<20) // chunks 0 and 1
-	end := m.WritebackDirty(r, 100)
+	end := m.WritebackPartial(r, 100, r.Size)
 	if end <= 100 {
 		t.Errorf("writeback should take time")
 	}
@@ -145,11 +145,11 @@ func TestWritebackDirty(t *testing.T) {
 		t.Errorf("WritebackBytes = %v, want 4MB (two dirty chunks)", stats.WritebackBytes)
 	}
 	// Second writeback: nothing dirty.
-	if got := m.WritebackDirty(r, end); got != end {
+	if got := m.WritebackPartial(r, end, r.Size); got != end {
 		t.Errorf("clean writeback should be free")
 	}
 	m.MarkDirty(r, 0, 0) // no-op
-	if got := m.WritebackDirty(r, end); got != end {
+	if got := m.WritebackPartial(r, end, r.Size); got != end {
 		t.Errorf("zero-length dirty mark should not dirty anything")
 	}
 }
@@ -222,7 +222,7 @@ func TestQuickResidencyInvariants(t *testing.T) {
 				now = m.PrefetchRegion(r, now)
 			case 2:
 				m.MarkDirty(r, int64(rng.Intn(int(r.Size))), int64(rng.Intn(1<<20)))
-				now = m.WritebackDirty(r, now)
+				now = m.WritebackPartial(r, now, r.Size)
 			}
 			if m.ResidentBytes() > capacity {
 				t.Fatalf("resident %d exceeds capacity %d", m.ResidentBytes(), capacity)

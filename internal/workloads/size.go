@@ -57,20 +57,6 @@ func (s Size) MarshalJSON() ([]byte, error) {
 	return json.Marshal(s.String())
 }
 
-// UnmarshalJSON decodes a class name back into a Size.
-func (s *Size) UnmarshalJSON(data []byte) error {
-	var name string
-	if err := json.Unmarshal(data, &name); err != nil {
-		return err
-	}
-	parsed, err := ParseSize(name)
-	if err != nil {
-		return err
-	}
-	*s = parsed
-	return nil
-}
-
 // ParseSize resolves a class by name.
 func ParseSize(name string) (Size, error) {
 	names := make([]string, len(AllSizes))
